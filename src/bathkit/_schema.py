@@ -1,10 +1,50 @@
-"""Tiny helpers for validating bathkit JSON documents.
+"""Tiny helpers for reading and writing bathkit documents.
 
 Errors carry a JSON-pointer so callers can report the exact location of a
-schema violation.
+schema violation.  Readers and writers take a text stream (anything with
+``read``/``write``) or a path; a ``str`` is always a path, never document
+text.
 """
 
-from .errors import SchemaError
+import json
+import os
+import sys
+
+from .errors import SchemaError, ValidationError
+
+
+def read_text(source) -> str:
+    """All text of a stream, or of the UTF-8 file at a path."""
+    try:
+        if hasattr(source, "read"):
+            return source.read()
+        with open(source, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{_name(source)}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_json(source):
+    """Parse the JSON document in a stream or at a path."""
+    try:
+        return json.loads(read_text(source))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{_name(source)}: invalid JSON: {exc}") from None
+
+
+def write_text(sink, text: str):
+    """Write text to a stream, or to the file at a path with LF line endings."""
+    if hasattr(sink, "write"):
+        sink.write(text)
+    else:
+        with open(sink, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+
+
+def _name(source) -> str:
+    if isinstance(source, (str, os.PathLike)):
+        return os.fspath(source)
+    return getattr(source, "name", "<stream>")
 
 
 def require(obj: dict, key: str, pointer: str):
@@ -16,10 +56,20 @@ def require(obj: dict, key: str, pointer: str):
     return obj[key]
 
 
+def is_finite_number(value) -> bool:
+    """True for an int or float (not a bool) that is a finite double."""
+    # the comparison is False for NaN and exact for ints too large for a float
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
 def require_number(obj: dict, key: str, pointer: str) -> float:
     value = require(obj, key, pointer)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{pointer}/{key}", f"expected a number, got {value!r}")
+    if not is_finite_number(value):
+        raise SchemaError(f"{pointer}/{key}", f"expected a finite number, got {value!r}")
     return float(value)
 
 

@@ -9,8 +9,9 @@ Data goes to stdout or --out; diagnostics go to stderr.  Every artifact
 embeds a metadata block (tool version, full effective config, input
 hashes) and contains no timestamps, so repeated runs are byte-identical.
 
-Exit codes: 0 success, 2 config/parse error, 3 solver non-convergence,
-4 resource cap, 5 validation failure.
+Exit codes: 0 success, 2 config/parse error (also non-finite flags and
+unreadable or undecodable files), 3 solver non-convergence, 4 resource
+cap, 5 validation failure.
 """
 
 from __future__ import annotations
@@ -18,11 +19,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
+from ._schema import read_json, write_text
 from .discretize import (
     FdrGrid,
     discretize_bath,
@@ -65,104 +69,84 @@ def _metadata(command: str, config: dict, input_paths) -> dict:
     }
 
 
-def _metadata_comment_block(meta: dict) -> str:
+def _write_csv(sink, meta: dict, header: str, rows):
+    """A CSV artifact: ``#`` metadata lines, a header row, the data rows."""
     lines = [f"# {meta['tool']}", f"# command: {meta['command']}"]
     lines.append("# config: " + json.dumps(meta["config"], sort_keys=True))
     lines.append("# inputs: " + json.dumps(meta["inputs"], sort_keys=True))
-    return "\n".join(lines) + "\n"
-
-
-def _write_text(out_path, text: str):
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    write_text(sink, "\n".join([*lines, header, *rows]) + "\n")
 
 
 def _load_sd(path: str):
     if path.endswith(".csv"):
         return load_tabulated(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
-    return sd_from_config(config)
-
-
-def _temperature_from_args(args) -> Temperature:
-    if getattr(args, "zero_temp", False):
-        return Temperature.zero()
-    if getattr(args, "temp_k", None) is not None:
-        return Temperature.finite(args.temp_k)
-    return Temperature.zero()
+    return sd_from_config(read_json(path))
 
 
 def _load_system(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
-    return system_from_dict(doc, pointer="")
+    return system_from_dict(read_json(path), pointer="")
+
+
+def _temperature_from_args(args, required: bool = True) -> Temperature:
+    """--temp-k or --zero-temp; zero when neither is given and not ``required``."""
+    if args.temp_k is not None:
+        return Temperature.finite(args.temp_k)
+    if required and not args.zero_temp:
+        raise ValidationError("provide --temp-k or --zero-temp")
+    return Temperature.zero()
+
+
+def _grid_from_args(args) -> FdrGrid:
+    return FdrGrid(args.t_max_fs, args.omega_max_cm1, args.n_time, args.n_freq)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 # --- subcommands -----------------------------------------------------------
 
 
 def _cmd_eval_sd(args) -> int:
-    sd = _load_sd(args.sd)
-    temperature = _temperature_from_args(args)
-    kernel = NoiseKernel(sd, temperature)
+    kernel = NoiseKernel(_load_sd(args.sd), _temperature_from_args(args, required=False))
     if args.n < 2:
         raise ValidationError(f"--n must be >= 2, got {args.n}")
     omegas = np.linspace(args.omega_min, args.omega_max, args.n)
-    j_vals = sd.evaluate(omegas)
-    s_vals = kernel.evaluate(omegas)
+    table = np.column_stack((omegas, kernel.sd.evaluate(omegas), kernel.evaluate(omegas)))
+    if not np.all(np.isfinite(table)):
+        raise ValidationError("non-finite values on the requested frequency range")
 
     config = {
         "sd": args.sd,
-        "temperature_K": temperature.to_json(),
+        "temperature_K": kernel.temperature.to_json(),
         "omega_min": args.omega_min,
         "omega_max": args.omega_max,
         "n": args.n,
         "out": args.out,
     }
     meta = _metadata("eval-sd", config, [args.sd])
-    rows = [
-        f"{float(w)!r},{float(j)!r},{float(s)!r}"
-        for w, j, s in zip(omegas, j_vals, s_vals)
-    ]
-    text = (
-        _metadata_comment_block(meta)
-        + "omega_cm1,J_cm1,S_beta_cm1\n"
-        + "\n".join(rows)
-        + "\n"
-    )
-    _write_text(args.out, text)
+    rows = [f"{float(w)!r},{float(j)!r},{float(s)!r}" for w, j, s in table]
+    sink = sys.stdout if args.out is None else args.out
+    _write_csv(sink, meta, "omega_cm1,J_cm1,S_beta_cm1", rows)
     return EXIT_OK
 
 
 def _cmd_discretize(args) -> int:
-    sd = _load_sd(args.sd)
-    temperature = _temperature_from_args(args)
-    if not args.zero_temp and args.temp_k is None:
-        raise ValidationError("provide --temp-k or --zero-temp")
-    kernel = NoiseKernel(sd, temperature)
-    grid = FdrGrid(
-        t_max_fs=args.t_max_fs,
-        omega_max_cm1=args.omega_max_cm1,
-        n_time=args.n_time,
-        n_freq=args.n_freq,
-    )
+    kernel = NoiseKernel(_load_sd(args.sd), _temperature_from_args(args))
+    grid = _grid_from_args(args)
+    if not args.memory_cap_gib > 0:
+        raise ValidationError(f"--memory-cap-gib must be positive, got {args.memory_cap_gib}")
     config = {
         "sd": args.sd,
-        "temperature_K": temperature.to_json(),
-        "t_max_fs": args.t_max_fs,
-        "omega_max_cm1": args.omega_max_cm1,
-        "n_time": args.n_time,
-        "n_freq": args.n_freq,
+        "temperature_K": kernel.temperature.to_json(),
+        **asdict(grid),
         "tol": args.tol,
         "memory_cap_gib": args.memory_cap_gib,
         "out": args.out,
@@ -209,44 +193,29 @@ def _cmd_reconstruct(args) -> int:
         f"{float(cr.real)!r},{float(cr.imag)!r}"
         for t, cm, cr in zip(times, c_model, c_ref)
     ]
-    text = (
-        _metadata_comment_block(meta)
-        + "t_fs,re_C,im_C,re_C_ref,im_C_ref\n"
-        + "\n".join(rows)
-        + "\n"
-    )
-    _write_text(args.out, text)
+    _write_csv(args.out, meta, "t_fs,re_C,im_C,re_C_ref,im_C_ref", rows)
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    sd = _load_sd(args.sd)
-    temperature = _temperature_from_args(args)
-    if not args.zero_temp and args.temp_k is None:
-        raise ValidationError("provide --temp-k or --zero-temp")
-    kernel = NoiseKernel(sd, temperature)
+    kernel = NoiseKernel(_load_sd(args.sd), _temperature_from_args(args))
     system = _load_system(args.system)
-    tols = [float(t) for t in args.tol_sweep.split(",") if t.strip()]
+    try:
+        tols = [_finite_float(t) for t in args.tol_sweep.split(",") if t.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise ValidationError(f"--tol-sweep: {exc}") from None
     if not tols:
         raise ValidationError("--tol-sweep must list at least one tolerance")
-    grid = FdrGrid(
-        t_max_fs=args.t_max_fs,
-        omega_max_cm1=args.omega_max_cm1,
-        n_time=args.n_time,
-        n_freq=args.n_freq,
-    )
+    grid = _grid_from_args(args)
     report = convergence_study(
         kernel, system, tols, grid, dimension_cap=args.dim_cap
     )
     config = {
         "sd": args.sd,
-        "temperature_K": temperature.to_json(),
+        "temperature_K": kernel.temperature.to_json(),
         "system": args.system,
         "tol_sweep": report.tols,
-        "t_max_fs": args.t_max_fs,
-        "omega_max_cm1": args.omega_max_cm1,
-        "n_time": args.n_time,
-        "n_freq": args.n_freq,
+        **asdict(grid),
         "dim_cap": args.dim_cap,
         "out": args.out,
         "series_out": args.series_out,
@@ -261,7 +230,7 @@ def _cmd_validate(args) -> int:
         "slack": report.slack,
         "monotone_within_slack": report.monotone_within_slack,
     }
-    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    write_text(args.out, json.dumps(doc, indent=2) + "\n")
 
     if args.series_out is not None:
         if report.observable == "dephasing_coherence":
@@ -273,17 +242,11 @@ def _cmd_validate(args) -> int:
                 for j in range(s.shape[1]):
                     names.append(f"pop{j + 1}_tol{i}")
                     columns.append(s[:, j])
-        rows = []
-        for k, t in enumerate(report.times):
-            rows.append(",".join([repr(float(t))] + [repr(float(c[k])) for c in columns]))
-        text = (
-            _metadata_comment_block(meta)
-            + ",".join(["t_fs"] + names)
-            + "\n"
-            + "\n".join(rows)
-            + "\n"
-        )
-        _write_text(args.series_out, text)
+        rows = [
+            ",".join([repr(float(t))] + [repr(float(c[k])) for c in columns])
+            for k, t in enumerate(report.times)
+        ]
+        _write_csv(args.series_out, meta, ",".join(["t_fs"] + names), rows)
 
     print(
         f"observable={report.observable} tols={list(report.tols)} "
@@ -295,22 +258,15 @@ def _cmd_validate(args) -> int:
 
 def _cmd_build_model(args) -> int:
     system = _load_system(args.system)
-    baths = []
+    pairs = []
     for item in args.bath:
-        if "=" not in item:
-            raise ValidationError(
-                f"--bath expects LABEL=path.json, got {item!r}"
-            )
-        label, path = item.split("=", 1)
-        baths.append((label, load_bath_model(path)))
-    model = build_model(system, baths)
-    config = {
-        "system": args.system,
-        "baths": {label: path for label, path in (b.split("=", 1) for b in args.bath)},
-        "out": args.out,
-    }
-    inputs = [args.system] + [b.split("=", 1)[1] for b in args.bath]
-    meta = _metadata("build-model", config, inputs)
+        label, sep, path = item.partition("=")
+        if not sep:
+            raise ValidationError(f"--bath expects LABEL=path.json, got {item!r}")
+        pairs.append((label, path))
+    model = build_model(system, [(label, load_bath_model(path)) for label, path in pairs])
+    config = {"system": args.system, "baths": dict(pairs), "out": args.out}
+    meta = _metadata("build-model", config, [args.system] + [path for _, path in pairs])
     export_model(model, args.out, metadata=meta)
     print(
         f"model with {model.system.dim} system levels, "
@@ -328,28 +284,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bathkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval-sd", help="tabulate J(omega) and the quantum noise")
-    p.add_argument("--sd", required=True, help="spectral density JSON config or CSV table")
-    temp = p.add_mutually_exclusive_group()
-    temp.add_argument("--temp-k", type=float, default=None, help="temperature in K (default: zero)")
+    # flags shared by the subcommands that build a noise kernel
+    kernel = argparse.ArgumentParser(add_help=False)
+    kernel.add_argument("--sd", required=True, help="spectral density JSON config or CSV table")
+    temp = kernel.add_mutually_exclusive_group()
+    temp.add_argument("--temp-k", type=_finite_float, default=None, help="temperature in K")
     temp.add_argument("--zero-temp", action="store_true", help="force zero temperature")
-    p.add_argument("--omega-min", type=float, required=True, help="first frequency (cm^-1)")
-    p.add_argument("--omega-max", type=float, required=True, help="last frequency (cm^-1)")
+    # flags shared by the subcommands that sample the kernel on a grid
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--t-max-fs", type=_finite_float, default=1000.0)
+    grid.add_argument("--omega-max-cm1", type=_finite_float, required=True)
+    grid.add_argument("--n-time", type=int, default=1000)
+    grid.add_argument("--n-freq", type=int, default=10000)
+
+    p = sub.add_parser(
+        "eval-sd",
+        parents=[kernel],
+        help="tabulate J(omega) and the quantum noise",
+        description="Without a temperature flag the temperature is zero.",
+    )
+    p.add_argument("--omega-min", type=_finite_float, required=True, help="first frequency (cm^-1)")
+    p.add_argument("--omega-max", type=_finite_float, required=True, help="last frequency (cm^-1)")
     p.add_argument("--n", type=int, required=True, help="number of rows")
     p.add_argument("--out", default=None, help="output CSV (default: stdout)")
     p.set_defaults(func=_cmd_eval_sd)
 
-    p = sub.add_parser("discretize", help="compress a kernel into a bath model JSON")
-    p.add_argument("--sd", required=True)
-    temp = p.add_mutually_exclusive_group()
-    temp.add_argument("--temp-k", type=float, default=None)
-    temp.add_argument("--zero-temp", action="store_true")
-    p.add_argument("--t-max-fs", type=float, default=1000.0)
-    p.add_argument("--omega-max-cm1", type=float, required=True)
-    p.add_argument("--n-time", type=int, default=1000)
-    p.add_argument("--n-freq", type=int, default=10000)
-    p.add_argument("--tol", type=float, default=1e-2)
-    p.add_argument("--memory-cap-gib", type=float, default=4.0)
+    p = sub.add_parser(
+        "discretize", parents=[kernel, grid], help="compress a kernel into a bath model JSON"
+    )
+    p.add_argument("--tol", type=_finite_float, default=1e-2)
+    p.add_argument("--memory-cap-gib", type=_finite_float, default=4.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_discretize)
 
@@ -359,17 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reconstruct)
 
-    p = sub.add_parser("validate", help="convergence study across a tolerance sweep")
-    p.add_argument("--sd", required=True)
-    temp = p.add_mutually_exclusive_group()
-    temp.add_argument("--temp-k", type=float, default=None)
-    temp.add_argument("--zero-temp", action="store_true")
+    p = sub.add_parser(
+        "validate", parents=[kernel, grid], help="convergence study across a tolerance sweep"
+    )
     p.add_argument("--system", required=True, help="system spec JSON")
     p.add_argument("--tol-sweep", required=True, help="comma-separated tolerances")
-    p.add_argument("--t-max-fs", type=float, default=1000.0)
-    p.add_argument("--omega-max-cm1", type=float, required=True)
-    p.add_argument("--n-time", type=int, default=1000)
-    p.add_argument("--n-freq", type=int, default=10000)
     p.add_argument("--dim-cap", type=int, default=1 << 22)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--series-out", default=None, help="optional observable series CSV")
@@ -400,10 +358,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
-    except (ValidationError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except BathkitError as exc:
+    except (BathkitError, OSError) as exc:  # config, parse and file-system errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -19,15 +19,22 @@ C(t) ~ sum_k g_k^2 exp(-i*omega_k_rad*t).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from ._schema import require, require_list, require_number
+from ._schema import read_json, require, require_list, require_number, write_text
 from .errors import ConvergenceError, ResourceLimitError, SchemaError, ValidationError
 from .lowrank import column_id, nnls
-from .quadrature import fourier_midpoint_sum, midpoint_frequencies
+from .quadrature import (
+    DEFAULT_QUAD_POINTS,
+    MAX_QUAD_POINTS,
+    QUAD_REL_TOL,
+    fourier_midpoint_sum,
+    midpoint_frequencies,
+    refine_midpoint,
+)
 from .specdens import NoiseKernel, SpectralDensity, Temperature, sd_from_config
 from .units import RAD_PER_FS_PER_CM1
 
@@ -50,9 +57,6 @@ __all__ = [
 ]
 
 DEFAULT_MEMORY_CAP_BYTES = 4 << 30
-DEFAULT_QUAD_POINTS = 16384
-MAX_QUAD_POINTS = 1 << 20
-QUAD_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -147,6 +151,9 @@ class BathModel:
     def __post_init__(self):
         if not (len(self.omegas) == len(self.z) == len(self.g)):
             raise ValidationError("bath model arrays must have equal length")
+        for name in ("omegas", "z", "g"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValidationError(f"bath model {name} must be finite")
         if np.any(self.z <= 0.0):
             raise ValidationError("bath model weights must be strictly positive")
         if np.any(self.g < 0.0):
@@ -176,10 +183,6 @@ def reference_bcf(
     doubling changes the values by less than ``rel_tol`` of the peak.
     Negative times are filled in through C(-t) = conj(C(t)).
     """
-    if quad_n < 10_000:
-        raise ValidationError(f"quad_n must be >= 10^4, got {quad_n}")
-    if quad_n % 2 != 0:
-        raise ValidationError(f"quad_n must be even, got {quad_n}")
     times = np.atleast_1d(np.asarray(times_fs, dtype=float))
     tabs = np.abs(times)
 
@@ -187,21 +190,8 @@ def reference_bcf(
         weights = kernel.evaluate(midpoint_frequencies(omega_max_cm1, n_points))
         return fourier_midpoint_sum(weights, omega_max_cm1, tabs)
 
-    n = quad_n
-    current = level(n)
-    achieved = np.inf
-    while 2 * n <= max_points:
-        finer = level(2 * n)
-        scale = float(np.max(np.abs(finer)))
-        achieved = float(np.max(np.abs(finer - current))) / max(scale, 1e-300)
-        current = finer
-        n *= 2
-        if achieved < rel_tol:
-            return np.where(times < 0.0, np.conj(current), current)
-    raise ConvergenceError(
-        f"correlation quadrature did not reach {rel_tol:.1e} within "
-        f"{max_points} points (best relative change {achieved:.3e})"
-    )
+    c = refine_midpoint(level, "correlation", quad_n, rel_tol, max_points)
+    return np.where(times < 0.0, np.conj(c), c)
 
 
 def assemble_fdr(
@@ -372,6 +362,8 @@ def bath_model_to_dict(model: BathModel) -> dict:
 
 
 def bath_model_from_dict(doc: dict, pointer: str = "") -> BathModel:
+    if not isinstance(doc, dict):
+        raise SchemaError(pointer or "/", f"expected an object, got {type(doc).__name__}")
     schema = doc.get("schema", BATH_SCHEMA)
     if schema != BATH_SCHEMA:
         raise SchemaError(f"{pointer}/schema", f"expected '{BATH_SCHEMA}', got {schema!r}")
@@ -392,19 +384,13 @@ def bath_model_from_dict(doc: dict, pointer: str = "") -> BathModel:
         g.append(require_number(mode, "g_cm1", mp))
     diag_doc = require(doc, "diagnostics", pointer)
     dp = f"{pointer}/diagnostics"
-    diagnostics = BathDiagnostics(
-        id_rank=int(require_number(diag_doc, "id_rank", dp)),
-        mode_count=int(require_number(diag_doc, "mode_count", dp)),
-        max_abs_error=require_number(diag_doc, "max_abs_error", dp),
-        mean_abs_error=require_number(diag_doc, "mean_abs_error", dp),
-        rel_error=require_number(diag_doc, "rel_error", dp),
-        nnls_iterations=int(require_number(diag_doc, "nnls_iterations", dp)),
-        nnls_residual_norm=require_number(diag_doc, "nnls_residual_norm", dp),
-        nnls_converged=bool(require(diag_doc, "nnls_converged", dp)),
-        nnls_dual_tolerance=require_number(diag_doc, "nnls_dual_tolerance", dp),
-        nnls_max_dual_inactive=require_number(diag_doc, "nnls_max_dual_inactive", dp),
-        nnls_max_abs_dual_active=require_number(diag_doc, "nnls_max_abs_dual_active", dp),
-    )
+    diagnostics = {}
+    for f in fields(BathDiagnostics):
+        if f.type == "bool":
+            diagnostics[f.name] = bool(require(diag_doc, f.name, dp))
+        else:
+            number = require_number(diag_doc, f.name, dp)
+            diagnostics[f.name] = int(number) if f.type == "int" else number
     return BathModel(
         omegas=np.array(omegas, dtype=float),
         z=np.array(z, dtype=float),
@@ -414,34 +400,21 @@ def bath_model_from_dict(doc: dict, pointer: str = "") -> BathModel:
         t_max_fs=t_max,
         omega_max_cm1=omega_max,
         tol=tol,
-        diagnostics=diagnostics,
+        diagnostics=BathDiagnostics(**diagnostics),
     )
 
 
 def save_bath_model(model: BathModel, sink, metadata: dict | None = None):
-    """Write the model as JSON to a path or file object."""
+    """Write the model as JSON to a path or text stream."""
     doc = bath_model_to_dict(model)
     if metadata is not None:
         doc["metadata"] = metadata
-    text = json.dumps(doc, indent=2, sort_keys=False)
-    if hasattr(sink, "write"):
-        sink.write(text + "\n")
-    else:
-        with open(sink, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    write_text(sink, json.dumps(doc, indent=2, sort_keys=False) + "\n")
 
 
 def load_bath_model(source) -> BathModel:
-    """Read a model from a path, file object, or JSON string."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc}") from None
-    return bath_model_from_dict(doc)
+    """Read a model from a path (``str`` or ``os.PathLike``) or a text stream.
+
+    A string is always a file name, never JSON text.
+    """
+    return bath_model_from_dict(read_json(source))

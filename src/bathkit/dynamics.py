@@ -27,10 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ._schema import write_text
 from .discretize import FdrGrid, discretize_bath
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .hamiltonian import DiscreteModel, SystemSpec, build_model
-from .quadrature import fourier_midpoint_sum, midpoint_frequencies
+from .quadrature import (
+    DEFAULT_QUAD_POINTS,
+    MAX_QUAD_POINTS,
+    QUAD_REL_TOL,
+    fourier_midpoint_sum,
+    midpoint_frequencies,
+    refine_midpoint,
+)
 from .specdens import NoiseKernel
 from .units import RAD_PER_FS_PER_CM1
 
@@ -117,12 +125,7 @@ class PropagationResult:
                 f"{float(t)!r},{pops},{float(coh[i].real)!r},{float(coh[i].imag)!r},"
                 f"{float(self.norm[i])!r},{float(self.energy[i])!r}"
             )
-        text = "\n".join(lines) + "\n"
-        if hasattr(sink, "write"):
-            sink.write(text)
-        else:
-            with open(sink, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+        write_text(sink, "\n".join(lines) + "\n")
 
 
 class _HamiltonianAction:
@@ -296,24 +299,26 @@ def propagate(
 _SIGMA_Z = np.diag([1.0, -1.0])
 
 
-def _require_pure_dephasing(model: DiscreteModel):
-    sys = model.system
-    if sys.dim != 2:
-        raise ValidationError("pure-dephasing form requires a two-level system")
-    if len(sys.couplings) != 1:
-        raise ValidationError("pure-dephasing form requires exactly one coupling")
-    _, v = sys.couplings[0]
+def _pure_dephasing_violation(system: SystemSpec) -> str | None:
+    """Why ``system`` is not a sigma_z-coupled qubit with diagonal h_s, or None."""
+    if system.dim != 2:
+        return "pure-dephasing form requires a two-level system"
+    if len(system.couplings) != 1:
+        return "pure-dephasing form requires exactly one coupling"
+    _, v = system.couplings[0]
     if np.max(np.abs(v - _SIGMA_Z)) > 1e-10:
-        raise ValidationError("pure-dephasing form requires v_sb = diag(1, -1)")
-    off = np.abs(sys.h_s[0, 1])
-    scale = max(1.0, float(np.max(np.abs(sys.h_s))))
-    if off > 1e-10 * scale:
-        raise ValidationError("pure-dephasing form requires a diagonal h_s")
+        return "pure-dephasing form requires v_sb = diag(1, -1)"
+    scale = max(1.0, float(np.max(np.abs(system.h_s))))
+    if abs(system.h_s[0, 1]) > 1e-10 * scale:
+        return "pure-dephasing form requires a diagonal h_s"
+    return None
 
 
 def dephasing_gamma(model: DiscreteModel, times_fs) -> np.ndarray:
     """Decoherence exponent of the qubit pure-dephasing model, any mode count."""
-    _require_pure_dephasing(model)
+    violation = _pure_dephasing_violation(model.system)
+    if violation is not None:
+        raise ValidationError(violation)
     modes = _model_modes(model)
     if any(w == 0.0 for w, _, _ in modes):
         raise ValidationError("dephasing exponent undefined for a zero-frequency mode")
@@ -328,9 +333,9 @@ def dephasing_gamma_continuum(
     kernel: NoiseKernel,
     times_fs,
     omega_max_cm1: float,
-    quad_n: int = 16384,
-    rel_tol: float = 1e-6,
-    max_points: int = 1 << 20,
+    quad_n: int = DEFAULT_QUAD_POINTS,
+    rel_tol: float = QUAD_REL_TOL,
+    max_points: int = MAX_QUAD_POINTS,
 ) -> np.ndarray:
     """Band-limited continuum dephasing exponent by refined quadrature.
 
@@ -347,21 +352,7 @@ def dephasing_gamma_continuum(
         total = 2.0 * omega_max_cm1 / n_points * float(np.sum(weights))
         return total - transform.real
 
-    n = quad_n
-    current = level(n)
-    achieved = np.inf
-    while 2 * n <= max_points:
-        finer = level(2 * n)
-        scale = float(np.max(np.abs(finer)))
-        achieved = float(np.max(np.abs(finer - current))) / max(scale, 1e-300)
-        current = finer
-        n *= 2
-        if achieved < rel_tol:
-            return current
-    raise ConvergenceError(
-        f"dephasing quadrature did not reach {rel_tol:.1e} within "
-        f"{max_points} points (best relative change {achieved:.3e})"
-    )
+    return refine_midpoint(level, "dephasing", quad_n, rel_tol, max_points)
 
 
 @dataclass(frozen=True)
@@ -376,16 +367,6 @@ class ConvergenceReport:
     distances: tuple  # sup-norm distance between successive series
     slack: float
     monotone_within_slack: bool
-
-
-def _is_pure_dephasing(system: SystemSpec) -> bool:
-    if system.dim != 2 or len(system.couplings) != 1:
-        return False
-    _, v = system.couplings[0]
-    if np.max(np.abs(v - _SIGMA_Z)) > 1e-10:
-        return False
-    scale = max(1.0, float(np.max(np.abs(system.h_s))))
-    return abs(system.h_s[0, 1]) <= 1e-10 * scale
 
 
 def convergence_study(
@@ -415,7 +396,7 @@ def convergence_study(
         kwargs["memory_cap_bytes"] = memory_cap_bytes
 
     labels = sorted({label for label, _ in system.couplings})
-    dephasing = _is_pure_dephasing(system)
+    dephasing = _pure_dephasing_violation(system) is None
     series, mode_counts = [], []
     for tol in tols:
         bath = discretize_bath(kernel, grid, tol, **kwargs)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._schema import require, require_list, require_number
+from ._schema import is_finite_number, read_json, require, require_list, write_text
 from .discretize import BathModel, bath_model_from_dict, bath_model_to_dict
 from .errors import SchemaError, ValidationError
 
@@ -126,15 +126,13 @@ def _matrix_to_json(matrix: np.ndarray):
 
 
 def _entry_from_json(value, pointer: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if is_finite_number(value):
         return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in value)
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(map(is_finite_number, value)):
         return complex(value[0], value[1])
-    raise SchemaError(pointer, f"matrix entry must be a number or [re, im], got {value!r}")
+    raise SchemaError(
+        pointer, f"matrix entry must be a finite number or [re, im], got {value!r}"
+    )
 
 
 def _matrix_from_json(rows, pointer: str) -> np.ndarray:
@@ -171,7 +169,9 @@ def model_to_dict(model: DiscreteModel) -> dict:
 
 def system_from_dict(doc: dict, pointer: str = "/system") -> SystemSpec:
     """Parse a system spec JSON object into a validated SystemSpec."""
-    dim = int(require_number(doc, "dim", pointer))
+    dim = require(doc, "dim", pointer)
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise SchemaError(f"{pointer}/dim", f"expected an integer, got {dim!r}")
     h_s = _matrix_from_json(require(doc, "h_s", pointer), f"{pointer}/h_s")
     if h_s.shape != (dim, dim):
         raise SchemaError(f"{pointer}/h_s", f"expected {dim} x {dim}, got {h_s.shape}")
@@ -204,29 +204,16 @@ def model_from_dict(doc: dict) -> DiscreteModel:
 
 
 def export_model(model: DiscreteModel, sink, metadata: dict | None = None):
-    """Write a model as JSON to a path or file object; lossless round-trip."""
+    """Write a model as JSON to a path or text stream; lossless round-trip."""
     doc = model_to_dict(model)
     if metadata is not None:
         doc["metadata"] = metadata
-    text = json.dumps(doc, indent=2)
-    if hasattr(sink, "write"):
-        sink.write(text + "\n")
-    else:
-        with open(sink, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    write_text(sink, json.dumps(doc, indent=2) + "\n")
 
 
 def import_model(source) -> DiscreteModel:
-    """Read a model from a path, file object, or JSON string."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc}") from None
-    return model_from_dict(doc)
+    """Read a model from a path (``str`` or ``os.PathLike``) or a text stream.
+
+    A string is always a file name, never JSON text.
+    """
+    return model_from_dict(read_json(source))

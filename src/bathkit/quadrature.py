@@ -8,7 +8,8 @@ with omega_j the midpoints of a uniform subdivision of [-omega_max,
 omega_max] and h the subdivision width.  On uniformly spaced times this is
 a chirp-z transform and is evaluated through the FFT; otherwise it falls
 back to a chunked direct sum.  Both paths compute the identical sum (up to
-roundoff) and are deterministic.
+roundoff) and are deterministic.  ``refine_midpoint`` doubles the
+number of midpoints of such a quadrature until it settles.
 """
 
 from __future__ import annotations
@@ -16,10 +17,14 @@ from __future__ import annotations
 import numpy as np
 from scipy.signal import czt
 
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .units import RAD_PER_FS_PER_CM1
 
-__all__ = ["midpoint_frequencies", "fourier_midpoint_sum"]
+__all__ = ["midpoint_frequencies", "fourier_midpoint_sum", "refine_midpoint"]
+
+DEFAULT_QUAD_POINTS = 16384
+MAX_QUAD_POINTS = 1 << 20
+QUAD_REL_TOL = 1e-6
 
 # chunk size (elements) for the direct-evaluation fallback
 _DIRECT_CHUNK = 1 << 22
@@ -87,3 +92,39 @@ def _direct_sum(x, freqs, h, times):
         sl = slice(start, min(start + cols, x.size))
         out += np.exp(-1j * np.outer(times, w_rad[sl])) @ x[sl]
     return h * out
+
+
+def refine_midpoint(
+    level,
+    what: str,
+    quad_n: int = DEFAULT_QUAD_POINTS,
+    rel_tol: float = QUAD_REL_TOL,
+    max_points: int = MAX_QUAD_POINTS,
+) -> np.ndarray:
+    """Refine a midpoint quadrature by doubling its point count.
+
+    ``level(n)`` evaluates the quadrature on n midpoints.  Starting from
+    ``quad_n`` points, the count doubles until one doubling changes the
+    values by less than ``rel_tol`` of their peak; the finer level is
+    returned.  Reaching ``max_points`` first raises a ConvergenceError that
+    names the quantity as ``what``.
+    """
+    if quad_n < 10_000:
+        raise ValidationError(f"quad_n must be >= 10^4, got {quad_n}")
+    if quad_n % 2 != 0:
+        raise ValidationError(f"quad_n must be even, got {quad_n}")
+    n = quad_n
+    current = level(n)
+    achieved = np.inf
+    while 2 * n <= max_points:
+        finer = level(2 * n)
+        scale = float(np.max(np.abs(finer)))
+        achieved = float(np.max(np.abs(finer - current))) / max(scale, 1e-300)
+        current = finer
+        n *= 2
+        if achieved < rel_tol:
+            return current
+    raise ConvergenceError(
+        f"{what} quadrature did not reach {rel_tol:.1e} within "
+        f"{max_points} points (best relative change {achieved:.3e})"
+    )

@@ -19,11 +19,11 @@ exactly 0 for omega <= 0.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._schema import is_finite_number, read_text
 from .errors import ValidationError
 from .units import beta_from_kelvin
 
@@ -228,10 +228,6 @@ class Tabulated(SpectralDensity):
         # one-sided difference through the (0, 0) anchor
         return float(self.values[0] / self.omega[0])
 
-    def support_max(self) -> float:
-        """Largest frequency with nonzero J (the last abscissa)."""
-        return float(self.omega[-1])
-
     def to_config(self) -> dict:
         return {
             "kind": "tabulated",
@@ -242,18 +238,12 @@ class Tabulated(SpectralDensity):
 def load_tabulated(source) -> Tabulated:
     """Read a two-column CSV (omega_cm1, J_cm1) into a Tabulated density.
 
-    ``source`` is a path, a text stream, or a CSV string.  A single
-    non-numeric header line is allowed.  Errors carry the line number.
+    ``source`` is a path (``str`` or ``os.PathLike``) or a text stream; a
+    string is always a file name, never CSV text.  A single non-numeric
+    header line is allowed.  Errors carry the line number.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = str(source)
-        if "\n" not in text and "," not in text:
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
     omegas, values = [], []
-    for lineno, raw in enumerate(io.StringIO(text), start=1):
+    for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -306,7 +296,7 @@ def sd_from_config(config: dict) -> SpectralDensity:
         )
     try:
         return _SD_KINDS[kind](config)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad '{kind}' config: missing/invalid {exc}") from None
 
 
@@ -321,8 +311,11 @@ class Temperature:
     kelvin: float | None
 
     def __post_init__(self):
+        # a positive temperature so small that beta overflows is rejected too
         if self.kelvin is not None and not (
-            self.kelvin > 0 and np.isfinite(self.kelvin)
+            self.kelvin > 0
+            and np.isfinite(self.kelvin)
+            and np.isfinite(beta_from_kelvin(self.kelvin))
         ):
             raise ValidationError(
                 f"temperature must be positive or zero-mode, got {self.kelvin} K"
@@ -354,9 +347,9 @@ class Temperature:
     def from_json(cls, value) -> "Temperature":
         if value == "zero":
             return cls.zero()
-        if isinstance(value, (int, float)):
+        if is_finite_number(value):
             return cls.finite(float(value))
-        raise ValidationError(f"temperature must be a number or 'zero', got {value!r}")
+        raise ValidationError(f"temperature must be a finite number or 'zero', got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,6 @@ __all__ = [
     "SURROGATE_OMEGA_MAX",
     "surrogate_sd",
     "surrogate_support_count",
-    "write_surrogate_csv",
 ]
 
 # Band limit: J is identically zero beyond this frequency (cm^-1).
@@ -70,12 +69,3 @@ def surrogate_support_count(spacing_cm1: float = 4.0, half_range_cm1: float = 50
     sd = surrogate_sd()
     samples = np.arange(-half_range_cm1, half_range_cm1 + 0.5 * spacing_cm1, spacing_cm1)
     return int(np.count_nonzero(sd.evaluate(samples) != 0.0))
-
-
-def write_surrogate_csv(path):
-    """Dump the surrogate table as a two-column CSV (omega_cm1, J_cm1)."""
-    sd = surrogate_sd()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("omega_cm1,J_cm1\n")
-        for w, j in zip(sd.omega, sd.values):
-            fh.write(f"{float(w)!r},{float(j)!r}\n")

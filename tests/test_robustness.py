@@ -1,0 +1,266 @@
+"""Hostile inputs: non-finite numbers, unreadable files and odd paths.
+
+Every input must either load into finite values or raise ValidationError,
+and the CLI may only exit with 0 or 2-5 (never a traceback, never NaN
+output with exit 0).
+"""
+
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+
+from bathkit.discretize import BathModel, load_bath_model
+from bathkit.dynamics import dephasing_gamma_continuum
+from bathkit.errors import ConvergenceError, SchemaError, ValidationError
+from bathkit.hamiltonian import system_from_dict
+from bathkit.specdens import Debye, NoiseKernel, Temperature, load_tabulated, sd_from_config
+
+DEBYE_JSON = '{"kind": "debye", "lambda": 35.0, "gamma": 106.1}'
+KERNEL = NoiseKernel(Debye(lam=35.0, gamma=106.1), Temperature.finite(300.0))
+QUBIT = {
+    "dim": 2,
+    "h_s": [[50.0, 0.0], [0.0, -50.0]],
+    "couplings": [{"bath": "main", "v_sb": [[1.0, 0.0], [0.0, -1.0]]}],
+}
+HUGE_INT = 10**400  # valid JSON, too large for a double
+
+
+@pytest.fixture
+def debye_sd(tmp_path):
+    p = tmp_path / "debye.json"
+    p.write_text(DEBYE_JSON)
+    return str(p)
+
+
+@pytest.fixture
+def nan_bath(bath_doc, tmp_path):
+    doc = json.loads(json.dumps(bath_doc))
+    doc["modes"][0]["omega_cm1"] = math.nan
+    p = tmp_path / "nan_bath.json"
+    p.write_text(json.dumps(doc))  # writes the bare token NaN
+    return str(p)
+
+
+# --- non-finite numbers in JSON -----------------------------------------------
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_bath_json_rejects_non_finite_mode_numbers(bath_doc, value):
+    doc = json.loads(json.dumps(bath_doc))
+    doc["modes"][0]["z"] = value
+    with pytest.raises(SchemaError) as err:
+        load_bath_model(io.StringIO(json.dumps(doc)))
+    assert err.value.pointer == "/modes/0/z"
+
+
+def test_bath_json_rejects_non_finite_window(bath_doc):
+    doc = json.loads(json.dumps(bath_doc))
+    doc["t_max_fs"] = math.inf
+    with pytest.raises(SchemaError) as err:
+        load_bath_model(io.StringIO(json.dumps(doc)))
+    assert err.value.pointer == "/t_max_fs"
+
+
+def test_bath_json_top_level_must_be_an_object():
+    with pytest.raises(ValidationError):
+        load_bath_model(io.StringIO("[1, 2]"))
+
+
+@pytest.mark.parametrize("field", ["omegas", "z", "g"])
+def test_bath_model_rejects_non_finite_arrays(bath_doc, field):
+    model = load_bath_model(io.StringIO(json.dumps(bath_doc)))
+    arrays = {"omegas": model.omegas.copy(), "z": model.z.copy(), "g": model.g.copy()}
+    arrays[field][0] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        BathModel(
+            **arrays,
+            temperature=model.temperature,
+            sd=model.sd,
+            t_max_fs=model.t_max_fs,
+            omega_max_cm1=model.omega_max_cm1,
+            tol=model.tol,
+            diagnostics=model.diagnostics,
+        )
+
+
+@pytest.mark.parametrize("dim", [math.nan, 2.5, "2", True])
+def test_system_dim_must_be_an_integer(dim):
+    with pytest.raises(SchemaError) as err:
+        system_from_dict(dict(QUBIT, dim=dim), pointer="")
+    assert err.value.pointer == "/dim"
+
+
+@pytest.mark.parametrize("value", [math.nan, HUGE_INT, "35"], ids=["nan", "huge", "str"])
+def test_bath_json_temperature_must_be_a_finite_number(bath_doc, value):
+    doc = json.loads(json.dumps(bath_doc))
+    doc["temperature_K"] = value
+    with pytest.raises(ValidationError, match="temperature"):
+        load_bath_model(io.StringIO(json.dumps(doc)))
+
+
+def test_temperature_with_overflowing_beta_is_rejected():
+    with pytest.raises(ValidationError, match="temperature"):
+        Temperature.finite(5e-324)
+
+
+@pytest.mark.parametrize("lam", ["abc", HUGE_INT], ids=["str", "huge"])
+def test_sd_config_with_unparseable_numbers(lam):
+    with pytest.raises(ValidationError, match="debye"):
+        sd_from_config({"kind": "debye", "lambda": lam, "gamma": 106.1})
+
+
+@pytest.mark.parametrize(
+    "entry", [HUGE_INT, [0.0, HUGE_INT], math.inf], ids=["huge", "huge-imag", "inf"]
+)
+def test_system_matrix_entries_must_be_finite(entry):
+    doc = dict(QUBIT, h_s=[[entry, 0.0], [0.0, -50.0]])
+    with pytest.raises(SchemaError) as err:
+        system_from_dict(doc, pointer="")
+    assert err.value.pointer.startswith("/h_s")
+
+
+def test_reconstruct_nan_bath_exits_2_without_output(exit_code, nan_bath, tmp_path, capsys):
+    out = tmp_path / "bcf.csv"
+    assert exit_code(["reconstruct", "--model", nan_bath, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "/modes/0/omega_cm1" in capsys.readouterr().err
+
+
+def test_build_model_nan_bath_exits_2_without_output(exit_code, nan_bath, tmp_path):
+    system = tmp_path / "qubit.json"
+    system.write_text(json.dumps(QUBIT))
+    out = tmp_path / "model.json"
+    argv = ["build-model", "--system", str(system), "--bath", f"main={nan_bath}", "--out", str(out)]
+    assert exit_code(argv) == 2
+    assert not out.exists()
+
+
+def test_validate_nan_dim_exits_2(exit_code, debye_sd, tmp_path, capsys):
+    system = tmp_path / "qubit.json"
+    system.write_text(json.dumps(dict(QUBIT, dim=math.nan)))
+    argv = [
+        "validate", "--sd", debye_sd, "--temp-k", "300", "--system", str(system),
+        "--tol-sweep", "1e-2", "--omega-max-cm1", "500", "--out", str(tmp_path / "r.json"),
+    ]
+    assert exit_code(argv) == 2
+    assert "/dim" in capsys.readouterr().err
+
+
+# --- numeric CLI flags ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("cap", ["nan", "inf", "0", "-1"])
+def test_memory_cap_must_be_positive_and_finite(exit_code, debye_sd, tmp_path, cap):
+    argv = [
+        "discretize", "--sd", debye_sd, "--temp-k", "300", "--omega-max-cm1", "500",
+        "--n-time", "20", "--n-freq", "200", "--t-max-fs", "100",
+        f"--memory-cap-gib={cap}", "--out", str(tmp_path / "b.json"),
+    ]
+    assert exit_code(argv) == 2
+    assert not (tmp_path / "b.json").exists()
+
+
+def test_tol_sweep_rejects_non_numbers(exit_code, debye_sd, tmp_path, capsys):
+    system = tmp_path / "qubit.json"
+    system.write_text(json.dumps(QUBIT))
+    argv = [
+        "validate", "--sd", debye_sd, "--temp-k", "300", "--system", str(system),
+        "--tol-sweep", "1e-1,abc", "--omega-max-cm1", "500", "--out", str(tmp_path / "r.json"),
+    ]
+    assert exit_code(argv) == 2
+    assert "abc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--omega-min", "--omega-max", "--temp-k"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_eval_sd_rejects_non_finite_flags(exit_code, debye_sd, tmp_path, flag, value):
+    out = tmp_path / "sd.csv"
+    flags = {"--omega-min": "0", "--omega-max": "10", "--temp-k": "300", flag: value}
+    argv = ["eval-sd", "--sd", debye_sd, "--n", "3", "--out", str(out)]
+    argv += [f"{k}={v}" for k, v in flags.items()]
+    assert exit_code(argv) == 2
+    assert not out.exists()
+
+
+def test_eval_sd_rejects_a_range_that_overflows(exit_code, debye_sd, tmp_path):
+    out = tmp_path / "sd.csv"
+    argv = [
+        "eval-sd", "--sd", debye_sd, "--omega-min=-1.7e308", "--omega-max=1.7e308",
+        "--n", "3", "--out", str(out),
+    ]
+    assert exit_code(argv) == 2
+    assert not out.exists()
+
+
+# --- file-system and decoding errors ------------------------------------------------
+
+
+def test_out_path_inside_a_regular_file_exits_2(exit_code, debye_sd, tmp_path, capsys):
+    argv = [
+        "eval-sd", "--sd", debye_sd, "--omega-min", "0", "--omega-max", "10",
+        "--n", "3", "--out", f"{debye_sd}/x.csv",
+    ]
+    assert exit_code(argv) == 2
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["x.json", "x.csv"])
+def test_sd_path_inside_a_regular_file_exits_2(exit_code, debye_sd, tmp_path, name):
+    argv = [
+        "eval-sd", "--sd", f"{debye_sd}/{name}", "--omega-min", "0", "--omega-max", "10",
+        "--n", "3", "--out", str(tmp_path / "o.csv"),
+    ]
+    assert exit_code(argv) == 2
+
+
+@pytest.mark.parametrize("name", ["binary.json", "binary.csv"])
+def test_binary_sd_file_exits_2(exit_code, tmp_path, capsys, name):
+    sd = tmp_path / name
+    sd.write_bytes(bytes(range(256)))
+    argv = [
+        "eval-sd", "--sd", str(sd), "--omega-min", "0", "--omega-max", "10",
+        "--n", "3", "--out", str(tmp_path / "o.csv"),
+    ]
+    assert exit_code(argv) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+# --- a string is always a path ----------------------------------------------------
+
+
+@pytest.fixture
+def comma_dir_table(tmp_path):
+    directory = tmp_path / "a,b"
+    directory.mkdir()
+    table = directory / "table.csv"
+    table.write_text("omega_cm1,J_cm1\n10,1.0\n20,2.0\n")
+    return table
+
+
+def test_load_tabulated_path_with_a_comma(comma_dir_table):
+    sd = load_tabulated(str(comma_dir_table))
+    assert sd.omega.tolist() == [10.0, 20.0]
+    assert load_tabulated(comma_dir_table).values.tolist() == [1.0, 2.0]
+
+
+def test_eval_sd_csv_path_with_a_comma(exit_code, comma_dir_table, tmp_path):
+    argv = [
+        "eval-sd", "--sd", str(comma_dir_table), "--omega-min", "0", "--omega-max", "20",
+        "--n", "3", "--out", str(tmp_path / "o.csv"),
+    ]
+    assert exit_code(argv) == 0
+
+
+# --- quadrature refinement cap ---------------------------------------------------------
+
+
+def test_dephasing_gamma_continuum_refinement_cap_errors():
+    with pytest.raises(ConvergenceError, match="dephasing quadrature.*relative change"):
+        dephasing_gamma_continuum(
+            KERNEL, np.linspace(0.0, 500.0, 20), 1000.0, rel_tol=1e-30, max_points=1 << 15
+        )
+    with pytest.raises(ValidationError, match="quad_n"):
+        dephasing_gamma_continuum(KERNEL, [0.0], 1000.0, quad_n=100)

@@ -69,7 +69,7 @@ def test_tabulated_validation_errors():
 
 
 def test_load_tabulated_roundtrip_and_errors():
-    sd = load_tabulated("10,1.0\n20,2.0")
+    sd = load_tabulated(io.StringIO("10,1.0\n20,2.0"))
     assert sd.omega.size == 2
     assert sd.evaluate(15.0) == pytest.approx(1.5)
 
@@ -77,13 +77,13 @@ def test_load_tabulated_roundtrip_and_errors():
     assert sd.omega.size == 2
 
     with pytest.raises(ValidationError, match="increasing"):
-        load_tabulated("20,2.0\n10,1.0")
+        load_tabulated(io.StringIO("20,2.0\n10,1.0"))
     with pytest.raises(ValidationError, match="2 points"):
         load_tabulated(io.StringIO(""))
     with pytest.raises(ValidationError, match="line 2"):
-        load_tabulated("10,1.0\nbogus,entry\n20,2.0")
+        load_tabulated(io.StringIO("10,1.0\nbogus,entry\n20,2.0"))
     with pytest.raises(ValidationError, match="2 columns"):
-        load_tabulated("10,1.0,3.0\n20,2.0")
+        load_tabulated(io.StringIO("10,1.0,3.0\n20,2.0"))
 
 
 def test_sd_from_config_all_kinds():
