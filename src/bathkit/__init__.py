@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .discretize import (
     BathModel,
     FdrGrid,
+    FdrOperator,
     assemble_fdr,
     discretize_bath,
     error_report,
@@ -53,6 +54,7 @@ __all__ = [
     "__version__",
     "BathModel",
     "FdrGrid",
+    "FdrOperator",
     "assemble_fdr",
     "discretize_bath",
     "error_report",

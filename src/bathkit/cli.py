@@ -118,8 +118,12 @@ def _cmd_eval_sd(args) -> int:
     kernel = NoiseKernel(_load_sd(args.sd), _temperature_from_args(args, required=False))
     if args.n < 2:
         raise ValidationError(f"--n must be >= 2, got {args.n}")
+    if not math.isfinite(args.omega_max - args.omega_min):
+        raise ValidationError("the span from --omega-min to --omega-max overflows")
     omegas = np.linspace(args.omega_min, args.omega_max, args.n)
-    table = np.column_stack((omegas, kernel.sd.evaluate(omegas), kernel.evaluate(omegas)))
+    # far out on the axis an intermediate may overflow; the table is checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = np.column_stack((omegas, kernel.sd.evaluate(omegas), kernel.evaluate(omegas)))
     if not np.all(np.isfinite(table)):
         raise ValidationError("non-finite values on the requested frequency range")
 

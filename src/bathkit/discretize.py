@@ -1,10 +1,10 @@
 """Compression of a noise kernel into a finite set of harmonic modes.
 
-The pipeline samples the kernel's time-frequency fingerprint
+The pipeline views the kernel's time-frequency fingerprint
 
     f(t, omega) = S_beta(omega) * exp(-i * omega_rad * t)
 
-on a dense rectangular grid, stacks real and imaginary parts into a tall
+on a rectangular grid, with real and imaginary parts stacked into a tall
 real matrix, selects a small set of physically meaningful frequency
 columns with a column interpolative decomposition, and fits nonnegative
 weights z_k against a refined quadrature of the correlation function
@@ -14,11 +14,16 @@ weights z_k against a refined quadrature of the correlation function
 The surviving modes (omega_k, z_k) with couplings
 g_k = sqrt(z_k * S_beta(omega_k)) reproduce C(t) on the fitted window as
 C(t) ~ sum_k g_k^2 exp(-i*omega_k_rad*t).
+
+The sample matrix is never stored: ``FdrOperator`` builds columns on
+demand and applies its transpose by chirp-z transforms.  ``assemble_fdr``
+builds the dense matrix for tests and small studies.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
@@ -31,6 +36,8 @@ from .quadrature import (
     DEFAULT_QUAD_POINTS,
     MAX_QUAD_POINTS,
     QUAD_REL_TOL,
+    ChirpSum,
+    band_is_finite,
     fourier_midpoint_sum,
     midpoint_frequencies,
     refine_midpoint,
@@ -41,6 +48,7 @@ from .units import RAD_PER_FS_PER_CM1
 __all__ = [
     "FdrGrid",
     "FdrMatrix",
+    "FdrOperator",
     "BathDiagnostics",
     "BathModel",
     "BcfErrorStats",
@@ -81,8 +89,11 @@ class FdrGrid:
             raise ValidationError("n_time=1 requires t_max_fs=0")
         if self.n_time > 1 and self.t_max_fs == 0.0:
             raise ValidationError("t_max_fs must be positive for n_time > 1")
-        if not (self.omega_max_cm1 > 0 and np.isfinite(self.omega_max_cm1)):
-            raise ValidationError(f"omega_max_cm1 must be positive, got {self.omega_max_cm1}")
+        if not band_is_finite(self.omega_max_cm1):
+            raise ValidationError(
+                "omega_max_cm1 must be positive with a finite band width, "
+                f"got {self.omega_max_cm1}"
+            )
         if self.n_freq < 2 or self.n_freq % 2 != 0:
             raise ValidationError(f"n_freq must be even and >= 2, got {self.n_freq}")
 
@@ -194,20 +205,76 @@ def reference_bcf(
     return np.where(times < 0.0, np.conj(c), c)
 
 
+class FdrOperator:
+    """The realified sample matrix of ``assemble_fdr``, never stored.
+
+    Column j is S_j * [cos(omega_j t); -sin(omega_j t)] over the grid
+    times.  This is the column operator ``column_id`` reads: ``norms2``
+    (m * S_j^2), ``columns(idx)`` (built on demand, bit-equal to the same
+    columns of ``assemble_fdr``) and ``rmatvec(q)``, which gives q^T F as
+    S * Re(sum_i (a_i + i b_i) exp(i omega_j t_i)) for q = [a; b] by one
+    chirp-z transform.  The constructor raises ValidationError, before
+    any sine or cosine is taken, unless the phases omega*t, S and m * S^2
+    are all finite.
+    """
+
+    def __init__(self, kernel: NoiseKernel, grid: FdrGrid):
+        m = grid.n_time
+        self.shape = (2 * m, grid.n_freq)
+        self.times = grid.times
+        self.w_rad = grid.freqs * RAD_PER_FS_PER_CM1
+        # a plain float product overflows to inf without a numpy warning
+        if not math.isfinite(float(np.max(np.abs(self.w_rad))) * grid.t_max_fs):
+            raise ValidationError(
+                f"phases omega*t overflow on the grid (omega_max {grid.omega_max_cm1} cm^-1, "
+                f"t_max {grid.t_max_fs} fs)"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.s = kernel.evaluate(grid.freqs)
+            self.norms2 = m * self.s * self.s
+        if not (np.all(np.isfinite(self.s)) and np.all(np.isfinite(self.norms2))):
+            raise ValidationError("the quantum noise is not finite (or overflows) on the grid")
+        # sum_i c_i exp(-i*(-t_i)*omega_j): the time axis runs backwards from
+        # t = 0 in steps dt (any step will do for a single time)
+        dt = grid.t_max_fs / (m - 1) if m > 1 else 0.0
+        self._transform = ChirpSum(m, -self.times[0], -dt, self.w_rad)
+
+    def columns(self, idx) -> np.ndarray:
+        m = self.times.size
+        idx = np.asarray(idx, dtype=int)
+        s = self.s[idx]
+        arg = np.outer(self.times, self.w_rad[idx])
+        out = np.empty((2 * m, idx.size), order="F")  # the layout of realified[:, idx]
+        out[:m] = s * np.cos(arg)
+        out[m:] = -(s * np.sin(arg))
+        return out
+
+    def rmatvec(self, q) -> np.ndarray:
+        m = self.times.size
+        return self.s * self._transform(q[:m] + 1j * q[m:]).real
+
+
+def _check_memory(grid: FdrGrid, what: str, nbytes: int, memory_cap_bytes: int):
+    if nbytes > memory_cap_bytes:
+        raise ResourceLimitError(
+            f"grid {grid.n_time} x {grid.n_freq} needs {nbytes / 2**30:.1f} GiB for {what}, "
+            f"above the {memory_cap_bytes / 2**30:.1f} GiB cap; "
+            "use a coarser grid or raise the cap"
+        )
+
+
 def assemble_fdr(
     kernel: NoiseKernel,
     grid: FdrGrid,
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
 ) -> FdrMatrix:
-    """Sample the kernel on the grid and stack Re/Im into a 2m x n matrix."""
+    """Sample the kernel on the grid and stack Re/Im into a 2m x n matrix.
+
+    The dense oracle for ``FdrOperator``, built independently of it; the
+    pipeline itself never builds this matrix.
+    """
     m, n = grid.n_time, grid.n_freq
-    estimate = 2 * m * n * 8
-    if estimate > memory_cap_bytes:
-        raise ResourceLimitError(
-            f"grid {m} x {n} needs {estimate / 2**30:.1f} GiB for the sample "
-            f"matrix, above the {memory_cap_bytes / 2**30:.1f} GiB cap; "
-            "use a coarser grid or raise the cap"
-        )
+    _check_memory(grid, "the sample matrix", 2 * m * n * 8, memory_cap_bytes)
     s_vals = kernel.evaluate(grid.freqs)
     arg = np.outer(grid.times, grid.freqs * RAD_PER_FS_PER_CM1)
     realified = np.empty((2 * m, n))
@@ -225,26 +292,33 @@ def discretize_bath(
 ) -> BathModel:
     """Run the full compression pipeline and return the mode set.
 
-    Steps: sample the kernel, select frequency columns by interpolative
-    decomposition at ``tol``, fit nonnegative weights against the refined
-    quadrature reference on the grid times, prune zero weights, build
-    couplings, and attach reconstruction diagnostics.  Deterministic for
-    fixed inputs; modes come out sorted by ascending frequency.
+    Steps: select frequency columns of the kernel samples by
+    interpolative decomposition at ``tol`` (through ``FdrOperator``, so
+    only the r selected columns are ever built), fit nonnegative weights
+    against the refined quadrature reference on the grid times, prune zero
+    weights, build couplings, and attach reconstruction diagnostics.
+    Deterministic for fixed inputs; modes come out sorted by ascending
+    frequency.  Before any work, the worst-case working set of the column
+    ID, min(2m, n) * (2m + n) * 8 bytes, is checked against
+    ``memory_cap_bytes`` (ResourceLimitError above it).
     """
     if not (0.0 < tol < 1.0):
         raise ValidationError(f"tol must be in (0, 1), got {tol}")
-    fdr = assemble_fdr(kernel, grid, memory_cap_bytes=memory_cap_bytes)
-    id_res = column_id(fdr.realified, tol=tol)
-
-    c_ref = reference_bcf(kernel, grid.times, grid.omega_max_cm1, quad_n=quad_n)
-    target = np.concatenate((c_ref.real, c_ref.imag))
-
-    basis = fdr.realified[:, id_res.selected]
+    # column_id's worst case: Q (r x 2m) and R (r x n) at rank r = min(2m, n)
+    m2, n = 2 * grid.n_time, grid.n_freq
+    _check_memory(grid, "the column ID", min(m2, n) * (m2 + n) * 8, memory_cap_bytes)
+    samples = FdrOperator(kernel, grid)
+    id_res = column_id(samples, tol=tol)
     if id_res.rank == 0:
         raise ValidationError(
             "interpolative decomposition selected no columns; "
             "the kernel is identically zero on the grid or tol is too large"
         )
+
+    c_ref = reference_bcf(kernel, grid.times, grid.omega_max_cm1, quad_n=quad_n)
+    target = np.concatenate((c_ref.real, c_ref.imag))
+
+    basis = samples.columns(id_res.selected)
     fit = nnls(basis, target)
     duals = basis.T @ (target - basis @ fit.z)
     active = fit.z > 0.0
@@ -371,6 +445,8 @@ def bath_model_from_dict(doc: dict, pointer: str = "") -> BathModel:
     t_max = require_number(doc, "t_max_fs", pointer)
     omega_max = require_number(doc, "omega_max_cm1", pointer)
     tol = require_number(doc, "tol", pointer)
+    if not (0.0 < tol < 1.0):
+        raise SchemaError(f"{pointer}/tol", f"expected a number in (0, 1), got {tol!r}")
     try:
         sd = sd_from_config(require(doc, "spectral_density", pointer))
     except ValidationError as exc:
@@ -387,10 +463,21 @@ def bath_model_from_dict(doc: dict, pointer: str = "") -> BathModel:
     diagnostics = {}
     for f in fields(BathDiagnostics):
         if f.type == "bool":
-            diagnostics[f.name] = bool(require(diag_doc, f.name, dp))
+            value = require(diag_doc, f.name, dp)
+            if not isinstance(value, bool):
+                raise SchemaError(f"{dp}/{f.name}", f"expected true or false, got {value!r}")
+        elif f.type == "int":
+            value = require(diag_doc, f.name, dp)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise SchemaError(f"{dp}/{f.name}", f"expected a count >= 0, got {value!r}")
         else:
-            number = require_number(diag_doc, f.name, dp)
-            diagnostics[f.name] = int(number) if f.type == "int" else number
+            value = require_number(diag_doc, f.name, dp)
+        diagnostics[f.name] = value
+    if diagnostics["mode_count"] != len(modes):
+        raise SchemaError(
+            f"{dp}/mode_count",
+            f"expected {len(modes)}, the number of modes, got {diagnostics['mode_count']}",
+        )
     return BathModel(
         omegas=np.array(omegas, dtype=float),
         z=np.array(z, dtype=float),

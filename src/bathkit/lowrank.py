@@ -1,13 +1,14 @@
-"""Low-rank kernels for dense real matrices.
+"""Low-rank kernels for real matrices.
 
 Two primitives live here:
 
 * ``column_id`` -- a column interpolative decomposition f ~ B @ P built on
-  deterministic Householder QR with column pivoting.  B consists of actual
+  deterministic left-looking pivoted Gram-Schmidt.  B consists of actual
   columns of f, and P carries an exact r x r identity on the selected
   columns.  The factorization stops as soon as the next pivot norm falls
-  below ``tol`` times the first one, so the cost is O(m*n*r) rather than a
-  full QR.
+  below ``tol`` times the first one.  It only reads f, through its column
+  norms, chosen columns and products q^T f, so a structured matrix can
+  supply those without ever being stored.
 
 * ``nnls`` -- the Lawson-Hanson active-set method for min ||A z - b|| with
   z >= 0.  Inactive coordinates are exact zeros (never small negatives),
@@ -28,6 +29,12 @@ from .errors import ValidationError
 
 __all__ = ["IdResult", "NnlsResult", "column_id", "nnls"]
 
+# A downdated residual norm^2 that has fallen to this fraction of its last
+# exactly computed value is recomputed (Drmac & Bujanovic 2008).
+_RECOMPUTE_RATIO = np.sqrt(np.finfo(float).eps)
+# columns built at once when recomputing residual norms
+_RECOMPUTE_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class IdResult:
@@ -36,14 +43,18 @@ class IdResult:
     ``selected`` lists r column indices in pivot order; ``interp`` is the
     r x n coefficient matrix P in original column order, so
     f ~ f[:, selected] @ interp.  ``frobenius_error_estimate`` is the
-    Frobenius norm of the unfactored trailing block, which equals
-    ||f - B P||_F up to roundoff.
+    Frobenius norm of the residual of the unselected columns after
+    projection onto the selected ones, which equals ||f - B P||_F up to
+    roundoff.  ``pivot_norms`` holds the r + 1 residual norms of the
+    pivot candidates: the r accepted pivots and the one that ended the
+    factorization (0.0 when no column with a nonzero residual was left).
     """
 
     rank: int
     selected: np.ndarray
     interp: np.ndarray
     frobenius_error_estimate: float
+    pivot_norms: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -70,67 +81,100 @@ def _validate_matrix(a, name: str) -> np.ndarray:
     return a
 
 
-def column_id(f, tol: float | None = None, max_rank: int | None = None) -> IdResult:
-    """Interpolative decomposition by column-pivoted Householder QR.
+class _Dense:
+    """A dense matrix behind the column-operator interface of ``column_id``."""
 
-    The rank is the smallest k for which the (k+1)-th pivot norm (the
-    next R diagonal) satisfies |R_{k+1,k+1}| <= tol * |R_11|, capped at
-    ``max_rank``.  At least one of ``tol``/``max_rank`` must be given.
-    A zero matrix yields rank 0 with an empty selection.
+    def __init__(self, f):
+        self.f = _validate_matrix(f, "f")
+        self.shape = self.f.shape
+        self.norms2 = np.einsum("ij,ij->j", self.f, self.f)
+
+    def columns(self, idx):
+        return self.f[:, idx]
+
+    def rmatvec(self, q):
+        return q @ self.f
+
+
+def column_id(f, tol: float | None = None, max_rank: int | None = None) -> IdResult:
+    """Interpolative decomposition by left-looking pivoted Gram-Schmidt.
+
+    ``f`` is a dense m x n array or a column operator: an object with
+    ``shape``, ``norms2`` (the n squared column norms), ``columns(idx)``
+    (the m x len(idx) block f[:, idx]) and ``rmatvec(q)`` (q^T f).
+
+    Each step pivots on the largest residual column norm, orthogonalizes
+    that column twice against the previous pivots (CGS2) and appends the
+    row q^T f of R.  Residual norms are downdated by that row and computed
+    afresh, as ||f_j - Q^T R_j||^2, once they fall to sqrt(eps) of their
+    last exact value; columns that are exactly zero are never pivots.
+
+    The rank is the smallest k for which the (k+1)-th pivot norm satisfies
+    ||residual|| <= tol * (first pivot norm), capped at ``max_rank``.  At
+    least one of ``tol``/``max_rank`` must be given.  A zero matrix yields
+    rank 0 with an empty selection.
     """
-    f = _validate_matrix(f, "f")
+    op = f if hasattr(f, "rmatvec") else _Dense(f)
     if tol is None and max_rank is None:
         raise ValidationError("column_id: provide tol or max_rank")
     if tol is not None and not (tol > 0 and np.isfinite(tol)):
         raise ValidationError(f"column_id: tol must be positive, got {tol}")
     if max_rank is not None and max_rank < 0:
         raise ValidationError(f"column_id: max_rank must be >= 0, got {max_rank}")
-    m, n = f.shape
+    m, n = op.shape
+    norms2 = np.array(op.norms2, dtype=float)
+    if norms2.shape != (n,) or not np.all(np.isfinite(norms2)):
+        raise ValidationError("column_id: column norms must be finite")
 
-    work = f.copy()
     kmax = min(m, n)
     if max_rank is not None:
         kmax = min(kmax, max_rank)
-    piv = np.arange(n)
-    thresh = None
-    rank = kmax
-    for k in range(kmax):
-        block = work[k:, k:]
-        norms = np.sqrt(np.einsum("ij,ij->j", block, block))
-        jrel = int(np.argmax(norms))  # ties resolve to the lowest index
-        pivnorm = float(norms[jrel])
-        if thresh is None:
-            thresh = (tol * pivnorm) if tol is not None else 0.0
-        if pivnorm <= thresh:
-            rank = k
+    exact = norms2.copy()  # each norm^2 at its last exact evaluation
+    free = np.ones(n, dtype=bool)  # not selected yet
+    # sized for the worst-case rank; only the rows reached are ever written
+    q = np.empty((kmax, m))
+    r = np.empty((kmax, n))
+    selected, pivot_norms = [], []
+    thresh = 0.0
+    for k in range(kmax + 1):
+        candidates = free & (exact > 0.0)  # a zero residual is never a pivot
+        if not candidates.any():
+            pivot_norms.append(0.0)
             break
-        jabs = k + jrel
-        if jabs != k:
-            work[:, [k, jabs]] = work[:, [jabs, k]]
-            piv[[k, jabs]] = piv[[jabs, k]]
-        x = work[k:, k]
-        v = x.copy()
-        v[0] += pivnorm if x[0] >= 0 else -pivnorm
-        v /= np.linalg.norm(v)
-        work[k:, k:] -= np.outer(2.0 * v, v @ work[k:, k:])
-        work[k + 1 :, k] = 0.0
+        j = int(np.argmax(np.where(candidates, norms2, -1.0)))  # ties: lowest index
+        w = op.columns([j])[:, 0]
+        for _ in range(2):
+            w = w - q[:k].T @ (q[:k] @ w)
+        pivnorm = float(np.linalg.norm(w))
+        pivot_norms.append(pivnorm)
+        if k == 0 and tol is not None:
+            thresh = tol * pivnorm
+        if k == kmax or pivnorm <= thresh:
+            break
+        q[k] = w / pivnorm
+        r[k] = op.rmatvec(q[k])
+        selected.append(j)
+        free[j] = False
+        norms2 -= r[k] * r[k]
+        # a residual once recomputed as exactly 0 is never recomputed again;
+        # roundoff in later rows must not drive it (or the tail) negative
+        np.maximum(norms2, 0.0, out=norms2)
+        stale = np.flatnonzero(candidates & free & (norms2 <= _RECOMPUTE_RATIO * exact))
+        for start in range(0, stale.size, _RECOMPUTE_CHUNK):
+            cols = stale[start : start + _RECOMPUTE_CHUNK]
+            res = op.columns(cols) - q[: k + 1].T @ r[: k + 1, cols]
+            exact[cols] = norms2[cols] = np.einsum("ij,ij->j", res, res)
 
-    if rank < min(m, n):
-        tail = float(np.linalg.norm(work[rank:, rank:]))
-    else:
-        tail = 0.0
-
+    rank = len(selected)
+    selected = np.array(selected, dtype=int)
+    tail = float(np.sqrt(np.sum(norms2[free]))) if rank < min(m, n) else 0.0
+    pivot_norms = np.array(pivot_norms)
     if rank == 0:
-        interp = np.zeros((0, n))
-        return IdResult(0, np.zeros(0, dtype=int), interp, tail)
+        return IdResult(0, selected, np.zeros((0, n)), tail, pivot_norms)
 
-    coeffs = scipy.linalg.solve_triangular(
-        work[:rank, :rank], work[:rank, rank:], lower=False
-    )
-    interp = np.empty((rank, n))
-    interp[:, piv[:rank]] = np.eye(rank)
-    interp[:, piv[rank:]] = coeffs
-    return IdResult(rank, piv[:rank].copy(), interp, tail)
+    interp = scipy.linalg.solve_triangular(r[:rank, selected], r[:rank], lower=False)
+    interp[:, selected] = np.eye(rank)
+    return IdResult(rank, selected, interp, tail, pivot_norms)
 
 
 def nnls(a, b, max_iter: int | None = None) -> NnlsResult:

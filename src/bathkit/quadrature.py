@@ -14,13 +14,15 @@ number of midpoints of such a quadrature until it settles.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.signal import czt
+from scipy.signal import CZT
 
 from .errors import ConvergenceError, ValidationError
 from .units import RAD_PER_FS_PER_CM1
 
-__all__ = ["midpoint_frequencies", "fourier_midpoint_sum", "refine_midpoint"]
+__all__ = ["midpoint_frequencies", "fourier_midpoint_sum", "ChirpSum", "refine_midpoint"]
 
 DEFAULT_QUAD_POINTS = 16384
 MAX_QUAD_POINTS = 1 << 20
@@ -39,10 +41,18 @@ def midpoint_frequencies(omega_max_cm1: float, n: int) -> np.ndarray:
     """
     if n < 2 or n % 2 != 0:
         raise ValidationError(f"frequency count must be even and >= 2, got {n}")
-    if not (omega_max_cm1 > 0 and np.isfinite(omega_max_cm1)):
-        raise ValidationError(f"omega_max must be positive, got {omega_max_cm1}")
+    if not band_is_finite(omega_max_cm1):
+        raise ValidationError(
+            f"omega_max must be positive with a finite band width, got {omega_max_cm1}"
+        )
     half = (np.arange(n // 2) + 0.5) * (2.0 * omega_max_cm1 / n)
     return np.concatenate((-half[::-1], half))
+
+
+def band_is_finite(omega_max_cm1: float) -> bool:
+    """True when omega_max > 0 and the band width 2*omega_max is a finite double."""
+    # a Python float product overflows to inf without a numpy warning
+    return omega_max_cm1 > 0 and math.isfinite(2.0 * float(omega_max_cm1))
 
 
 def _is_uniform(times: np.ndarray) -> bool:
@@ -68,20 +78,32 @@ def fourier_midpoint_sum(weights, omega_max_cm1: float, times_fs) -> np.ndarray:
     if times.size == 0:
         return np.zeros(0, dtype=complex)
     if times.size >= 2 and _is_uniform(times):
-        return _czt_sum(x, freqs, h, times)
+        dw_rad = (freqs[1] - freqs[0]) * RAD_PER_FS_PER_CM1
+        return ChirpSum(n, freqs[0] * RAD_PER_FS_PER_CM1, dw_rad, times, scale=h)(x)
     return _direct_sum(x, freqs, h, times)
 
 
-def _czt_sum(x, freqs, h, times):
-    dt = (times[-1] - times[0]) / (times.size - 1)
-    t0 = times[0]
-    dw_rad = (freqs[1] - freqs[0]) * RAD_PER_FS_PER_CM1
-    j = np.arange(x.size)
-    # fold the t0 phase into the weights, leaving a pure geometric kernel
-    xx = x * np.exp(-1j * j * dw_rad * t0)
-    out = czt(xx, m=times.size, w=np.exp(-1j * dw_rad * dt), a=1.0 + 0.0j)
-    out *= h * np.exp(-1j * freqs[0] * RAD_PER_FS_PER_CM1 * times)
-    return out
+class ChirpSum:
+    """The map x -> scale * sum_j x_j * exp(-i*(u0 + j*du)*v_k), j < n.
+
+    ``v`` must be uniformly spaced with two or more points.  Each call is
+    one chirp-z transform; the chirps are computed once, in the
+    constructor, so a ChirpSum applied many times costs one FFT
+    convolution per call.
+    """
+
+    def __init__(self, n: int, u0: float, du: float, v, scale: float = 1.0):
+        dv = (v[-1] - v[0]) / (v.size - 1)
+        j = np.arange(n)
+        # fold the v[0] phase into the weights, leaving a pure geometric kernel
+        self._pre = np.exp(-1j * j * du * v[0])
+        self._czt = CZT(n, m=v.size, w=np.exp(-1j * du * dv), a=1.0 + 0.0j)
+        self._post = scale * np.exp(-1j * u0 * v)
+
+    def __call__(self, x) -> np.ndarray:
+        out = self._czt(x * self._pre)
+        out *= self._post
+        return out
 
 
 def _direct_sum(x, freqs, h, times):
@@ -107,17 +129,28 @@ def refine_midpoint(
     ``quad_n`` points, the count doubles until one doubling changes the
     values by less than ``rel_tol`` of their peak; the finer level is
     returned.  Reaching ``max_points`` first raises a ConvergenceError that
-    names the quantity as ``what``.
+    names the quantity as ``what``; a level with a non-finite value raises
+    a ValidationError.
     """
     if quad_n < 10_000:
         raise ValidationError(f"quad_n must be >= 10^4, got {quad_n}")
     if quad_n % 2 != 0:
         raise ValidationError(f"quad_n must be even, got {quad_n}")
+
+    def checked(n_points):
+        # far out in the band an intermediate may overflow; a non-finite
+        # level is rejected here rather than refined to the point cap
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = level(n_points)
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(f"{what} quadrature is not finite on {n_points} points")
+        return values
+
     n = quad_n
-    current = level(n)
+    current = checked(n)
     achieved = np.inf
     while 2 * n <= max_points:
-        finer = level(2 * n)
+        finer = checked(2 * n)
         scale = float(np.max(np.abs(finer)))
         achieved = float(np.max(np.abs(finer - current))) / max(scale, 1e-300)
         current = finer

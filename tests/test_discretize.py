@@ -1,10 +1,15 @@
 import io
+import itertools
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bathkit.discretize as disc
 from bathkit.discretize import (
     FdrGrid,
+    FdrOperator,
     assemble_fdr,
     bath_model_from_dict,
     bath_model_to_dict,
@@ -22,8 +27,9 @@ from bathkit.errors import (
     SchemaError,
     ValidationError,
 )
-from bathkit.quadrature import fourier_midpoint_sum, midpoint_frequencies
-from bathkit.specdens import Debye, LorentzianSum, NoiseKernel, Temperature
+from bathkit.lowrank import column_id
+from bathkit.quadrature import fourier_midpoint_sum, midpoint_frequencies, refine_midpoint
+from bathkit.specdens import Debye, LorentzianSum, NoiseKernel, Temperature, load_tabulated
 from bathkit.units import RAD_PER_FS_PER_CM1
 
 DEBYE_300K = NoiseKernel(Debye(lam=35.0, gamma=106.1), Temperature.finite(300.0))
@@ -143,6 +149,23 @@ def test_reference_bcf_refinement_cap_errors():
         reference_bcf(DEBYE_300K, [0.0], omega_max_cm1=2000.0, quad_n=100)
 
 
+def test_refine_midpoint_rejects_a_non_finite_level_without_warnings():
+    def level(n_points):
+        return np.array([1.0, 1e308]) * n_points  # overflows with a numpy warning
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="not finite"):
+            refine_midpoint(level, "test")
+
+
+def test_grid_band_width_must_be_finite():
+    with pytest.raises(ValidationError, match="band width"):
+        FdrGrid(t_max_fs=100.0, omega_max_cm1=1e308, n_time=20, n_freq=200)
+    with pytest.raises(ValidationError, match="band width"):
+        midpoint_frequencies(1e308, 8)
+
+
 def test_reference_bcf_doubling_is_converged():
     times = np.linspace(0.0, 400.0, 64)
     c1 = reference_bcf(DEBYE_300K, times, omega_max_cm1=2000.0)
@@ -175,6 +198,133 @@ def test_assemble_memory_cap():
     g = FdrGrid(t_max_fs=1000.0, omega_max_cm1=600.0, n_time=1000, n_freq=10000)
     with pytest.raises(ResourceLimitError, match="coarser grid"):
         assemble_fdr(DEBYE_300K, g, memory_cap_bytes=1 << 20)
+
+
+# --- FdrOperator: the matrix-free sample matrix --------------------------------
+
+SURROGATE = load_tabulated(Path(__file__).resolve().parent.parent / "configs" / "surrogate_sd.csv")
+OPERATOR_KERNELS = {
+    f"{name}-{label}": NoiseKernel(sd, temperature)
+    for (name, sd), (label, temperature) in itertools.product(
+        {"surrogate": SURROGATE, "debye": Debye(lam=35.0, gamma=106.1)}.items(),
+        {"0K": Temperature.zero(), "300K": Temperature.finite(300.0)}.items(),
+    )
+}
+OPERATOR_GRIDS = {
+    "101x2000": FdrGrid(t_max_fs=100.0, omega_max_cm1=600.0, n_time=101, n_freq=2000),
+    "250x2500": FdrGrid(t_max_fs=300.0, omega_max_cm1=600.0, n_time=250, n_freq=2500),
+    "40x64": FdrGrid(t_max_fs=300.0, omega_max_cm1=500.0, n_time=40, n_freq=64),
+    "2x8": FdrGrid(t_max_fs=10.0, omega_max_cm1=100.0, n_time=2, n_freq=8),
+    "1x8": FdrGrid(t_max_fs=0.0, omega_max_cm1=100.0, n_time=1, n_freq=8),
+}
+OPERATOR_TOLS = (0.3, 1e-1, 1e-2, 1e-3)
+# 64 cases on the four multi-time grids, 16 more on the single-time grid
+OPERATOR_CASES = [
+    pytest.param(k, g, tol, id=f"{k}-{g}-{tol:g}")
+    for k, g, tol in itertools.product(OPERATOR_KERNELS, OPERATOR_GRIDS, OPERATOR_TOLS)
+]
+
+
+class DenseSamples:
+    """The dense oracle matrix behind the column-operator interface."""
+
+    def __init__(self, realified):
+        self.f = realified
+        self.shape = realified.shape
+        self.norms2 = np.einsum("ij,ij->j", realified, realified)
+
+    def columns(self, idx):
+        return self.f[:, idx]
+
+    def rmatvec(self, q):
+        return q @ self.f
+
+
+@pytest.mark.parametrize("grid_name", OPERATOR_GRIDS)
+@pytest.mark.parametrize("kernel_name", OPERATOR_KERNELS)
+def test_operator_matches_dense_samples(kernel_name, grid_name):
+    kernel, grid = OPERATOR_KERNELS[kernel_name], OPERATOR_GRIDS[grid_name]
+    dense = assemble_fdr(kernel, grid).realified
+    op = FdrOperator(kernel, grid)
+    assert op.shape == dense.shape
+    np.testing.assert_allclose(op.norms2, np.einsum("ij,ij->j", dense, dense), rtol=1e-12)
+    # columns are built bit-equal, in any order and any subset
+    idx = np.random.default_rng(0).permutation(grid.n_freq)[: max(1, grid.n_freq // 3)]
+    np.testing.assert_array_equal(op.columns(idx), dense[:, idx])
+    np.testing.assert_array_equal(op.columns(np.arange(grid.n_freq)), dense)
+    # q^T F by chirp-z transform against the dense product
+    q = np.random.default_rng(1).standard_normal(2 * grid.n_time)
+    scale = np.linalg.norm(q) * np.sqrt(grid.n_time) * np.max(np.abs(op.s))
+    np.testing.assert_allclose(op.rmatvec(q), q @ dense, rtol=0, atol=1e-11 * scale)
+
+
+@pytest.mark.parametrize(("kernel_name", "grid_name", "tol"), OPERATOR_CASES)
+def test_operator_id_and_bath_json_match_dense_oracle(kernel_name, grid_name, tol, monkeypatch):
+    kernel, grid = OPERATOR_KERNELS[kernel_name], OPERATOR_GRIDS[grid_name]
+    dense = assemble_fdr(kernel, grid).realified
+    by_operator = column_id(FdrOperator(kernel, grid), tol=tol)
+    by_matrix = column_id(dense, tol=tol)
+    np.testing.assert_array_equal(by_operator.selected, by_matrix.selected)
+
+    def bath_json():
+        buf = io.StringIO()
+        save_bath_model(discretize_bath(kernel, grid, tol), buf)
+        return buf.getvalue()
+
+    matrix_free = bath_json()
+    monkeypatch.setattr(disc, "FdrOperator", lambda kernel, grid: DenseSamples(dense))
+    assert bath_json() == matrix_free
+
+
+def test_operator_rejects_non_finite_noise_before_sampling(monkeypatch):
+    class Broken(Debye):
+        def _magnitude(self, x):
+            return np.where(x > 50.0, np.nan, super()._magnitude(x))
+
+    def no_trig(*args, **kwargs):
+        raise AssertionError("trig evaluated")
+
+    kernel = NoiseKernel(Broken(lam=35.0, gamma=106.1), Temperature.finite(300.0))
+    monkeypatch.setattr(disc.np, "cos", no_trig)
+    monkeypatch.setattr(disc.np, "sin", no_trig)
+    with pytest.raises(ValidationError, match="not finite"):
+        FdrOperator(kernel, SMALL_GRID)
+    with pytest.raises(ValidationError, match="not finite"):
+        discretize_bath(kernel, SMALL_GRID, 1e-2)
+
+
+def test_operator_rejects_overflowing_phases():
+    grid = FdrGrid(t_max_fs=1e10, omega_max_cm1=1e306, n_time=3, n_freq=4)
+    with pytest.raises(ValidationError, match="phases"):
+        FdrOperator(DEBYE_300K, grid)
+
+
+def test_discretize_memory_cap_is_the_id_working_set(monkeypatch):
+    # Q (r x 2m) and R (r x n) at r = min(2m, n): 40 * (40 + 200) * 8 bytes
+    grid = FdrGrid(t_max_fs=100.0, omega_max_cm1=1000.0, n_time=20, n_freq=200)
+    need = min(40, 200) * (40 + 200) * 8
+    assert discretize_bath(DEBYE_300K, grid, 1e-2, memory_cap_bytes=need).mode_count > 0
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the memory check")
+
+    monkeypatch.setattr(disc, "FdrOperator", no_work)
+    monkeypatch.setattr(NoiseKernel, "evaluate", no_work)
+    with pytest.raises(ResourceLimitError, match="cap"):
+        discretize_bath(DEBYE_300K, grid, 1e-2, memory_cap_bytes=need - 1)
+    # 192 MB on the default grid, well inside the default 4 GiB cap
+    default = FdrGrid(t_max_fs=1000.0, omega_max_cm1=600.0)
+    assert min(2000, 10000) * (2000 + 10000) * 8 <= disc.DEFAULT_MEMORY_CAP_BYTES
+    with pytest.raises(ResourceLimitError, match="column ID"):
+        discretize_bath(DEBYE_300K, default, 1e-2, memory_cap_bytes=(2000 * 12000 * 8) - 1)
+
+
+def test_discretize_never_builds_the_dense_matrix(monkeypatch):
+    def no_dense(*args, **kwargs):
+        raise AssertionError("assemble_fdr called")
+
+    monkeypatch.setattr(disc, "assemble_fdr", no_dense)
+    assert discretize_bath(DEBYE_300K, SMALL_GRID, 1e-2).mode_count > 0
 
 
 # --- discretize_bath ------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bathkit.errors import ValidationError
 from bathkit.lowrank import column_id, nnls
@@ -142,6 +143,105 @@ def test_id_determinism():
     np.testing.assert_array_equal(a.selected, b.selected)
     np.testing.assert_array_equal(a.interp, b.interp)
     assert a.frobenius_error_estimate == b.frobenius_error_estimate
+
+
+class CountingColumns:
+    """A dense matrix as a column operator that counts the columns it builds."""
+
+    def __init__(self, f):
+        self.f = f
+        self.shape = f.shape
+        self.norms2 = np.einsum("ij,ij->j", f, f)
+        self.built = 0
+        self.seen = set()
+
+    def columns(self, idx):
+        self.built += len(idx)
+        self.seen.update(int(j) for j in idx)
+        return self.f[:, idx]
+
+    def rmatvec(self, q):
+        return q @ self.f
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_id_pivots_match_geqp3_with_graded_column_norms(seed):
+    # column norms graded over 1e-12 .. 1 on a fast-decaying spectrum: the
+    # downdated norms lose their leading digits, so the exact recompute
+    # must fire; LAPACK geqp3 is the independent pivot-order oracle.
+    rng = np.random.default_rng(seed)
+    m, n, k = 80, 120, 30
+    f = matrix_with_spectrum(m, n, 0.6 ** np.arange(min(m, n), dtype=float), rng)
+    f *= np.logspace(0.0, -12.0, n)[rng.permutation(n)]
+    op = CountingColumns(f)
+    res = column_id(op, max_rank=k)
+    assert op.built > k + 1  # columns beyond the k + 1 pivot candidates: recomputes
+    piv = scipy.linalg.qr(f, pivoting=True, mode="r")[1]
+    np.testing.assert_array_equal(res.selected, piv[:k])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_id_stays_accurate_down_to_roundoff(seed):
+    # 45 pivots on singular values 2^-k reach residuals near 1e-14; the
+    # second Gram-Schmidt pass keeps Q orthogonal there (one pass leaves
+    # errors near 1e-8)
+    rng = np.random.default_rng(seed)
+    f = matrix_with_spectrum(60, 90, 0.5 ** np.arange(60.0), rng)
+    res = column_id(f, max_rank=45)
+    err = np.linalg.norm(f - f[:, res.selected] @ res.interp)
+    assert err <= 1e-11 * np.linalg.norm(f)
+    assert res.frobenius_error_estimate <= 1e-11 * np.linalg.norm(f)
+
+
+def test_id_operator_and_dense_matrix_agree():
+    rng = np.random.default_rng(11)
+    f = matrix_with_spectrum(50, 90, 0.8 ** np.arange(50.0), rng)
+    dense = column_id(f, tol=1e-6)
+    wrapped = column_id(CountingColumns(f), tol=1e-6)
+    np.testing.assert_array_equal(wrapped.selected, dense.selected)
+    np.testing.assert_array_equal(wrapped.interp, dense.interp)
+    np.testing.assert_array_equal(wrapped.pivot_norms, dense.pivot_norms)
+
+
+@pytest.mark.parametrize("tol", [1e-1, 1e-3, 1e-6])
+def test_id_pivot_norms_decay(tol):
+    rng = np.random.default_rng(29)
+    f = matrix_with_spectrum(70, 100, 0.75 ** np.arange(70.0), rng)
+    res = column_id(f, tol=tol)
+    norms = res.pivot_norms
+    assert norms.shape == (res.rank + 1,)
+    assert np.all(np.diff(norms) <= 1e-12 * norms[0])
+    assert norms[-1] <= tol * norms[0]
+    assert np.all(norms[:-1] > tol * norms[0])
+    # the first pivot is the largest column
+    assert norms[0] == pytest.approx(np.max(np.linalg.norm(f, axis=0)), rel=1e-14)
+
+
+def test_id_pivot_norms_at_full_rank_and_max_rank():
+    res = column_id(np.eye(3), tol=1e-12)
+    np.testing.assert_array_equal(res.pivot_norms, [1.0, 1.0, 1.0, 0.0])
+    rng = np.random.default_rng(2)
+    f = rng.standard_normal((10, 20))
+    res = column_id(f, max_rank=4)
+    assert res.pivot_norms.shape == (5,)
+    assert res.pivot_norms[-1] > 0.0  # the candidate that max_rank turned away
+
+
+def test_id_skips_zero_columns():
+    rng = np.random.default_rng(4)
+    f = np.zeros((30, 40))
+    f[:, ::2] = matrix_with_spectrum(30, 20, 0.5 ** np.arange(20.0), rng)
+    op = CountingColumns(f)
+    res = column_id(op, tol=1e-9)
+    assert np.all(res.selected % 2 == 0)
+    np.testing.assert_array_equal(res.interp[:, 1::2], 0.0)
+    # zero columns are never pivot candidates and never recomputed
+    assert op.seen and all(j % 2 == 0 for j in op.seen)
+
+
+def test_id_rejects_overflowing_column_norms():
+    with pytest.raises(ValidationError):
+        column_id(np.full((2, 2), 1e200), tol=1e-3)
 
 
 # --- nnls -------------------------------------------------------------------

@@ -8,6 +8,7 @@ output with exit 0).
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,57 @@ def test_bath_json_temperature_must_be_a_finite_number(bath_doc, value):
         load_bath_model(io.StringIO(json.dumps(doc)))
 
 
+@pytest.mark.parametrize(
+    ("key", "value"),
+    [
+        ("nnls_converged", "false"),
+        ("nnls_converged", 0),
+        ("nnls_converged", None),
+        ("mode_count", 2.7),
+        ("mode_count", 2.0),
+        ("mode_count", True),
+        ("mode_count", -1),
+        ("id_rank", "7"),
+        ("nnls_iterations", 1.5),
+    ],
+)
+def test_bath_json_diagnostics_types_are_strict(bath_doc, key, value):
+    doc = json.loads(json.dumps(bath_doc))
+    doc["diagnostics"][key] = value
+    with pytest.raises(SchemaError) as err:
+        load_bath_model(io.StringIO(json.dumps(doc)))
+    assert err.value.pointer == f"/diagnostics/{key}"
+
+
+@pytest.mark.parametrize("delta", [-1, 1, 9])
+def test_bath_json_mode_count_must_match_the_modes(bath_doc, delta):
+    doc = json.loads(json.dumps(bath_doc))
+    doc["diagnostics"]["mode_count"] = len(doc["modes"]) + delta
+    with pytest.raises(SchemaError) as err:
+        load_bath_model(io.StringIO(json.dumps(doc)))
+    assert err.value.pointer == "/diagnostics/mode_count"
+
+
+@pytest.mark.parametrize("tol", [-5.0, 0.0, 1.0, 2.5])
+def test_bath_json_tol_must_lie_in_the_unit_interval(bath_doc, tol):
+    doc = json.loads(json.dumps(bath_doc))
+    doc["tol"] = tol
+    with pytest.raises(SchemaError) as err:
+        load_bath_model(io.StringIO(json.dumps(doc)))
+    assert err.value.pointer == "/tol"
+
+
+def test_reconstruct_bath_with_string_bool_exits_2(exit_code, bath_doc, tmp_path, capsys):
+    doc = json.loads(json.dumps(bath_doc))
+    doc["diagnostics"]["nnls_converged"] = "false"
+    model = tmp_path / "bath.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "bcf.csv"
+    assert exit_code(["reconstruct", "--model", str(model), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "/diagnostics/nnls_converged" in capsys.readouterr().err
+
+
 def test_temperature_with_overflowing_beta_is_rejected():
     with pytest.raises(ValidationError, match="temperature"):
         Temperature.finite(5e-324)
@@ -192,6 +244,53 @@ def test_eval_sd_rejects_a_range_that_overflows(exit_code, debye_sd, tmp_path):
         "--n", "3", "--out", str(out),
     ]
     assert exit_code(argv) == 2
+    assert not out.exists()
+
+
+def run_without_warnings(exit_code, argv):
+    """Exit code of the CLI; fails if numpy (or anything) warned on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = exit_code(argv)
+    assert [str(w.message) for w in caught] == []
+    return code
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--omega-max-cm1", "1e308"],
+        ["--omega-max-cm1", "1e306", "--t-max-fs", "1e10"],
+        ["--omega-max-cm1", "1e200"],
+    ],
+    ids=["band-overflows", "phases-overflow", "noise-vanishes"],
+)
+def test_discretize_extreme_finite_flags_exit_2_without_warnings(
+    exit_code, debye_sd, tmp_path, capsys, flags
+):
+    out = tmp_path / "b.json"
+    argv = ["discretize", "--sd", debye_sd, "--temp-k", "300", "--n-time", "20",
+            "--n-freq", "200", "--out", str(out), *flags]
+    assert run_without_warnings(exit_code, argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "RuntimeWarning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "span", [("-1.7e308", "1.7e308"), ("0", "1.7e308")], ids=["span-overflows", "noise-overflows"]
+)
+def test_eval_sd_extreme_finite_range_exits_2_without_warnings(
+    exit_code, debye_sd, tmp_path, capsys, span
+):
+    out = tmp_path / "sd.csv"
+    argv = ["eval-sd", "--sd", debye_sd, f"--omega-min={span[0]}", f"--omega-max={span[1]}",
+            "--n", "3", "--out", str(out)]
+    assert run_without_warnings(exit_code, argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "RuntimeWarning" not in err
     assert not out.exists()
 
 
