@@ -1,11 +1,13 @@
 """Desk-scale exact dynamics for validating discretized environments.
 
 ``propagate`` integrates the Schroedinger equation for a DiscreteModel in
-a truncated number-state space with fixed-step Lanczos exponentials, never
+a truncated number-state space with Lanczos exponentials, never
 materializing the Hamiltonian: the action of each mode's ladder operators
-is applied axis by axis on the state tensor.  The bath always starts in
-its vacuum; at finite temperature the thermal occupation is already baked
-into the couplings and signed frequencies of the bath model.
+is applied axis by axis on the state tensor.  One Lanczos basis serves as
+many uniform output steps as its a-posteriori error estimate allows.  The
+bath always starts in its vacuum; at finite temperature the thermal
+occupation is already baked into the couplings and signed frequencies of
+the bath model.
 
 ``dephasing_gamma`` is the closed-form decoherence exponent of a qubit
 with diagonal (sigma_z) coupling and vacuum bath,
@@ -21,6 +23,7 @@ over the model band by refined midpoint quadrature.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -53,6 +56,10 @@ __all__ = [
 ]
 
 DEFAULT_DIMENSION_CAP = 1 << 22
+# Output steps taken from one Lanczos basis at most.  It bounds the table of
+# projected coefficients built per basis; a basis that could serve longer is
+# rebuilt, which adds at most 1/64 of a basis per step.
+MAX_STEPS_PER_BASIS = 64
 
 
 def _model_modes(model: DiscreteModel):
@@ -102,6 +109,9 @@ class PropagationResult:
     coherences: dict  # (i, j) -> complex series
     norm: np.ndarray
     energy: np.ndarray  # <H> in cm^-1
+    krylov_bases: int  # Lanczos bases built, rejected ones included
+    halvings: int  # steps split in two because one basis could not cover them
+    max_step_error: float  # largest accepted a-posteriori error estimate
 
     def to_csv(self, sink, coherence_pair=None):
         """Columns t_fs, pop_1..pop_d, re_coh, im_coh, norm, energy_cm1."""
@@ -128,8 +138,20 @@ class PropagationResult:
         write_text(sink, "\n".join(lines) + "\n")
 
 
+def _offdiagonal_is_zero(matrix) -> bool:
+    """True if every off-diagonal entry is exactly zero (no tolerance)."""
+    return not np.any(matrix[~np.eye(matrix.shape[0], dtype=bool)])
+
+
 class _HamiltonianAction:
-    """Matrix-free application of the assembled Hamiltonian on a state tensor."""
+    """Matrix-free application of the assembled Hamiltonian on a state tensor.
+
+    Exactly diagonal operators take fast paths: a diagonal H_S is folded
+    into the oscillator diagonal, and a mode whose coupling V is diagonal
+    applies g * v_s * sqrt(n) as one precomputed coefficient array on slice
+    views.  The test is for exact zeros, so any nonzero off-diagonal entry,
+    however small, keeps the general path (``h_s`` and the mode's ``v`` set).
+    """
 
     def __init__(self, model: DiscreteModel, trunc: FockTruncation):
         modes = _model_modes(model)
@@ -138,11 +160,9 @@ class _HamiltonianAction:
                 f"truncation has {len(trunc.caps)} caps but the model has "
                 f"{len(modes)} modes"
             )
-        self.h_s = model.system.h_s
-        self.v_ops = [v for _, v in model.system.couplings]
-        self.modes = modes
         self.caps = trunc.caps
         self.shape = (model.system.dim,) + tuple(c + 1 for c in self.caps)
+        ndim = len(self.shape)
         # total oscillator-energy diagonal, broadcast over the full tensor
         diag = np.zeros(self.shape[1:])
         for k, (omega, _, _) in enumerate(modes):
@@ -150,80 +170,132 @@ class _HamiltonianAction:
             diag = diag + omega * occ.reshape(
                 (1,) * k + (-1,) + (1,) * (len(modes) - k - 1)
             )
-        self.bath_diag = diag[np.newaxis, ...]
-        self.sqrt_n = [np.sqrt(np.arange(1.0, c + 1.0)) for c in self.caps]
+        diag = diag[np.newaxis, ...]
+        h_s = model.system.h_s
+        if _offdiagonal_is_zero(h_s):
+            self.h_s = None
+            diag = diag + h_s.diagonal().reshape((-1,) + (1,) * (ndim - 1))
+        else:
+            self.h_s = h_s
+        self.diag = diag
 
-    def _ladder_sum(self, psi, k):
-        """(a + a^dag) psi along mode axis k."""
-        ax = 1 + k
-        out = np.zeros_like(psi)
-        src = np.moveaxis(psi, ax, 0)
-        dst = np.moveaxis(out, ax, 0)
-        s = self.sqrt_n[k].reshape((-1,) + (1,) * (psi.ndim - 1))
-        dst[:-1] += s * src[1:]  # annihilation: sqrt(n+1) from level n+1
-        dst[1:] += s * src[:-1]  # creation: sqrt(n) from level n-1
-        return out
-
-    def __call__(self, psi):
-        out = np.tensordot(self.h_s, psi, axes=(1, 0))
-        out += self.bath_diag * psi
-        for k, (_, g, ci) in enumerate(self.modes):
+        # per mode with g != 0: the slices of levels n and n+1 along its axis,
+        # the coefficient of g (a + a^dag), V (None when folded into the
+        # coefficient) and a view of one shared scratch buffer for products
+        scratch = np.empty(math.prod(self.shape), dtype=complex)
+        self.ladder = []
+        for k, (_, g, ci) in enumerate(modes):
             if g == 0.0:
                 continue
-            phi = self._ladder_sum(psi, k)
-            out += g * np.tensordot(self.v_ops[ci], phi, axes=(1, 0))
+            ax = 1 + k
+            lo = (slice(None),) * ax + (slice(None, -1),)
+            hi = (slice(None),) * ax + (slice(1, None),)
+            coef = g * np.sqrt(np.arange(1.0, self.caps[k] + 1.0)).reshape(
+                (-1,) + (1,) * (ndim - 1 - ax)
+            )
+            v = model.system.couplings[ci][1]
+            if _offdiagonal_is_zero(v):
+                coef = coef * v.diagonal().reshape((-1,) + (1,) * (ndim - 1))
+                v = None
+            tmp_shape = self.shape[:ax] + (self.caps[k],) + self.shape[ax + 1 :]
+            tmp = scratch[: math.prod(tmp_shape)].reshape(tmp_shape)
+            self.ladder.append((lo, hi, coef, v, tmp))
+
+    def __call__(self, psi):
+        if self.h_s is None:
+            out = self.diag * psi
+        else:
+            out = np.tensordot(self.h_s, psi, axes=(1, 0))
+            out += self.diag * psi
+        for lo, hi, coef, v, tmp in self.ladder:
+            src = psi if v is None else np.tensordot(v, psi, axes=(1, 0))
+            np.multiply(coef, src[hi], out=tmp)
+            out[lo] += tmp  # annihilation: sqrt(n+1) from level n+1
+            np.multiply(coef, src[lo], out=tmp)
+            out[hi] += tmp  # creation: sqrt(n) from level n-1
         return out
 
 
-def _lanczos_expm_apply(apply_h, psi, dt_rad, krylov_dim, tol, halvings=3):
-    """exp(-i*dt_rad*H) psi by a Lanczos projection; halves dt on demand."""
+@dataclass(frozen=True)
+class _KrylovSteps:
+    """States from one ``_lanczos_expm_apply`` call: the rows of coeffs @ basis."""
+
+    coeffs: np.ndarray  # (steps, k)
+    basis: np.ndarray  # (k, D) orthonormal Lanczos vectors
+    energies: np.ndarray  # <H> of each state, from the projected Hamiltonian
+    bases: int  # Lanczos bases built, rejected ones included
+    halvings: int
+    max_error: float  # largest accepted error estimate
+
+    def state(self, i, shape):
+        return (self.coeffs[i] @ self.basis).reshape(shape)
+
+
+def _lanczos_expm_apply(apply_h, psi, dt_rad, krylov_dim, tol, max_steps, halvings=3):
+    """exp(-i*m*dt_rad*H) psi for m = 1, 2, ... from one Lanczos projection.
+
+    Steps are taken while Saad's a-posteriori estimate
+    |beta_k| * |e_k^T exp(-i*m*dt_rad*T_k) e_1| stays at or below ``tol``,
+    at most ``max_steps`` of them.  If even m = 1 fails, the step is halved
+    recursively, at most ``halvings`` times, and one state is returned.
+    """
     flat = psi.reshape(-1)
     nrm = np.linalg.norm(flat)
     basis = np.empty((krylov_dim, flat.size), dtype=complex)
     basis[0] = flat / nrm
     alphas, betas = [], []
-    k_used = krylov_dim
-    breakdown = False
     for j in range(krylov_dim):
         w = apply_h(basis[j].reshape(psi.shape)).reshape(-1)
         alpha = float(np.real(np.vdot(basis[j], w)))
         alphas.append(alpha)
-        w = w - alpha * basis[j]
+        w -= alpha * basis[j]
         if j > 0:
-            w = w - betas[j - 1] * basis[j - 1]
-        # full re-orthogonalization keeps the small projection accurate
-        coeffs = basis[: j + 1].conj() @ w
-        w = w - coeffs @ basis[: j + 1]
+            w -= betas[j - 1] * basis[j - 1]
+        # full re-orthogonalization keeps the small projection accurate;
+        # conjugating w instead of the basis avoids copying the basis
+        done = basis[: j + 1]
+        w -= (w.conj() @ done.T).conj() @ done
         beta = float(np.linalg.norm(w))
-        if j + 1 == krylov_dim:
-            betas.append(beta)
-            break
-        if beta < 1e-14 * nrm:
-            k_used = j + 1
-            breakdown = True
-            break
         betas.append(beta)
+        if j + 1 == krylov_dim or beta < 1e-14 * nrm:
+            break
         basis[j + 1] = w / beta
 
-    k = k_used if breakdown else krylov_dim
-    a = np.array(alphas[:k])
-    b = np.array(betas[: k - 1]) if k > 1 else np.zeros(0)
-    evals, evecs = scipy.linalg.eigh_tridiagonal(a, b)
-    y = evecs @ (np.exp(-1j * dt_rad * evals) * evecs[0, :].conj())
-    if breakdown:
-        err = 0.0
-    else:
-        err = abs(betas[-1]) * abs(y[-1]) if k == krylov_dim else 0.0
-    if err > tol:
+    k = len(alphas)
+    beta_k = betas[-1] if k == krylov_dim else 0.0  # an invariant subspace is exact
+    evals, evecs = scipy.linalg.eigh_tridiagonal(np.array(alphas), np.array(betas[: k - 1]))
+    phases = np.exp(-1j * dt_rad * np.outer(np.arange(1, max_steps + 1), evals))
+    ys = (phases * evecs[0, :].conj()) @ evecs.T  # row m-1: y at time m*dt_rad
+    errs = beta_k * np.abs(ys[:, -1])
+    failed = ~(errs <= tol)
+    n_ok = int(np.argmax(failed)) if failed.any() else max_steps
+    if n_ok == 0:
         if halvings <= 0:
             raise ConvergenceError(
-                f"Lanczos step error {err:.3e} above tolerance {tol:.1e} "
+                f"Lanczos step error {errs[0]:.3e} above tolerance {tol:.1e} "
                 "after 3 step halvings; reduce dt or raise krylov_dim"
             )
-        half = _lanczos_expm_apply(apply_h, psi, dt_rad / 2, krylov_dim, tol, halvings - 1)
-        return _lanczos_expm_apply(apply_h, half, dt_rad / 2, krylov_dim, tol, halvings - 1)
-    out = (nrm * y) @ basis[:k]
-    return out.reshape(psi.shape)
+        first = _lanczos_expm_apply(apply_h, psi, dt_rad / 2, krylov_dim, tol, 1, halvings - 1)
+        second = _lanczos_expm_apply(
+            apply_h, first.state(0, psi.shape), dt_rad / 2, krylov_dim, tol, 1, halvings - 1
+        )
+        return dataclasses.replace(
+            second,
+            bases=1 + first.bases + second.bases,
+            halvings=1 + first.halvings + second.halvings,
+            max_error=max(first.max_error, second.max_error),
+        )
+    ys = ys[:n_ok]
+    t_k = np.diag(alphas) + np.diag(betas[: k - 1], 1) + np.diag(betas[: k - 1], -1)
+    energies = nrm * nrm * np.einsum("mi,mi->m", ys.conj(), ys @ t_k).real
+    return _KrylovSteps(
+        coeffs=nrm * ys,
+        basis=basis[:k],
+        energies=energies,
+        bases=1,
+        halvings=0,
+        max_error=float(np.max(errs[:n_ok])),
+    )
 
 
 def propagate(
@@ -237,12 +309,14 @@ def propagate(
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
     coherence_pairs=None,
 ) -> PropagationResult:
-    """Fixed-step Lanczos propagation from (system state) x (bath vacuum).
+    """Lanczos propagation from (system state) x (bath vacuum) on a uniform grid.
 
     ``psi0_system`` is the normalized system amplitude vector; the full
-    initial state is its product with every mode's ground state.  Steps
-    are uniform with the end point hit exactly; per-step local error is
-    kept at or below ``tol`` by up to three step halvings.
+    initial state is its product with every mode's ground state.  Output
+    steps are uniform with the end point hit exactly.  Each Lanczos basis
+    covers as many steps (up to ``MAX_STEPS_PER_BASIS``) as keep its local
+    error estimate at or below ``tol``; a single step it cannot cover is
+    halved, at most three times.
     """
     d_s = model.system.dim
     dim = trunc.dimension(d_s)
@@ -277,22 +351,39 @@ def propagate(
     norm = np.empty(n_steps + 1)
     energy = np.empty(n_steps + 1)
 
-    def record(i, state):
+    def record(i, state, e):
         mat = state.reshape(d_s, -1)
         rho_diag = np.einsum("ib,ib->i", mat, mat.conj()).real
         pops[i] = rho_diag
         for (r, c) in coherence_pairs:
             coh[(r, c)][i] = mat[r] @ mat[c].conj()
         norm[i] = np.linalg.norm(mat)
-        energy[i] = float(np.real(np.vdot(state, action(state))))
+        energy[i] = e
 
-    record(0, psi)
-    for i in range(1, n_steps + 1):
-        psi = _lanczos_expm_apply(action, psi, dt_rad, krylov_dim, tol)
-        record(i, psi)
+    record(0, psi, float(np.real(np.vdot(psi, action(psi)))))
+    done = bases = halvings = 0
+    max_error = 0.0
+    while done < n_steps:
+        steps = _lanczos_expm_apply(
+            action, psi, dt_rad, krylov_dim, tol, min(n_steps - done, MAX_STEPS_PER_BASIS)
+        )
+        for m, e in enumerate(steps.energies):
+            psi = steps.state(m, action.shape)
+            done += 1
+            record(done, psi, float(e))
+        bases += steps.bases
+        halvings += steps.halvings
+        max_error = max(max_error, steps.max_error)
 
     return PropagationResult(
-        times=times, populations=pops, coherences=coh, norm=norm, energy=energy
+        times=times,
+        populations=pops,
+        coherences=coh,
+        norm=norm,
+        energy=energy,
+        krylov_bases=bases,
+        halvings=halvings,
+        max_step_error=max_error,
     )
 
 

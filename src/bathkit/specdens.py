@@ -85,7 +85,16 @@ class Debye(SpectralDensity):
             raise ValidationError(f"debye: gamma must be positive, got {self.gamma}")
 
     def _magnitude(self, x):
-        return 2.0 * self.lam * self.gamma * x / (x * x + self.gamma * self.gamma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            denom = x * x + self.gamma * self.gamma
+            out = 2.0 * self.lam * self.gamma * x / denom
+            far = np.isinf(denom)
+            if np.any(far):
+                # x*x overflows: divide by hypot(x, gamma) twice instead; the
+                # result stays non-finite only where 2*lam*gamma*x overflows
+                h = np.hypot(x, self.gamma)
+                out = np.where(far, 2.0 * self.lam * self.gamma * x / h / h, out)
+        return out
 
     def derivative_at_zero(self) -> float:
         return 2.0 * self.lam / self.gamma

@@ -1,8 +1,9 @@
-"""Fixtures shared by the robustness and property tests."""
+"""Fixtures and oracles shared across the test modules."""
 
 import io
 import json
 
+import numpy as np
 import pytest
 
 from bathkit.cli import main
@@ -31,3 +32,17 @@ def exit_code():
             return exc.code
 
     return run
+
+
+def materialize(action):
+    """Dense Hamiltonian from the matrix-free action (tiny spaces only).
+
+    The one dense-H oracle: column j is the action on the j-th unit state.
+    """
+    dim = int(np.prod(action.shape))
+    h = np.zeros((dim, dim), dtype=complex)
+    for j in range(dim):
+        e = np.zeros(dim, dtype=complex)
+        e[j] = 1.0
+        h[:, j] = action(e.reshape(action.shape)).reshape(-1)
+    return h

@@ -1,10 +1,18 @@
+import dataclasses
+import io
+
 import numpy as np
 import pytest
+import scipy.linalg
+from conftest import materialize
 
+import bathkit.dynamics as dynamics
 from bathkit.discretize import BathDiagnostics, BathModel, FdrGrid, discretize_bath
 from bathkit.dynamics import (
     FockTruncation,
+    PropagationResult,
     _HamiltonianAction,
+    _pure_dephasing_violation,
     convergence_study,
     dephasing_gamma,
     dephasing_gamma_continuum,
@@ -16,6 +24,7 @@ from bathkit.specdens import Debye, NoiseKernel, Temperature
 from bathkit.units import RAD_PER_FS_PER_CM1
 
 SIGMA_Z = [[1.0, 0.0], [0.0, -1.0]]
+SIGMA_X = [[0.0, 1.0], [1.0, 0.0]]
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
 
@@ -57,17 +66,6 @@ def dephasing_model(omegas, gs):
     return build_model(system, [("b", synthetic_bath(omegas, gs))])
 
 
-def materialize(action):
-    """Dense Hamiltonian from the matrix-free action (tiny spaces only)."""
-    dim = int(np.prod(action.shape))
-    h = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[j] = 1.0
-        h[:, j] = action(e.reshape(action.shape)).reshape(-1)
-    return h
-
-
 # --- Hamiltonian action -----------------------------------------------------
 
 
@@ -94,6 +92,58 @@ def test_materialized_matches_explicit_construction():
         + 12.0 * np.kron(np.array(SIGMA_Z), a + a.T)
     )
     np.testing.assert_allclose(h, h_expl, atol=1e-12)
+
+
+def with_offdiagonal(matrix, eps):
+    m = np.array(matrix, dtype=complex)
+    m[0, 1] = m[1, 0] = eps
+    return m
+
+
+def test_diagonal_fast_paths_match_general_path():
+    # diagonal H_S, two diagonal couplings and a g = 0 mode take the fast
+    # paths; an off-diagonal 1e-300 forces the general path for the same H
+    h_s = np.diag([50.0, -30.0])
+    v2 = np.diag([0.3, -0.7])
+    baths = [
+        ("b", synthetic_bath([120.0, -80.0, 60.0], [25.0, 15.0, 0.0])),
+        ("c", synthetic_bath([95.0], [10.0])),
+    ]
+    trunc = FockTruncation(caps=(3, 2, 2, 3))
+    fast_sys = SystemSpec(h_s=h_s, couplings=(("b", SIGMA_Z), ("c", v2)))
+    tiny_h_s = with_offdiagonal(h_s, 1e-300)
+    tiny_z = with_offdiagonal(SIGMA_Z, 1e-300)
+    general_sys = SystemSpec(
+        h_s=tiny_h_s, couplings=(("b", tiny_z), ("c", with_offdiagonal(v2, 1e-300)))
+    )
+    # the dephasing predicate tolerates 1e-10; the fast paths must not
+    assert _pure_dephasing_violation(SystemSpec(h_s=tiny_h_s, couplings=(("b", tiny_z),))) is None
+    fast = _HamiltonianAction(build_model(fast_sys, baths), trunc)
+    general = _HamiltonianAction(build_model(general_sys, baths), trunc)
+    assert fast.h_s is None and all(v is None for _, _, _, v, _ in fast.ladder)
+    assert general.h_s is not None and all(v is not None for _, _, _, v, _ in general.ladder)
+    assert len(fast.ladder) == 3  # the g = 0 mode is skipped
+    h_fast, h_general = materialize(fast), materialize(general)
+    np.testing.assert_allclose(h_fast, h_general, rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(h_fast - h_fast.conj().T)) == 0.0
+
+
+def test_mixed_paths_match_kronecker_construction():
+    # diagonal H_S folded, sigma_x coupling on the general path
+    n = 4
+    model = build_model(
+        SystemSpec(h_s=np.diag([40.0, -20.0]), couplings=(("b", SIGMA_X),)),
+        [("b", synthetic_bath([-70.0], [18.0]))],
+    )
+    action = _HamiltonianAction(model, FockTruncation(caps=(n - 1,)))
+    assert action.h_s is None and action.ladder[0][3] is not None
+    a = np.diag(np.sqrt(np.arange(1.0, n)), k=1)
+    h_expl = (
+        np.kron(np.diag([40.0, -20.0]), np.eye(n))
+        - 70.0 * np.kron(np.eye(2), np.diag(np.arange(float(n))))
+        + 18.0 * np.kron(np.array(SIGMA_X), a + a.T)
+    )
+    np.testing.assert_allclose(materialize(action), h_expl, atol=1e-12)
 
 
 # --- propagate ---------------------------------------------------------------
@@ -218,6 +268,120 @@ def test_truncation_convergence_under_cap_doubling():
         )
         results.append(res.energy)
     assert np.max(np.abs(results[0] - results[1])) <= 1e-6 * max(1.0, abs(results[1][0]))
+
+
+def spin_boson_oracle_model():
+    # off-diagonal complex H_S, sigma_x coupling, a negative frequency, a g = 0 mode
+    system = SystemSpec(
+        h_s=[[60.0, 25.0 + 10.0j], [25.0 - 10.0j, -40.0]], couplings=(("b", SIGMA_X),)
+    )
+    bath = synthetic_bath([110.0, -70.0, 90.0], [20.0, 15.0, 0.0])
+    return build_model(system, [("b", bath)]), FockTruncation(caps=(4, 3, 2))
+
+
+def shared_label_oracle_model():
+    # two couplings reference one bath label, so each gets its own mode copies
+    system = SystemSpec(
+        h_s=[[30.0, 15.0], [15.0, -30.0]],
+        couplings=(("b", SIGMA_Z), ("b", [[0.3, 0.5], [0.5, -0.2]])),
+    )
+    bath = synthetic_bath([100.0, -60.0], [18.0, 12.0])
+    return build_model(system, [("b", bath)]), FockTruncation(caps=(3, 2, 3, 2))
+
+
+@pytest.mark.parametrize("make", [spin_boson_oracle_model, shared_label_oracle_model])
+def test_propagate_matches_dense_exponential(make, monkeypatch):
+    model, trunc = make()
+    psi0_system = np.array([0.6, 0.8j])
+    t_max, dt, krylov_dim = 120.0, 2.0, 12
+
+    states, h_calls = [], []
+    lanczos = dynamics._lanczos_expm_apply
+    call = _HamiltonianAction.__call__
+
+    def spy(*args, **kwargs):
+        steps = lanczos(*args, **kwargs)
+        states.extend(steps.state(m, args[1].shape) for m in range(len(steps.energies)))
+        return steps
+
+    def counting(self, psi):
+        h_calls.append(1)
+        return call(self, psi)
+
+    monkeypatch.setattr(dynamics, "_lanczos_expm_apply", spy)
+    monkeypatch.setattr(_HamiltonianAction, "__call__", counting)
+    res = propagate(model, trunc, psi0_system, t_max, dt, krylov_dim=krylov_dim, tol=1e-12)
+    monkeypatch.undo()
+
+    n_steps = res.times.size - 1
+    assert res.halvings == 0 and len(states) == n_steps
+    # one basis covers several output steps
+    assert res.krylov_bases < n_steps
+    assert len(h_calls) < n_steps * krylov_dim
+    assert 0.0 <= res.max_step_error <= 1e-12
+
+    h = materialize(_HamiltonianAction(model, trunc))
+    step = scipy.linalg.expm(-1j * dt * RAD_PER_FS_PER_CM1 * h)
+    psi = np.zeros(trunc.dimension(2), dtype=complex)
+    psi[0], psi[psi.size // 2] = psi0_system
+    for i, state in enumerate(states, start=1):
+        psi = step @ psi
+        np.testing.assert_allclose(state.reshape(-1), psi, rtol=0.0, atol=1e-9)
+        mat = psi.reshape(2, -1)
+        pops = np.sum(np.abs(mat) ** 2, axis=1)
+        np.testing.assert_allclose(res.populations[i], pops, rtol=0.0, atol=1e-9)
+        assert abs(res.coherences[(0, 1)][i] - mat[0] @ mat[1].conj()) <= 1e-9
+        energy = np.real(np.vdot(psi, h @ psi))
+        assert abs(res.energy[i] - energy) <= 1e-9 * max(1.0, abs(energy))
+
+
+def test_propagation_reports_halvings_and_error_estimates():
+    gap = 300.0
+    system = SystemSpec(h_s=[[gap / 2, 0.0], [0.0, -gap / 2]], couplings=(("b", SIGMA_X),))
+    model = build_model(system, [("b", synthetic_bath([gap], [20.0]))])
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    trunc = FockTruncation(caps=(8,))
+    coarse = propagate(model, trunc, psi0, 192.0, 16.0, krylov_dim=6, tol=1e-8)
+    fine = propagate(model, trunc, psi0, 192.0, 0.5, krylov_dim=12, tol=1e-13)
+    assert coarse.halvings > 0
+    # a halving rejects one basis and builds at least two
+    assert coarse.krylov_bases >= 2 * coarse.halvings + 1
+    assert 0.0 < coarse.max_step_error <= 1e-8
+    assert abs(coarse.populations[-1, 0] - fine.populations[-1, 0]) < 1e-7
+
+
+def test_invariant_subspace_serves_many_steps_per_basis():
+    # an eigenstate breaks the Lanczos recursion down at once; the projection
+    # is then exact and one basis serves MAX_STEPS_PER_BASIS output steps
+    model = dephasing_model([100.0], [0.0])
+    n_steps = 2 * dynamics.MAX_STEPS_PER_BASIS + 3
+    res = propagate(model, FockTruncation(caps=(2,)), np.array([0.0, 1.0]), float(n_steps), 1.0)
+    assert res.krylov_bases == 3 and res.halvings == 0 and res.max_step_error == 0.0
+    np.testing.assert_allclose(res.populations[:, 1], 1.0, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(res.energy, -50.0, rtol=1e-14)
+
+
+def test_to_csv_leaves_the_propagation_diagnostics_out():
+    res = PropagationResult(
+        times=np.array([0.0, 0.5]),
+        populations=np.array([[1.0, 0.0], [0.75, 0.25]]),
+        coherences={(0, 1): np.array([complex(0.5, 0.25), complex(0.0, -0.125)])},
+        norm=np.array([1.0, 1.0]),
+        energy=np.array([2.5, -1.0]),
+        krylov_bases=1,
+        halvings=0,
+        max_step_error=1e-13,
+    )
+    texts = []
+    for r in (res, dataclasses.replace(res, krylov_bases=9, halvings=4, max_step_error=0.5)):
+        buf = io.StringIO()
+        r.to_csv(buf)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1] == (
+        "t_fs,pop_1,pop_2,re_coh,im_coh,norm,energy_cm1\n"
+        "0.0,1.0,0.0,0.5,0.25,1.0,2.5\n"
+        "0.5,0.75,0.25,0.0,-0.125,1.0,-1.0\n"
+    )
 
 
 # --- dephasing oracle ---------------------------------------------------------

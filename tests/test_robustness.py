@@ -294,6 +294,18 @@ def test_eval_sd_extreme_finite_range_exits_2_without_warnings(
     assert not out.exists()
 
 
+def test_eval_sd_far_debye_tail_is_not_zero(exit_code, debye_sd, tmp_path):
+    out = tmp_path / "sd.csv"
+    argv = ["eval-sd", "--sd", debye_sd, "--omega-min=1e200", "--omega-max=1e201",
+            "--n", "3", "--out", str(out)]
+    assert run_without_warnings(exit_code, argv) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[5:]]
+    assert len(rows) == 3
+    for omega, j, s in rows:
+        assert float(j) == pytest.approx(2.0 * 35.0 * 106.1 / float(omega), rel=1e-14, abs=0.0)
+        assert float(s) == float(j)  # zero temperature: S = J for omega > 0
+
+
 # --- file-system and decoding errors ------------------------------------------------
 
 

@@ -27,6 +27,23 @@ ALL_KINDS = [
 ]
 
 
+def test_debye_far_tail_where_the_square_overflows():
+    # x*x overflows above ~1.3e154 cm^-1 while 2*lam*gamma/omega is a normal double
+    sd = Debye(lam=35.0, gamma=106.1)
+    omegas = np.array([2e154, 1e200, -1e200, 1e300])
+    expected = 2.0 * 35.0 * 106.1 / omegas
+    np.testing.assert_allclose(sd.evaluate(omegas), expected, rtol=1e-15, atol=0.0)
+    assert sd.evaluate(1e200) > 0.0
+
+
+def test_debye_in_range_values_unchanged_bit_for_bit():
+    sd = Debye(lam=35.0, gamma=106.1)
+    x = np.concatenate(([0.0], np.logspace(-300, 154, 2000)))
+    plain = 2.0 * 35.0 * 106.1 * x / (x * x + 106.1 * 106.1)
+    assert np.array_equal(sd.evaluate(x), plain)
+    assert np.array_equal(sd.evaluate(-x), -plain)
+
+
 def test_debye_peak_value():
     sd = Debye(lam=35.0, gamma=106.1)
     assert sd.evaluate(106.1) == pytest.approx(35.0, rel=1e-14)
