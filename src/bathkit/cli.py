@@ -202,6 +202,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.dim_cap < 1:
+        raise ValidationError(f"--dim-cap must be >= 1, got {args.dim_cap}")
     kernel = NoiseKernel(_load_sd(args.sd), _temperature_from_args(args))
     system = _load_system(args.system)
     try:
@@ -211,9 +213,7 @@ def _cmd_validate(args) -> int:
     if not tols:
         raise ValidationError("--tol-sweep must list at least one tolerance")
     grid = _grid_from_args(args)
-    report = convergence_study(
-        kernel, system, tols, grid, dimension_cap=args.dim_cap
-    )
+    report = convergence_study(kernel, system, tols, grid, dimension_cap=args.dim_cap)
     config = {
         "sd": args.sd,
         "temperature_K": kernel.temperature.to_json(),

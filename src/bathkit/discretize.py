@@ -33,9 +33,6 @@ from ._schema import read_json, require, require_list, require_number, write_tex
 from .errors import ConvergenceError, ResourceLimitError, SchemaError, ValidationError
 from .lowrank import column_id, nnls
 from .quadrature import (
-    DEFAULT_QUAD_POINTS,
-    MAX_QUAD_POINTS,
-    QUAD_REL_TOL,
     ChirpSum,
     band_is_finite,
     fourier_midpoint_sum,
@@ -47,7 +44,6 @@ from .units import RAD_PER_FS_PER_CM1
 
 __all__ = [
     "FdrGrid",
-    "FdrMatrix",
     "FdrOperator",
     "BathDiagnostics",
     "BathModel",
@@ -104,14 +100,6 @@ class FdrGrid:
     @cached_property
     def freqs(self) -> np.ndarray:
         return midpoint_frequencies(self.omega_max_cm1, self.n_freq)
-
-
-@dataclass(frozen=True)
-class FdrMatrix:
-    """Realified kernel samples: rows [0, m) hold Re f, rows [m, 2m) Im f."""
-
-    grid: FdrGrid
-    realified: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -179,19 +167,11 @@ class BathModel:
         return NoiseKernel(self.sd, self.temperature)
 
 
-def reference_bcf(
-    kernel: NoiseKernel,
-    times_fs,
-    omega_max_cm1: float,
-    quad_n: int = DEFAULT_QUAD_POINTS,
-    rel_tol: float = QUAD_REL_TOL,
-    max_points: int = MAX_QUAD_POINTS,
-) -> np.ndarray:
+def reference_bcf(kernel: NoiseKernel, times_fs, omega_max_cm1: float) -> np.ndarray:
     """Band-limited correlation function by refined midpoint quadrature.
 
     Integrates S_beta(omega)*exp(-i*omega_rad*t) over [-omega_max,
-    omega_max] on midpoint-offset points, doubling the count until one
-    doubling changes the values by less than ``rel_tol`` of the peak.
+    omega_max] on midpoint-offset points, refined by ``refine_midpoint``.
     Negative times are filled in through C(-t) = conj(C(t)).
     """
     times = np.atleast_1d(np.asarray(times_fs, dtype=float))
@@ -201,12 +181,12 @@ def reference_bcf(
         weights = kernel.evaluate(midpoint_frequencies(omega_max_cm1, n_points))
         return fourier_midpoint_sum(weights, omega_max_cm1, tabs)
 
-    c = refine_midpoint(level, "correlation", quad_n, rel_tol, max_points)
+    c = refine_midpoint(level, "correlation")
     return np.where(times < 0.0, np.conj(c), c)
 
 
 class FdrOperator:
-    """The realified sample matrix of ``assemble_fdr``, never stored.
+    """The sample matrix of ``assemble_fdr``, never stored.
 
     Column j is S_j * [cos(omega_j t); -sin(omega_j t)] over the grid
     times.  This is the column operator ``column_id`` reads: ``norms2``
@@ -244,7 +224,7 @@ class FdrOperator:
         idx = np.asarray(idx, dtype=int)
         s = self.s[idx]
         arg = np.outer(self.times, self.w_rad[idx])
-        out = np.empty((2 * m, idx.size), order="F")  # the layout of realified[:, idx]
+        out = np.empty((2 * m, idx.size), order="F")  # the layout of assemble_fdr(...)[:, idx]
         out[:m] = s * np.cos(arg)
         out[m:] = -(s * np.sin(arg))
         return out
@@ -267,10 +247,11 @@ def assemble_fdr(
     kernel: NoiseKernel,
     grid: FdrGrid,
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
-) -> FdrMatrix:
+) -> np.ndarray:
     """Sample the kernel on the grid and stack Re/Im into a 2m x n matrix.
 
-    The dense oracle for ``FdrOperator``, built independently of it; the
+    Rows [0, m) hold Re f and rows [m, 2m) Im f over the grid times.  The
+    dense oracle for ``FdrOperator``, built independently of it; the
     pipeline itself never builds this matrix.
     """
     m, n = grid.n_time, grid.n_freq
@@ -280,7 +261,7 @@ def assemble_fdr(
     realified = np.empty((2 * m, n))
     realified[:m] = s_vals * np.cos(arg)
     realified[m:] = -(s_vals * np.sin(arg))
-    return FdrMatrix(grid=grid, realified=realified)
+    return realified
 
 
 def discretize_bath(
@@ -288,7 +269,6 @@ def discretize_bath(
     grid: FdrGrid,
     tol: float,
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
-    quad_n: int = DEFAULT_QUAD_POINTS,
 ) -> BathModel:
     """Run the full compression pipeline and return the mode set.
 
@@ -315,7 +295,7 @@ def discretize_bath(
             "the kernel is identically zero on the grid or tol is too large"
         )
 
-    c_ref = reference_bcf(kernel, grid.times, grid.omega_max_cm1, quad_n=quad_n)
+    c_ref = reference_bcf(kernel, grid.times, grid.omega_max_cm1)
     target = np.concatenate((c_ref.real, c_ref.imag))
 
     basis = samples.columns(id_res.selected)
@@ -407,10 +387,10 @@ def bcf_error_stats(c_model, c_reference) -> BcfErrorStats:
     )
 
 
-def error_report(model: BathModel, kernel: NoiseKernel, times_fs, quad_n: int = DEFAULT_QUAD_POINTS) -> BcfErrorStats:
-    """Recompute reconstruction-vs-reference errors on the supplied times."""
+def error_report(model: BathModel, times_fs) -> BcfErrorStats:
+    """Model-vs-reference errors on the given times, with the model's own kernel and band."""
     c_model = reconstruct_bcf(model, times_fs)
-    c_ref = reference_bcf(kernel, times_fs, model.omega_max_cm1, quad_n=quad_n)
+    c_ref = reference_bcf(model.kernel, times_fs, model.omega_max_cm1)
     return bcf_error_stats(c_model, c_ref)
 
 

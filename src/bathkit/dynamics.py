@@ -34,14 +34,7 @@ from ._schema import write_text
 from .discretize import FdrGrid, discretize_bath
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .hamiltonian import DiscreteModel, SystemSpec, build_model
-from .quadrature import (
-    DEFAULT_QUAD_POINTS,
-    MAX_QUAD_POINTS,
-    QUAD_REL_TOL,
-    fourier_midpoint_sum,
-    midpoint_frequencies,
-    refine_midpoint,
-)
+from .quadrature import fourier_midpoint_sum, midpoint_frequencies, refine_midpoint
 from .specdens import NoiseKernel
 from .units import RAD_PER_FS_PER_CM1
 
@@ -60,6 +53,11 @@ DEFAULT_DIMENSION_CAP = 1 << 22
 # projected coefficients built per basis; a basis that could serve longer is
 # rebuilt, which adds at most 1/64 of a basis per step.
 MAX_STEPS_PER_BASIS = 64
+# the largest occupation cap FockTruncation.for_model gives a mode
+MAX_FOCK_CAP = 10
+# a sweep passes while each observable distance is at most (1 + SWEEP_SLACK)
+# times the one before it
+SWEEP_SLACK = 0.2
 
 
 def _model_modes(model: DiscreteModel):
@@ -85,12 +83,12 @@ class FockTruncation:
         object.__setattr__(self, "caps", caps)
 
     @classmethod
-    def for_model(cls, model: DiscreteModel, max_cap: int = 10) -> "FockTruncation":
-        """Displaced-oscillator heuristic: cap ~ 8 (g/omega)^2 + 3, at most max_cap."""
+    def for_model(cls, model: DiscreteModel) -> "FockTruncation":
+        """Displaced-oscillator heuristic: cap ~ 8 (g/omega)^2 + 3, at most MAX_FOCK_CAP."""
         caps = []
         for omega, g, _ in _model_modes(model):
             ratio2 = (g / omega) ** 2 if omega != 0.0 else 0.0
-            caps.append(min(max_cap, int(math.ceil(8.0 * ratio2)) + 3))
+            caps.append(min(MAX_FOCK_CAP, int(math.ceil(8.0 * ratio2)) + 3))
         return cls(caps=tuple(caps))
 
     def dimension(self, system_dim: int) -> int:
@@ -106,22 +104,19 @@ class PropagationResult:
 
     times: np.ndarray
     populations: np.ndarray  # (n_steps+1, d_s)
-    coherences: dict  # (i, j) -> complex series
+    coherences: dict  # {(0, 1): complex series}, empty for a one-level system
     norm: np.ndarray
     energy: np.ndarray  # <H> in cm^-1
     krylov_bases: int  # Lanczos bases built, rejected ones included
     halvings: int  # steps split in two because one basis could not cover them
     max_step_error: float  # largest accepted a-posteriori error estimate
 
-    def to_csv(self, sink, coherence_pair=None):
-        """Columns t_fs, pop_1..pop_d, re_coh, im_coh, norm, energy_cm1."""
-        if coherence_pair is None:
-            coherence_pair = next(iter(self.coherences), None)
-        coh = (
-            self.coherences[coherence_pair]
-            if coherence_pair is not None
-            else np.zeros_like(self.times, dtype=complex)
-        )
+    def to_csv(self, sink):
+        """Columns t_fs, pop_1..pop_d, re_coh, im_coh, norm, energy_cm1.
+
+        The coherence columns hold rho_01, or zeros for a one-level system.
+        """
+        coh = self.coherences.get((0, 1), np.zeros_like(self.times, dtype=complex))
         d = self.populations.shape[1]
         header = (
             "t_fs,"
@@ -307,7 +302,6 @@ def propagate(
     krylov_dim: int = 16,
     tol: float = 1e-10,
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
-    coherence_pairs=None,
 ) -> PropagationResult:
     """Lanczos propagation from (system state) x (bath vacuum) on a uniform grid.
 
@@ -343,11 +337,8 @@ def propagate(
     dt_rad = dt * RAD_PER_FS_PER_CM1
     times = np.arange(n_steps + 1) * dt
 
-    if coherence_pairs is None:
-        coherence_pairs = (((0, 1),) if d_s >= 2 else ())
-
     pops = np.empty((n_steps + 1, d_s))
-    coh = {pair: np.empty(n_steps + 1, dtype=complex) for pair in coherence_pairs}
+    coh = {(0, 1): np.empty(n_steps + 1, dtype=complex)} if d_s >= 2 else {}
     norm = np.empty(n_steps + 1)
     energy = np.empty(n_steps + 1)
 
@@ -355,8 +346,8 @@ def propagate(
         mat = state.reshape(d_s, -1)
         rho_diag = np.einsum("ib,ib->i", mat, mat.conj()).real
         pops[i] = rho_diag
-        for (r, c) in coherence_pairs:
-            coh[(r, c)][i] = mat[r] @ mat[c].conj()
+        for (r, c), series in coh.items():
+            series[i] = mat[r] @ mat[c].conj()
         norm[i] = np.linalg.norm(mat)
         energy[i] = e
 
@@ -420,14 +411,7 @@ def dephasing_gamma(model: DiscreteModel, times_fs) -> np.ndarray:
     return (4.0 * g2 / (omegas * omegas)) @ (1.0 - np.cos(phases)).T
 
 
-def dephasing_gamma_continuum(
-    kernel: NoiseKernel,
-    times_fs,
-    omega_max_cm1: float,
-    quad_n: int = DEFAULT_QUAD_POINTS,
-    rel_tol: float = QUAD_REL_TOL,
-    max_points: int = MAX_QUAD_POINTS,
-) -> np.ndarray:
+def dephasing_gamma_continuum(kernel: NoiseKernel, times_fs, omega_max_cm1: float) -> np.ndarray:
     """Band-limited continuum dephasing exponent by refined quadrature.
 
     Gamma(t) = integral over [-omega_max, omega_max] of
@@ -443,7 +427,7 @@ def dephasing_gamma_continuum(
         total = 2.0 * omega_max_cm1 / n_points * float(np.sum(weights))
         return total - transform.real
 
-    return refine_midpoint(level, "dephasing", quad_n, rel_tol, max_points)
+    return refine_midpoint(level, "dephasing")
 
 
 @dataclass(frozen=True)
@@ -456,7 +440,7 @@ class ConvergenceReport:
     times: np.ndarray
     series: tuple  # one observable array per tol
     distances: tuple  # sup-norm distance between successive series
-    slack: float
+    slack: float  # SWEEP_SLACK
     monotone_within_slack: bool
 
 
@@ -465,48 +449,35 @@ def convergence_study(
     system: SystemSpec,
     tol_sweep,
     grid: FdrGrid,
-    slack: float = 0.2,
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
-    krylov_dim: int = 16,
-    propagation_tol: float = 1e-10,
-    memory_cap_bytes=None,
 ) -> ConvergenceReport:
     """Discretize at each tolerance and compare the resulting observables.
 
     Tolerances are processed loosest to tightest; successive observable
-    distances must not grow by more than ``slack`` (fractional) for the
-    report to pass.  Qubit models with a single diagonal coupling use the
-    closed-form dephasing coherence (any mode count); anything else is
-    propagated exactly and compared on site populations.
+    distances must not grow by more than ``SWEEP_SLACK`` (fractional) for
+    the report to pass.  Qubit models with a single diagonal coupling use
+    the closed-form dephasing coherence (any mode count); anything else is
+    propagated exactly, with ``propagate``'s default Krylov dimension and
+    tolerance, and compared on site populations.  Each discretization has
+    the default memory cap.
     """
     tols = tuple(sorted({float(t) for t in tol_sweep}, reverse=True))
     if not tols:
         raise ValidationError("tolerance sweep must not be empty")
-    kwargs = {}
-    if memory_cap_bytes is not None:
-        kwargs["memory_cap_bytes"] = memory_cap_bytes
 
     labels = sorted({label for label, _ in system.couplings})
     dephasing = _pure_dephasing_violation(system) is None
     series, mode_counts = [], []
     for tol in tols:
-        bath = discretize_bath(kernel, grid, tol, **kwargs)
+        bath = discretize_bath(kernel, grid, tol)
         model = build_model(system, [(label, bath) for label in labels])
         if dephasing:
             obs = np.exp(-dephasing_gamma(model, grid.times))
         else:
             trunc = FockTruncation.for_model(model)
             dt = grid.t_max_fs / max(grid.n_time - 1, 1)
-            result = propagate(
-                model,
-                trunc,
-                _ground_state(system.dim),
-                grid.t_max_fs,
-                dt,
-                krylov_dim=krylov_dim,
-                tol=propagation_tol,
-                dimension_cap=dimension_cap,
-            )
+            psi0 = np.eye(system.dim)[0]  # system basis state 0, as a vector
+            result = propagate(model, trunc, psi0, grid.t_max_fs, dt, dimension_cap=dimension_cap)
             obs = result.populations.reshape(result.populations.shape[0], -1)
         series.append(np.asarray(obs))
         mode_counts.append(model.total_mode_count)
@@ -515,7 +486,7 @@ def convergence_study(
         float(np.max(np.abs(series[i + 1] - series[i]))) for i in range(len(series) - 1)
     )
     monotone = all(
-        distances[i + 1] <= (1.0 + slack) * distances[i] + 1e-12
+        distances[i + 1] <= (1.0 + SWEEP_SLACK) * distances[i] + 1e-12
         for i in range(len(distances) - 1)
     )
     return ConvergenceReport(
@@ -525,12 +496,6 @@ def convergence_study(
         times=grid.times,
         series=tuple(series),
         distances=distances,
-        slack=slack,
+        slack=SWEEP_SLACK,
         monotone_within_slack=monotone,
     )
-
-
-def _ground_state(dim: int) -> np.ndarray:
-    psi = np.zeros(dim, dtype=complex)
-    psi[0] = 1.0
-    return psi

@@ -24,6 +24,7 @@ from .units import RAD_PER_FS_PER_CM1
 
 __all__ = ["midpoint_frequencies", "fourier_midpoint_sum", "ChirpSum", "refine_midpoint"]
 
+# refine_midpoint: first point count, point-count cap and stopping change
 DEFAULT_QUAD_POINTS = 16384
 MAX_QUAD_POINTS = 1 << 20
 QUAD_REL_TOL = 1e-6
@@ -116,26 +117,17 @@ def _direct_sum(x, freqs, h, times):
     return h * out
 
 
-def refine_midpoint(
-    level,
-    what: str,
-    quad_n: int = DEFAULT_QUAD_POINTS,
-    rel_tol: float = QUAD_REL_TOL,
-    max_points: int = MAX_QUAD_POINTS,
-) -> np.ndarray:
+def refine_midpoint(level, what: str) -> np.ndarray:
     """Refine a midpoint quadrature by doubling its point count.
 
     ``level(n)`` evaluates the quadrature on n midpoints.  Starting from
-    ``quad_n`` points, the count doubles until one doubling changes the
-    values by less than ``rel_tol`` of their peak; the finer level is
-    returned.  Reaching ``max_points`` first raises a ConvergenceError that
-    names the quantity as ``what``; a level with a non-finite value raises
-    a ValidationError.
+    ``DEFAULT_QUAD_POINTS`` points, the count doubles until one doubling
+    changes the values by less than ``QUAD_REL_TOL`` of their peak; the
+    finer level is returned.  Reaching ``MAX_QUAD_POINTS`` first raises a
+    ConvergenceError that names the quantity as ``what``; a level with a
+    non-finite value raises a ValidationError.  The three constants are
+    read at call time.
     """
-    if quad_n < 10_000:
-        raise ValidationError(f"quad_n must be >= 10^4, got {quad_n}")
-    if quad_n % 2 != 0:
-        raise ValidationError(f"quad_n must be even, got {quad_n}")
 
     def checked(n_points):
         # far out in the band an intermediate may overflow; a non-finite
@@ -146,18 +138,18 @@ def refine_midpoint(
             raise ValidationError(f"{what} quadrature is not finite on {n_points} points")
         return values
 
-    n = quad_n
+    n = DEFAULT_QUAD_POINTS
     current = checked(n)
     achieved = np.inf
-    while 2 * n <= max_points:
+    while 2 * n <= MAX_QUAD_POINTS:
         finer = checked(2 * n)
         scale = float(np.max(np.abs(finer)))
         achieved = float(np.max(np.abs(finer - current))) / max(scale, 1e-300)
         current = finer
         n *= 2
-        if achieved < rel_tol:
+        if achieved < QUAD_REL_TOL:
             return current
     raise ConvergenceError(
-        f"{what} quadrature did not reach {rel_tol:.1e} within "
-        f"{max_points} points (best relative change {achieved:.3e})"
+        f"{what} quadrature did not reach {QUAD_REL_TOL:.1e} within "
+        f"{MAX_QUAD_POINTS} points (best relative change {achieved:.3e})"
     )

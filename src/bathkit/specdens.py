@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._schema import is_finite_number, read_text
-from .errors import ValidationError
+from ._schema import is_finite_number, read_text, require_list, require_number
+from .errors import SchemaError, ValidationError
 from .units import beta_from_kelvin
 
 __all__ = [
@@ -63,8 +63,6 @@ class SpectralDensity:
         w = np.asarray(omega, dtype=float)
         out = np.sign(w) * self._magnitude(np.abs(w))
         return out if w.ndim else float(out)
-
-    __call__ = evaluate
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +201,8 @@ class Tabulated(SpectralDensity):
     omega: np.ndarray
     values: np.ndarray
     # interpolation nodes with the (0, 0) anchor prepended
-    _xs: np.ndarray = field(repr=False, default=None)
-    _ys: np.ndarray = field(repr=False, default=None)
+    _xs: np.ndarray = field(init=False, repr=False)
+    _ys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         omega = np.asarray(self.omega, dtype=float)
@@ -275,21 +273,30 @@ def load_tabulated(source) -> Tabulated:
         raise ValidationError(f"tabulated CSV: {exc}") from None
 
 
+def _numbers(obj, keys, pointer: str = "") -> tuple:
+    """obj[key] for each key, each a finite JSON number (never a bool or a string)."""
+    return tuple(require_number(obj, key, pointer) for key in keys)
+
+
+def _points(config) -> np.ndarray:
+    """The tabulated ``points`` as an (n, 2) array of finite [omega, J] pairs."""
+    points = require_list(config, "points", "")
+    for i, p in enumerate(points):
+        if not (isinstance(p, list) and len(p) == 2 and all(map(is_finite_number, p))):
+            raise SchemaError(f"/points/{i}", f"expected [omega, J], two finite numbers, got {p!r}")
+    return np.array(points, dtype=float).reshape(-1, 2)
+
+
 _SD_KINDS = {
-    "debye": lambda c: Debye(lam=float(c["lambda"]), gamma=float(c["gamma"])),
-    "ohmic_exp": lambda c: OhmicExp(
-        alpha=float(c["alpha"]), omega_c=float(c["omega_c"])
-    ),
+    "debye": lambda c: Debye(*_numbers(c, ("lambda", "gamma"))),
+    "ohmic_exp": lambda c: OhmicExp(*_numbers(c, ("alpha", "omega_c"))),
     "lorentzian_sum": lambda c: LorentzianSum(
-        terms=tuple(
-            (float(t["lambda"]), float(t["gamma"]), float(t["omega0"]))
-            for t in c["terms"]
+        tuple(
+            _numbers(t, ("lambda", "gamma", "omega0"), f"/terms/{i}")
+            for i, t in enumerate(require_list(c, "terms", ""))
         )
     ),
-    "tabulated": lambda c: Tabulated(
-        omega=np.array([p[0] for p in c["points"]], dtype=float),
-        values=np.array([p[1] for p in c["points"]], dtype=float),
-    ),
+    "tabulated": lambda c: Tabulated(*_points(c).T),
 }
 
 
@@ -298,15 +305,15 @@ def sd_from_config(config: dict) -> SpectralDensity:
     if not isinstance(config, dict) or "kind" not in config:
         raise ValidationError("spectral density config must be an object with a 'kind'")
     kind = config["kind"]
-    if kind not in _SD_KINDS:
+    if not isinstance(kind, str) or kind not in _SD_KINDS:
         raise ValidationError(
             f"unknown spectral density kind '{kind}' "
             f"(expected one of {sorted(_SD_KINDS)})"
         )
     try:
         return _SD_KINDS[kind](config)
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"bad '{kind}' config: missing/invalid {exc}") from None
+    except SchemaError as exc:
+        raise ValidationError(f"bad '{kind}' config: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -395,5 +402,3 @@ class NoiseKernel:
             )
             out[small] = slope / beta + js * (0.5 + ys / 12.0)
         return float(out[0]) if scalar else out
-
-    __call__ = evaluate

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bathkit.discretize as disc
+import bathkit.quadrature as quadrature
 from bathkit.discretize import (
     FdrGrid,
     FdrOperator,
@@ -136,17 +137,10 @@ def test_reference_bcf_hermitian_in_time():
     np.testing.assert_array_equal(c[1], np.conj(c[2]))
 
 
-def test_reference_bcf_refinement_cap_errors():
+def test_reference_bcf_refinement_cap_errors(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_QUAD_POINTS", quadrature.DEFAULT_QUAD_POINTS)
     with pytest.raises(ConvergenceError, match="relative change"):
-        reference_bcf(
-            DEBYE_300K,
-            np.linspace(0, 1000, 50),
-            omega_max_cm1=2000.0,
-            quad_n=16384,
-            max_points=16384,
-        )
-    with pytest.raises(ValidationError):
-        reference_bcf(DEBYE_300K, [0.0], omega_max_cm1=2000.0, quad_n=100)
+        reference_bcf(DEBYE_300K, np.linspace(0, 1000, 50), omega_max_cm1=2000.0)
 
 
 def test_refine_midpoint_rejects_a_non_finite_level_without_warnings():
@@ -169,7 +163,8 @@ def test_grid_band_width_must_be_finite():
 def test_reference_bcf_doubling_is_converged():
     times = np.linspace(0.0, 400.0, 64)
     c1 = reference_bcf(DEBYE_300K, times, omega_max_cm1=2000.0)
-    c2 = reference_bcf(DEBYE_300K, times, omega_max_cm1=2000.0, quad_n=32768)
+    weights = DEBYE_300K.evaluate(midpoint_frequencies(2000.0, 1 << 17))
+    c2 = fourier_midpoint_sum(weights, 2000.0, times)
     scale = np.max(np.abs(c1))
     assert np.max(np.abs(c1 - c2)) < 2e-6 * scale
 
@@ -181,16 +176,16 @@ def test_assemble_single_time_row():
     g = FdrGrid(t_max_fs=0.0, omega_max_cm1=100.0, n_time=1, n_freq=2)
     fdr = assemble_fdr(DEBYE_300K, g)
     s = DEBYE_300K.evaluate(g.freqs)
-    assert fdr.realified.shape == (2, 2)
-    np.testing.assert_array_equal(fdr.realified[0], s)
-    np.testing.assert_array_equal(fdr.realified[1], 0.0 * s)
+    assert fdr.shape == (2, 2)
+    np.testing.assert_array_equal(fdr[0], s)
+    np.testing.assert_array_equal(fdr[1], 0.0 * s)
 
 
 def test_assemble_column_norms():
     g = FdrGrid(t_max_fs=300.0, omega_max_cm1=500.0, n_time=40, n_freq=64)
     fdr = assemble_fdr(DEBYE_300K, g)
     s = DEBYE_300K.evaluate(g.freqs)
-    norms_sq = np.einsum("ij,ij->j", fdr.realified, fdr.realified)
+    norms_sq = np.einsum("ij,ij->j", fdr, fdr)
     np.testing.assert_allclose(norms_sq, g.n_time * s * s, rtol=1e-12)
 
 
@@ -244,7 +239,7 @@ class DenseSamples:
 @pytest.mark.parametrize("kernel_name", OPERATOR_KERNELS)
 def test_operator_matches_dense_samples(kernel_name, grid_name):
     kernel, grid = OPERATOR_KERNELS[kernel_name], OPERATOR_GRIDS[grid_name]
-    dense = assemble_fdr(kernel, grid).realified
+    dense = assemble_fdr(kernel, grid)
     op = FdrOperator(kernel, grid)
     assert op.shape == dense.shape
     np.testing.assert_allclose(op.norms2, np.einsum("ij,ij->j", dense, dense), rtol=1e-12)
@@ -261,7 +256,7 @@ def test_operator_matches_dense_samples(kernel_name, grid_name):
 @pytest.mark.parametrize(("kernel_name", "grid_name", "tol"), OPERATOR_CASES)
 def test_operator_id_and_bath_json_match_dense_oracle(kernel_name, grid_name, tol, monkeypatch):
     kernel, grid = OPERATOR_KERNELS[kernel_name], OPERATOR_GRIDS[grid_name]
-    dense = assemble_fdr(kernel, grid).realified
+    dense = assemble_fdr(kernel, grid)
     by_operator = column_id(FdrOperator(kernel, grid), tol=tol)
     by_matrix = column_id(dense, tol=tol)
     np.testing.assert_array_equal(by_operator.selected, by_matrix.selected)
@@ -497,7 +492,7 @@ def test_error_report_monotone_in_tol():
     errs = []
     for tol in (1e-1, 1e-2, 1e-3):
         model = discretize_bath(DEBYE_300K, SMALL_GRID, tol)
-        errs.append(error_report(model, DEBYE_300K, SMALL_GRID.times).rel_error)
+        errs.append(error_report(model, SMALL_GRID.times).rel_error)
     assert errs[1] <= errs[0] * 1.1
     assert errs[2] <= errs[1] * 1.1
 

@@ -222,25 +222,31 @@ def test_psi0_validation():
         propagate(model, FockTruncation(caps=(3,)), np.array([1.0, 1.0]), 10.0, 1.0)
 
 
-def test_step_halving_rescues_large_steps():
-    # a step too large for the Krylov dimension still propagates accurately
-    # because the step is subdivided on demand
+def _coarse_halving_run():
+    # D = 2 * 9 exceeds the Krylov dimension 6, so a 16 fs step is too large
+    # for one basis and has to be halved
     gap = 300.0
-    system = SystemSpec(
-        h_s=[[gap / 2, 0.0], [0.0, -gap / 2]],
-        couplings=(("b", [[0.0, 1.0], [1.0, 0.0]]),),
-    )
+    system = SystemSpec(h_s=[[gap / 2, 0.0], [0.0, -gap / 2]], couplings=(("b", SIGMA_X),))
     model = build_model(system, [("b", synthetic_bath([gap], [20.0]))])
     psi0 = np.array([1.0, 0.0], dtype=complex)
-    coarse = propagate(
-        model, FockTruncation(caps=(4,)), psi0,
-        t_max_fs=192.0, dt_fs=16.0, krylov_dim=10, tol=1e-8,
-    )
-    fine = propagate(
-        model, FockTruncation(caps=(4,)), psi0,
-        t_max_fs=192.0, dt_fs=1.0, krylov_dim=12, tol=1e-12,
-    )
+    trunc = FockTruncation(caps=(8,))
+    return model, trunc, psi0, propagate(model, trunc, psi0, 192.0, 16.0, krylov_dim=6, tol=1e-8)
+
+
+def test_step_halving_rescues_large_steps():
+    # halving the too-large step on demand still propagates accurately
+    model, trunc, psi0, coarse = _coarse_halving_run()
+    fine = propagate(model, trunc, psi0, 192.0, 0.5, krylov_dim=12, tol=1e-13)
+    assert coarse.halvings > 0
     assert abs(coarse.populations[-1, 0] - fine.populations[-1, 0]) < 1e-7
+
+
+def test_propagation_reports_halvings_and_error_estimates():
+    coarse = _coarse_halving_run()[3]
+    assert coarse.halvings > 0
+    # a halving rejects one basis and builds at least two
+    assert coarse.krylov_bases >= 2 * coarse.halvings + 1
+    assert 0.0 < coarse.max_step_error <= 1e-8
 
 
 def test_step_halving_exhausted_raises():
@@ -333,21 +339,6 @@ def test_propagate_matches_dense_exponential(make, monkeypatch):
         assert abs(res.coherences[(0, 1)][i] - mat[0] @ mat[1].conj()) <= 1e-9
         energy = np.real(np.vdot(psi, h @ psi))
         assert abs(res.energy[i] - energy) <= 1e-9 * max(1.0, abs(energy))
-
-
-def test_propagation_reports_halvings_and_error_estimates():
-    gap = 300.0
-    system = SystemSpec(h_s=[[gap / 2, 0.0], [0.0, -gap / 2]], couplings=(("b", SIGMA_X),))
-    model = build_model(system, [("b", synthetic_bath([gap], [20.0]))])
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    trunc = FockTruncation(caps=(8,))
-    coarse = propagate(model, trunc, psi0, 192.0, 16.0, krylov_dim=6, tol=1e-8)
-    fine = propagate(model, trunc, psi0, 192.0, 0.5, krylov_dim=12, tol=1e-13)
-    assert coarse.halvings > 0
-    # a halving rejects one basis and builds at least two
-    assert coarse.krylov_bases >= 2 * coarse.halvings + 1
-    assert 0.0 < coarse.max_step_error <= 1e-8
-    assert abs(coarse.populations[-1, 0] - fine.populations[-1, 0]) < 1e-7
 
 
 def test_invariant_subspace_serves_many_steps_per_basis():

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import bathkit.quadrature as quadrature
 from bathkit.discretize import BathModel, load_bath_model
 from bathkit.dynamics import dephasing_gamma_continuum
 from bathkit.errors import ConvergenceError, SchemaError, ValidationError
@@ -164,6 +165,40 @@ def test_sd_config_with_unparseable_numbers(lam):
         sd_from_config({"kind": "debye", "lambda": lam, "gamma": 106.1})
 
 
+# configs the float()-based reader accepted, or crashed on (a list kind)
+LOOSE_SD_CONFIGS = {
+    "numeric-string": {"kind": "debye", "lambda": "35", "gamma": 106.1},
+    "bool": {"kind": "debye", "lambda": 35.0, "gamma": True},
+    "underscore-string": {"kind": "ohmic_exp", "alpha": "1_0", "omega_c": 150.0},
+    "lorentzian-string": {
+        "kind": "lorentzian_sum",
+        "terms": [{"lambda": 18.0, "gamma": "12", "omega0": 90.0}],
+    },
+    "point-triple": {"kind": "tabulated", "points": [[10.0, 1.0], [20.0, 2.0, 99.0]]},
+    "point-string": {"kind": "tabulated", "points": [[10.0, 1.0], ["20", 2.0]]},
+    "point-bool": {"kind": "tabulated", "points": [[10.0, 1.0], [20.0, False]]},
+    "unhashable-kind": {"kind": ["debye"], "lambda": 35.0, "gamma": 106.1},
+}
+
+
+@pytest.mark.parametrize("config", LOOSE_SD_CONFIGS.values(), ids=LOOSE_SD_CONFIGS.keys())
+def test_sd_config_numbers_are_strict_in_a_bath_json(bath_doc, config):
+    doc = dict(bath_doc, spectral_density=config)
+    with pytest.raises(SchemaError) as err:
+        load_bath_model(io.StringIO(json.dumps(doc)))
+    assert err.value.pointer == "/spectral_density"
+
+
+@pytest.mark.parametrize("config", LOOSE_SD_CONFIGS.values(), ids=LOOSE_SD_CONFIGS.keys())
+def test_eval_sd_with_a_loose_sd_config_exits_2(exit_code, tmp_path, config):
+    sd, out = tmp_path / "sd.json", tmp_path / "sd.csv"
+    sd.write_text(json.dumps(config))
+    argv = ["eval-sd", "--sd", str(sd), "--omega-min", "0", "--omega-max", "20", "--n", "3",
+            "--out", str(out)]
+    assert exit_code(argv) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "entry", [HUGE_INT, [0.0, HUGE_INT], math.inf], ids=["huge", "huge-imag", "inf"]
 )
@@ -213,6 +248,21 @@ def test_memory_cap_must_be_positive_and_finite(exit_code, debye_sd, tmp_path, c
     ]
     assert exit_code(argv) == 2
     assert not (tmp_path / "b.json").exists()
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_dim_cap_must_be_positive(exit_code, debye_sd, tmp_path, capsys, cap):
+    system = tmp_path / "qubit.json"
+    system.write_text(json.dumps(QUBIT))
+    out = tmp_path / "r.json"
+    argv = [
+        "validate", "--sd", debye_sd, "--temp-k", "300", "--system", str(system),
+        "--tol-sweep", "1e-1", "--omega-max-cm1", "500", "--n-time", "20", "--n-freq", "200",
+        "--t-max-fs", "100", f"--dim-cap={cap}", "--out", str(out),
+    ]
+    assert exit_code(argv) == 2
+    assert "--dim-cap" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tol_sweep_rejects_non_numbers(exit_code, debye_sd, tmp_path, capsys):
@@ -368,10 +418,8 @@ def test_eval_sd_csv_path_with_a_comma(exit_code, comma_dir_table, tmp_path):
 # --- quadrature refinement cap ---------------------------------------------------------
 
 
-def test_dephasing_gamma_continuum_refinement_cap_errors():
+def test_dephasing_gamma_continuum_refinement_cap_errors(monkeypatch):
+    monkeypatch.setattr(quadrature, "QUAD_REL_TOL", 1e-30)
+    monkeypatch.setattr(quadrature, "MAX_QUAD_POINTS", 1 << 15)
     with pytest.raises(ConvergenceError, match="dephasing quadrature.*relative change"):
-        dephasing_gamma_continuum(
-            KERNEL, np.linspace(0.0, 500.0, 20), 1000.0, rel_tol=1e-30, max_points=1 << 15
-        )
-    with pytest.raises(ValidationError, match="quad_n"):
-        dephasing_gamma_continuum(KERNEL, [0.0], 1000.0, quad_n=100)
+        dephasing_gamma_continuum(KERNEL, np.linspace(0.0, 500.0, 20), 1000.0)
