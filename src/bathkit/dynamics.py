@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._schema import write_text
 from .discretize import FdrGrid, discretize_bath
@@ -258,7 +257,8 @@ def _lanczos_expm_apply(apply_h, psi, dt_rad, krylov_dim, tol, max_steps, halvin
 
     k = len(alphas)
     beta_k = betas[-1] if k == krylov_dim else 0.0  # an invariant subspace is exact
-    evals, evecs = scipy.linalg.eigh_tridiagonal(np.array(alphas), np.array(betas[: k - 1]))
+    t_k = np.diag(alphas) + np.diag(betas[: k - 1], 1) + np.diag(betas[: k - 1], -1)
+    evals, evecs = np.linalg.eigh(t_k)
     phases = np.exp(-1j * dt_rad * np.outer(np.arange(1, max_steps + 1), evals))
     ys = (phases * evecs[0, :].conj()) @ evecs.T  # row m-1: y at time m*dt_rad
     errs = beta_k * np.abs(ys[:, -1])
@@ -281,7 +281,6 @@ def _lanczos_expm_apply(apply_h, psi, dt_rad, krylov_dim, tol, max_steps, halvin
             max_error=max(first.max_error, second.max_error),
         )
     ys = ys[:n_ok]
-    t_k = np.diag(alphas) + np.diag(betas[: k - 1], 1) + np.diag(betas[: k - 1], -1)
     energies = nrm * nrm * np.einsum("mi,mi->m", ys.conj(), ys @ t_k).real
     return _KrylovSteps(
         coeffs=nrm * ys,

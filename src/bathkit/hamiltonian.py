@@ -40,12 +40,16 @@ def _check_hermitian(matrix: np.ndarray, name: str):
         raise ValidationError(f"{name} must be square, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix.view(float))):
         raise ValidationError(f"{name} contains non-finite entries")
-    dev = np.abs(matrix - matrix.conj().T)
-    scale = max(1.0, float(np.max(np.abs(matrix))))
-    if np.max(dev) > HERMITICITY_TOL * scale:
+    # compare in units of the largest component, >= 1, so that neither the
+    # difference nor a modulus can overflow
+    unit = max(1.0, float(np.max(np.abs(matrix.view(float)), initial=0.0)))
+    scaled = matrix / unit
+    dev = np.abs(scaled - scaled.conj().T)
+    bound = HERMITICITY_TOL * max(1.0 / unit, float(np.max(np.abs(scaled), initial=0.0)))
+    if np.max(dev, initial=0.0) > bound:
         i, j = np.unravel_index(np.argmax(dev), dev.shape)
         raise ValidationError(
-            f"{name} is not Hermitian: max deviation {np.max(dev):.3e} "
+            f"{name} is not Hermitian: max deviation {float(dev[i, j]) * unit:.3e} "
             f"at entry ({i}, {j})"
         )
 

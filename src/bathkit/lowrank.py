@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
 
@@ -172,7 +171,8 @@ def column_id(f, tol: float | None = None, max_rank: int | None = None) -> IdRes
     if rank == 0:
         return IdResult(0, selected, np.zeros((0, n)), tail, pivot_norms)
 
-    interp = scipy.linalg.solve_triangular(r[:rank, selected], r[:rank], lower=False)
+    # R[:, selected] is triangular up to roundoff below the diagonal; drop that
+    interp = np.linalg.solve(np.triu(r[:rank, selected]), r[:rank])
     interp[:, selected] = np.eye(rank)
     return IdResult(rank, selected, interp, tail, pivot_norms)
 

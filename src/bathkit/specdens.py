@@ -19,6 +19,8 @@ exactly 0 for omega <= 0.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,12 +244,18 @@ class Tabulated(SpectralDensity):
         }
 
 
+# a CSV number: optional sign, digits with an optional point, optional exponent
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
 def load_tabulated(source) -> Tabulated:
     """Read a two-column CSV (omega_cm1, J_cm1) into a Tabulated density.
 
     ``source`` is a path (``str`` or ``os.PathLike``) or a text stream; a
-    string is always a file name, never CSV text.  A single non-numeric
-    header line is allowed.  Errors carry the line number.
+    string is always a file name, never CSV text.  Cells must be finite
+    numbers in plain decimal notation (no inf, nan, hex or underscores).
+    A first line that holds no number at all is skipped as a header.
+    Errors carry the line number.
     """
     omegas, values = [], []
     for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
@@ -257,12 +265,13 @@ def load_tabulated(source) -> Tabulated:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise ValidationError(f"line {lineno}: expected 2 columns, got {len(parts)}")
-        try:
-            w, j = float(parts[0]), float(parts[1])
-        except ValueError:
-            if lineno == 1 and not omegas:
+        w, j = map(_decimal, parts)
+        if w is None or j is None:
+            if lineno == 1 and not any(map(_loose_number, parts)):
                 continue  # header row
-            raise ValidationError(f"line {lineno}: could not parse '{line}'") from None
+            raise ValidationError(
+                f"line {lineno}: expected two finite decimal numbers, got '{line}'"
+            )
         omegas.append(w)
         values.append(j)
     if len(omegas) < 2:
@@ -271,6 +280,24 @@ def load_tabulated(source) -> Tabulated:
         return Tabulated(np.array(omegas), np.array(values))
     except ValidationError as exc:
         raise ValidationError(f"tabulated CSV: {exc}") from None
+
+
+def _decimal(cell: str) -> float | None:
+    """The finite double a CSV cell spells in plain decimal notation, else None."""
+    if _DECIMAL.fullmatch(cell):
+        value = float(cell)
+        if math.isfinite(value):
+            return value
+    return None
+
+
+def _loose_number(cell: str) -> bool:
+    """True if ``float`` reads the cell (it also takes inf, nan and 1_0)."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def _numbers(obj, keys, pointer: str = "") -> tuple:

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import bathkit.quadrature as quadrature
 from bathkit.discretize import BathModel, load_bath_model
 from bathkit.dynamics import dephasing_gamma_continuum
 from bathkit.errors import ConvergenceError, SchemaError, ValidationError
-from bathkit.hamiltonian import system_from_dict
+from bathkit.hamiltonian import SystemSpec, system_from_dict
 from bathkit.specdens import Debye, NoiseKernel, Temperature, load_tabulated, sd_from_config
 
 DEBYE_JSON = '{"kind": "debye", "lambda": 35.0, "gamma": 106.1}'
@@ -207,6 +208,35 @@ def test_system_matrix_entries_must_be_finite(entry):
     with pytest.raises(SchemaError) as err:
         system_from_dict(doc, pointer="")
     assert err.value.pointer.startswith("/h_s")
+
+
+# entries whose modulus overflows a double; the matrix is not Hermitian
+OVERFLOWING_H = [[0.0, 1.5e308 + 1.5e308j], [-1.5e308 + 1.5e308j, 0.0]]
+
+
+def test_overflowing_non_hermitian_matrix_is_rejected():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            SystemSpec(h_s=OVERFLOWING_H, couplings=())
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            SystemSpec(h_s=np.eye(2), couplings=(("main", OVERFLOWING_H),))
+
+
+def test_overflowing_non_hermitian_system_json_is_rejected():
+    entries = [[[z.real, z.imag] for z in row] for row in np.array(OVERFLOWING_H)]
+    doc = dict(QUBIT, h_s=entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError, match="not Hermitian"):
+            system_from_dict(doc, pointer="")
+
+
+def test_overflowing_hermitian_matrix_is_accepted():
+    h = [[0.0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert SystemSpec(h_s=h, couplings=()).dim == 2
 
 
 def test_reconstruct_nan_bath_exits_2_without_output(exit_code, nan_bath, tmp_path, capsys):
@@ -405,6 +435,30 @@ def test_load_tabulated_path_with_a_comma(comma_dir_table):
     sd = load_tabulated(str(comma_dir_table))
     assert sd.omega.tolist() == [10.0, 20.0]
     assert load_tabulated(comma_dir_table).values.tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("cell", ["1_0", "inf", "nan", "0x10", "1e999", "-inf", "\u0663"])
+@pytest.mark.parametrize("row", [1, 2])
+def test_load_tabulated_cells_are_plain_finite_decimals(cell, row):
+    lines = ["10,1.0", "20,2.0", "30,3.0"]
+    lines[row - 1] = f"{cell},1.0" if row == 1 else f"20,{cell}"
+    with pytest.raises(ValidationError, match=f"line {row}:"):
+        load_tabulated(io.StringIO("\n".join(lines) + "\n"))
+
+
+def test_load_tabulated_keeps_the_header_and_plain_decimal_forms():
+    text = "omega_cm1,J_cm1\n.5,+2\n1.5e1,3.\n1E2,4e-1\n"
+    sd = load_tabulated(io.StringIO(text))
+    assert sd.omega.tolist() == [0.5, 15.0, 100.0]
+    assert sd.values.tolist() == [2.0, 3.0, 0.4]
+
+
+def test_shipped_surrogate_csv_loads_as_python_floats():
+    path = Path(__file__).resolve().parent.parent / "configs" / "surrogate_sd.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:] if line]
+    sd = load_tabulated(path)
+    assert sd.omega.tolist() == [float(w) for w, _ in rows]
+    assert sd.values.tolist() == [float(j) for _, j in rows]
 
 
 def test_eval_sd_csv_path_with_a_comma(exit_code, comma_dir_table, tmp_path):
