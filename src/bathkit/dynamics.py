@@ -23,7 +23,6 @@ over the model band by refined midpoint quadrature.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -86,8 +85,10 @@ class FockTruncation:
         """Displaced-oscillator heuristic: cap ~ 8 (g/omega)^2 + 3, at most MAX_FOCK_CAP."""
         caps = []
         for omega, g, _ in _model_modes(model):
-            ratio2 = (g / omega) ** 2 if omega != 0.0 else 0.0
-            caps.append(min(MAX_FOCK_CAP, int(math.ceil(8.0 * ratio2)) + 3))
+            ratio = abs(g / omega) if omega != 0.0 else 0.0
+            # past |g/omega| = 1 the cap is saturated and squaring could overflow
+            cap = int(math.ceil(8.0 * ratio**2)) + 3 if ratio <= 1.0 else MAX_FOCK_CAP
+            caps.append(min(MAX_FOCK_CAP, cap))
         return cls(caps=tuple(caps))
 
     def dimension(self, system_dim: int) -> int:
@@ -106,8 +107,8 @@ class PropagationResult:
     coherences: dict  # {(0, 1): complex series}, empty for a one-level system
     norm: np.ndarray
     energy: np.ndarray  # <H> in cm^-1
-    krylov_bases: int  # Lanczos bases built, rejected ones included
-    halvings: int  # steps split in two because one basis could not cover them
+    krylov_bases: int  # Lanczos bases built; a rejected step reuses its basis
+    halvings: int  # times a step was halved because its basis could not cover it
     max_step_error: float  # largest accepted a-posteriori error estimate
 
     def to_csv(self, sink):
@@ -217,21 +218,21 @@ class _KrylovSteps:
     coeffs: np.ndarray  # (steps, k)
     basis: np.ndarray  # (k, D) orthonormal Lanczos vectors
     energies: np.ndarray  # <H> of each state, from the projected Hamiltonian
-    bases: int  # Lanczos bases built, rejected ones included
-    halvings: int
+    halvings: int  # times the step was halved; each state is one step / 2**halvings
     max_error: float  # largest accepted error estimate
 
     def state(self, i, shape):
         return (self.coeffs[i] @ self.basis).reshape(shape)
 
 
-def _lanczos_expm_apply(apply_h, psi, dt_rad, krylov_dim, tol, max_steps, halvings=3):
+def _lanczos_expm_apply(apply_h, psi, dt_rad, krylov_dim, tol, max_steps, halvings):
     """exp(-i*m*dt_rad*H) psi for m = 1, 2, ... from one Lanczos projection.
 
     Steps are taken while Saad's a-posteriori estimate
     |beta_k| * |e_k^T exp(-i*m*dt_rad*T_k) e_1| stays at or below ``tol``,
-    at most ``max_steps`` of them.  If even m = 1 fails, the step is halved
-    recursively, at most ``halvings`` times, and one state is returned.
+    at most ``max_steps`` of them.  If even m = 1 fails, the same projection
+    is evaluated at dt_rad/2, dt_rad/4, ..., at most ``halvings`` times, and
+    the one state at the largest step that passes is returned.
     """
     flat = psi.reshape(-1)
     nrm = np.linalg.norm(flat)
@@ -259,35 +260,28 @@ def _lanczos_expm_apply(apply_h, psi, dt_rad, krylov_dim, tol, max_steps, halvin
     beta_k = betas[-1] if k == krylov_dim else 0.0  # an invariant subspace is exact
     t_k = np.diag(alphas) + np.diag(betas[: k - 1], 1) + np.diag(betas[: k - 1], -1)
     evals, evecs = np.linalg.eigh(t_k)
-    phases = np.exp(-1j * dt_rad * np.outer(np.arange(1, max_steps + 1), evals))
-    ys = (phases * evecs[0, :].conj()) @ evecs.T  # row m-1: y at time m*dt_rad
-    errs = beta_k * np.abs(ys[:, -1])
-    failed = ~(errs <= tol)
-    n_ok = int(np.argmax(failed)) if failed.any() else max_steps
-    if n_ok == 0:
-        if halvings <= 0:
+    tau, n, split = dt_rad, max_steps, 0
+    while True:
+        phases = np.exp(-1j * tau * np.outer(np.arange(1, n + 1), evals))
+        ys = (phases * evecs[0, :].conj()) @ evecs.T  # row m-1: y at time m*tau
+        errs = beta_k * np.abs(ys[:, -1])
+        failed = ~(errs <= tol)
+        n_ok = int(np.argmax(failed)) if failed.any() else n
+        if n_ok:
+            break
+        if split == halvings:
             raise ConvergenceError(
                 f"Lanczos step error {errs[0]:.3e} above tolerance {tol:.1e} "
                 "after 3 step halvings; reduce dt or raise krylov_dim"
             )
-        first = _lanczos_expm_apply(apply_h, psi, dt_rad / 2, krylov_dim, tol, 1, halvings - 1)
-        second = _lanczos_expm_apply(
-            apply_h, first.state(0, psi.shape), dt_rad / 2, krylov_dim, tol, 1, halvings - 1
-        )
-        return dataclasses.replace(
-            second,
-            bases=1 + first.bases + second.bases,
-            halvings=1 + first.halvings + second.halvings,
-            max_error=max(first.max_error, second.max_error),
-        )
+        tau, n, split = tau / 2, 1, split + 1
     ys = ys[:n_ok]
     energies = nrm * nrm * np.einsum("mi,mi->m", ys.conj(), ys @ t_k).real
     return _KrylovSteps(
         coeffs=nrm * ys,
         basis=basis[:k],
         energies=energies,
-        bases=1,
-        halvings=0,
+        halvings=split,
         max_error=float(np.max(errs[:n_ok])),
     )
 
@@ -308,8 +302,9 @@ def propagate(
     initial state is its product with every mode's ground state.  Output
     steps are uniform with the end point hit exactly.  Each Lanczos basis
     covers as many steps (up to ``MAX_STEPS_PER_BASIS``) as keep its local
-    error estimate at or below ``tol``; a single step it cannot cover is
-    halved, at most three times.
+    error estimate at or below ``tol``; a step it cannot cover takes the
+    largest of dt/2, dt/4, dt/8 that passes on the same basis (dt/8 failing
+    raises ``ConvergenceError``) and the rest follows in dyadic blocks.
     """
     d_s = model.system.dim
     dim = trunc.dimension(d_s)
@@ -320,12 +315,16 @@ def propagate(
     psi0_system = np.asarray(psi0_system, dtype=complex)
     if psi0_system.shape != (d_s,):
         raise ValidationError(f"psi0 must have shape ({d_s},), got {psi0_system.shape}")
-    if abs(np.linalg.norm(psi0_system) - 1.0) > 1e-8:
-        raise ValidationError("psi0 must be normalized")
-    if not (t_max_fs > 0 and dt_fs > 0):
-        raise ValidationError("t_max_fs and dt_fs must be positive")
-    if krylov_dim < 2:
-        raise ValidationError(f"krylov_dim must be >= 2, got {krylov_dim}")
+    if not abs(np.linalg.norm(psi0_system) - 1.0) <= 1e-8:  # NaN fails too
+        raise ValidationError("psi0 must be finite and normalized")
+    if not (t_max_fs > 0 and dt_fs > 0 and math.isfinite(float(t_max_fs) / float(dt_fs))):
+        raise ValidationError(
+            "t_max_fs and dt_fs must be positive with a finite step count t_max_fs / dt_fs"
+        )
+    if not isinstance(krylov_dim, (int, np.integer)) or krylov_dim < 2:
+        raise ValidationError(f"krylov_dim must be an integer >= 2, got {krylov_dim!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol!r}")
 
     action = _HamiltonianAction(model, trunc)
     psi = np.zeros(action.shape, dtype=complex)
@@ -351,17 +350,23 @@ def propagate(
         energy[i] = e
 
     record(0, psi, float(np.real(np.vdot(psi, action(psi)))))
-    done = bases = halvings = 0
+    # pos counts eighths of dt into the current output step; each call covers
+    # the largest dyadic block starting there, several whole steps from pos 0
+    done = pos = bases = halvings = 0
     max_error = 0.0
     while done < n_steps:
+        block = pos & -pos or 8
         steps = _lanczos_expm_apply(
-            action, psi, dt_rad, krylov_dim, tol, min(n_steps - done, MAX_STEPS_PER_BASIS)
+            action, psi, dt_rad / (8 // block), krylov_dim, tol,
+            1 if pos else min(n_steps - done, MAX_STEPS_PER_BASIS), block.bit_length() - 1,
         )
         for m, e in enumerate(steps.energies):
             psi = steps.state(m, action.shape)
-            done += 1
-            record(done, psi, float(e))
-        bases += steps.bases
+            pos = (pos + (block >> steps.halvings)) % 8
+            if pos == 0:
+                done += 1
+                record(done, psi, float(e))
+        bases += 1
         halvings += steps.halvings
         max_error = max(max_error, steps.max_error)
 
@@ -406,8 +411,14 @@ def dephasing_gamma(model: DiscreteModel, times_fs) -> np.ndarray:
     times = np.atleast_1d(np.asarray(times_fs, dtype=float))
     omegas = np.array([w for w, _, _ in modes])
     g2 = np.array([g * g for _, g, _ in modes])
-    phases = np.outer(times, omegas * RAD_PER_FS_PER_CM1)
-    return (4.0 * g2 / (omegas * omegas)) @ (1.0 - np.cos(phases)).T
+    with np.errstate(all="ignore"):
+        phases = np.outer(times, omegas * RAD_PER_FS_PER_CM1)
+        gamma = (4.0 * g2 / (omegas * omegas)) @ (1.0 - np.cos(phases)).T
+    if not np.all(np.isfinite(gamma)):
+        raise ValidationError(
+            "dephasing exponent is not finite: g^2/omega^2 or omega*t is out of double range"
+        )
+    return gamma
 
 
 def dephasing_gamma_continuum(kernel: NoiseKernel, times_fs, omega_max_cm1: float) -> np.ndarray:

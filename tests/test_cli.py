@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from bathkit.cli import main
 from bathkit.discretize import load_bath_model
 from bathkit.hamiltonian import import_model
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 DEBYE_JSON = '{"kind": "debye", "lambda": 35.0, "gamma": 106.1}'
 
 
@@ -344,6 +347,7 @@ def test_module_entry_point(debye_sd, tmp_path):
          "--omega-min", "0", "--omega-max", "10", "--n", "3", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert proc.returncode == 0
     assert out.exists()

@@ -1,5 +1,7 @@
 import dataclasses
 import io
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +205,15 @@ def test_negative_frequency_norm_conserved():
     assert np.max(np.abs(res.norm - 1.0)) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "omega, g", [(1e-200, 1.0), (-1e-200, 1.0), (1e-300, 1e10)],
+    ids=["square-overflows", "negative-omega", "ratio-overflows"],
+)
+def test_fock_caps_saturate_without_overflow(omega, g):
+    model = dephasing_model([omega, 100.0, 100.0, 100.0], [g, 0.0, 10.0, 50.0])
+    assert FockTruncation.for_model(model).caps == (dynamics.MAX_FOCK_CAP, 3, 4, 5)
+
+
 def test_dimension_cap():
     model = dephasing_model([100.0, 110.0, 120.0], [10.0, 10.0, 10.0])
     with pytest.raises(ResourceLimitError):
@@ -244,12 +255,29 @@ def test_step_halving_rescues_large_steps():
 def test_propagation_reports_halvings_and_error_estimates():
     coarse = _coarse_halving_run()[3]
     assert coarse.halvings > 0
-    # a halving rejects one basis and builds at least two
-    assert coarse.krylov_bases >= 2 * coarse.halvings + 1
+    # every halving leaves a sibling block for a later basis
+    assert coarse.krylov_bases >= coarse.halvings + 1
     assert 0.0 < coarse.max_step_error <= 1e-8
 
 
-def test_step_halving_exhausted_raises():
+def test_rejected_step_reuses_its_basis(monkeypatch):
+    # a rejected step is evaluated again on the same basis, so no basis is
+    # ever rebuilt from a state an earlier call already started from
+    inputs = []
+    lanczos = dynamics._lanczos_expm_apply
+
+    def spy(apply_h, psi, *args):
+        inputs.append(psi.tobytes())
+        return lanczos(apply_h, psi, *args)
+
+    monkeypatch.setattr(dynamics, "_lanczos_expm_apply", spy)
+    coarse = _coarse_halving_run()[3]
+    assert coarse.halvings > 0
+    assert len(set(inputs)) == len(inputs)
+    assert coarse.krylov_bases == len(inputs)
+
+
+def test_step_halving_exhausted_raises(monkeypatch):
     gap = 300.0
     system = SystemSpec(
         h_s=[[gap / 2, 0.0], [0.0, -gap / 2]],
@@ -258,11 +286,48 @@ def test_step_halving_exhausted_raises():
     model = build_model(system, [("b", synthetic_bath([gap], [40.0]))])
     from bathkit.errors import ConvergenceError
 
+    calls = []
+    lanczos = dynamics._lanczos_expm_apply
+
+    def spy(*args):
+        calls.append(1)
+        return lanczos(*args)
+
+    monkeypatch.setattr(dynamics, "_lanczos_expm_apply", spy)
     with pytest.raises(ConvergenceError, match="halvings"):
         propagate(
             model, FockTruncation(caps=(10,)), np.array([1.0, 0.0], dtype=complex),
             t_max_fs=4000.0, dt_fs=4000.0, krylov_dim=3, tol=1e-14,
         )
+    # dt/2, dt/4 and dt/8 are tried on the first basis, which is not rebuilt
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"t_max_fs": math.inf},
+        {"t_max_fs": 1e300, "dt_fs": 1e-300},
+        {"tol": math.nan},
+        {"tol": -1e-10},
+        {"tol": math.inf},
+        {"psi0_system": np.array([math.nan, 1.0])},
+        {"krylov_dim": 4.5},
+    ],
+    ids=["t_max-inf", "step-count-overflows", "tol-nan", "tol-negative", "tol-inf",
+         "psi0-nan", "krylov_dim-float"],
+)
+def test_propagate_rejects_bad_inputs_before_any_work(monkeypatch, kwargs):
+    def no_work(*args):
+        raise AssertionError("propagate built its Hamiltonian action")
+
+    monkeypatch.setattr(dynamics, "_HamiltonianAction", no_work)
+    args = dict(
+        model=dephasing_model([100.0], [10.0]), trunc=FockTruncation(caps=(3,)),
+        psi0_system=PLUS, t_max_fs=10.0, dt_fs=1.0,
+    )
+    with pytest.raises(ValidationError):
+        propagate(**{**args, **kwargs})
 
 
 def test_truncation_convergence_under_cap_doubling():
@@ -376,6 +441,17 @@ def test_to_csv_leaves_the_propagation_diagnostics_out():
 
 
 # --- dephasing oracle ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("omega, g", [(1e-200, 1e-150), (-1e-170, 1.0), (1e-300, 1e10)])
+def test_dephasing_gamma_out_of_range_raises_without_warnings(omega, g):
+    # g^2 / omega^2 is out of double range, so 4 g^2 / omega^2 * (1 - cos 0)
+    # would be inf * 0 = NaN
+    model = dephasing_model([omega, 100.0], [g, 10.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="not finite"):
+            dephasing_gamma(model, np.linspace(0.0, 100.0, 11))
 
 
 def test_gamma_zero_at_t0_and_single_mode_range():

@@ -358,6 +358,37 @@ def test_discretize_extreme_finite_flags_exit_2_without_warnings(
     assert not out.exists()
 
 
+def validate_at_tiny_band(exit_code, debye_sd, tmp_path, h_s, omega_max, tols):
+    system = tmp_path / "qubit.json"
+    system.write_text(json.dumps(dict(QUBIT, h_s=h_s)))
+    out = tmp_path / "r.json"
+    argv = ["validate", "--sd", debye_sd, "--temp-k", "300", "--system", str(system),
+            "--tol-sweep", tols, "--omega-max-cm1", omega_max, "--t-max-fs", "100",
+            "--n-time", "11", "--n-freq", "20", "--out", str(out)]
+    return run_without_warnings(exit_code, argv), out
+
+
+def test_validate_fock_caps_saturate_for_a_tiny_band(exit_code, debye_sd, tmp_path):
+    # (g / omega)^2 overflows for every mode; the caps saturate at MAX_FOCK_CAP
+    code, out = validate_at_tiny_band(
+        exit_code, debye_sd, tmp_path, [[50.0, 40.0], [40.0, -50.0]], "1e-305", "0.3,0.1"
+    )
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["observable"] == "populations"
+    assert len(report["distances"]) == 1 and math.isfinite(report["distances"][0])
+
+
+def test_validate_dephasing_exponent_out_of_range_exits_2(exit_code, debye_sd, tmp_path, capsys):
+    # omega^2 underflows, so 4 g^2 / omega^2 * (1 - cos 0) would be NaN
+    code, out = validate_at_tiny_band(
+        exit_code, debye_sd, tmp_path, QUBIT["h_s"], "1e-200", "0.3,0.1"
+    )
+    assert code == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "span", [("-1.7e308", "1.7e308"), ("0", "1.7e308")], ids=["span-overflows", "noise-overflows"]
 )
