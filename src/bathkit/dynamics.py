@@ -12,7 +12,8 @@ the bath model.
 ``dephasing_gamma`` is the closed-form decoherence exponent of a qubit
 with diagonal (sigma_z) coupling and vacuum bath,
 
-    Gamma(t) = sum_k 4 g_k^2 (1 - cos(omega_k_rad t)) / omega_k^2,
+    Gamma(t) = sum_k 4 g_k^2 (1 - cos(omega_k_rad t)) / omega_k^2
+             = sum_k 8 ((g_k / omega_k) sin(omega_k_rad t / 2))^2,
 
 with |rho01(t)/rho01(0)| = exp(-Gamma(t)).  It scales to any number of
 modes and acts as the oracle for the exact propagator and for the full
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._schema import write_text
-from .discretize import FdrGrid, discretize_bath
+from .discretize import DEFAULT_MEMORY_CAP_BYTES, FdrGrid, discretize_bath
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .hamiltonian import DiscreteModel, SystemSpec, build_model
 from .quadrature import fourier_midpoint_sum, midpoint_frequencies, refine_midpoint
@@ -305,6 +306,8 @@ def propagate(
     error estimate at or below ``tol``; a step it cannot cover takes the
     largest of dt/2, dt/4, dt/8 that passes on the same basis (dt/8 failing
     raises ``ConvergenceError``) and the rest follows in dyadic blocks.
+    Output arrays above ``DEFAULT_MEMORY_CAP_BYTES`` raise
+    ``ResourceLimitError`` before the Hamiltonian action is built.
     """
     d_s = model.system.dim
     dim = trunc.dimension(d_s)
@@ -325,12 +328,19 @@ def propagate(
         raise ValidationError(f"krylov_dim must be an integer >= 2, got {krylov_dim!r}")
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
+    n_steps = max(1, int(math.ceil(t_max_fs / dt_fs - 1e-9)))
+    # times, norm, energy (8 bytes each), coherence (16), populations (8 d_s)
+    nbytes = (n_steps + 1) * (8 * d_s + 40)
+    if nbytes > DEFAULT_MEMORY_CAP_BYTES:
+        raise ResourceLimitError(
+            f"{n_steps} output steps need {nbytes / 2**30:.3g} GiB, "
+            f"above the cap of {DEFAULT_MEMORY_CAP_BYTES / 2**30:.3g} GiB"
+        )
 
     action = _HamiltonianAction(model, trunc)
     psi = np.zeros(action.shape, dtype=complex)
     psi[(slice(None),) + (0,) * len(action.caps)] = psi0_system
 
-    n_steps = max(1, int(math.ceil(t_max_fs / dt_fs - 1e-9)))
     dt = t_max_fs / n_steps
     dt_rad = dt * RAD_PER_FS_PER_CM1
     times = np.arange(n_steps + 1) * dt
@@ -410,13 +420,17 @@ def dephasing_gamma(model: DiscreteModel, times_fs) -> np.ndarray:
         raise ValidationError("dephasing exponent undefined for a zero-frequency mode")
     times = np.atleast_1d(np.asarray(times_fs, dtype=float))
     omegas = np.array([w for w, _, _ in modes])
-    g2 = np.array([g * g for _, g, _ in modes])
+    gs = np.array([g for _, g, _ in modes])
+    # 8 ((g/omega) sin(omega t/2))^2: g/omega first, so a finite Gamma does
+    # not underflow through omega^2, and no cancellation in 1 - cos(omega t)
     with np.errstate(all="ignore"):
-        phases = np.outer(times, omegas * RAD_PER_FS_PER_CM1)
-        gamma = (4.0 * g2 / (omegas * omegas)) @ (1.0 - np.cos(phases)).T
+        ratios = gs / omegas
+        half_phases = np.outer(times, omegas * (0.5 * RAD_PER_FS_PER_CM1))
+        amplitudes = ratios * np.sin(half_phases)
+        gamma = 8.0 * np.einsum("tk,tk->t", amplitudes, amplitudes)
     if not np.all(np.isfinite(gamma)):
         raise ValidationError(
-            "dephasing exponent is not finite: g^2/omega^2 or omega*t is out of double range"
+            "dephasing exponent is not finite: g/omega or omega*t is out of double range"
         )
     return gamma
 

@@ -11,8 +11,9 @@ Two primitives live here:
   supply those without ever being stored.
 
 * ``nnls`` -- the Lawson-Hanson active-set method for min ||A z - b|| with
-  z >= 0.  Inactive coordinates are exact zeros (never small negatives),
-  which downstream code relies on when pruning.
+  z >= 0.  A is factored A = QR once, and the active-set loop runs on the
+  small triangle R and Q^T b.  Inactive coordinates are exact zeros (never
+  small negatives), which downstream code relies on when pruning.
 
 Both are pure functions of their inputs; pivot and index ties break toward
 the lowest index, so results are reproducible bit for bit.
@@ -21,6 +22,7 @@ the lowest index, so results are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,9 +41,11 @@ _RECOMPUTE_CHUNK = 256
 class IdResult:
     """Column interpolative decomposition of an m x n matrix.
 
-    ``selected`` lists r column indices in pivot order; ``interp`` is the
-    r x n coefficient matrix P in original column order, so
-    f ~ f[:, selected] @ interp.  ``frobenius_error_estimate`` is the
+    ``selected`` lists r column indices in pivot order; ``r_rows`` holds
+    the r x n rows q_k^T f of the Gram-Schmidt factor R in original column
+    order.  ``interp`` is the r x n coefficient matrix P, so
+    f ~ f[:, selected] @ interp; it is computed from ``r_rows`` on first
+    read and cached.  ``frobenius_error_estimate`` is the
     Frobenius norm of the residual of the unselected columns after
     projection onto the selected ones, which equals ||f - B P||_F up to
     roundoff.  ``pivot_norms`` holds the r + 1 residual norms of the
@@ -51,9 +55,16 @@ class IdResult:
 
     rank: int
     selected: np.ndarray
-    interp: np.ndarray
+    r_rows: np.ndarray
     frobenius_error_estimate: float
     pivot_norms: np.ndarray
+
+    @cached_property
+    def interp(self) -> np.ndarray:
+        # R[:, selected] is triangular up to roundoff below the diagonal; drop that
+        interp = np.linalg.solve(np.triu(self.r_rows[:, self.selected]), self.r_rows)
+        interp[:, self.selected] = np.eye(self.rank)
+        return interp
 
 
 @dataclass(frozen=True)
@@ -167,23 +178,20 @@ def column_id(f, tol: float | None = None, max_rank: int | None = None) -> IdRes
     rank = len(selected)
     selected = np.array(selected, dtype=int)
     tail = float(np.sqrt(np.sum(norms2[free]))) if rank < min(m, n) else 0.0
-    pivot_norms = np.array(pivot_norms)
-    if rank == 0:
-        return IdResult(0, selected, np.zeros((0, n)), tail, pivot_norms)
-
-    # R[:, selected] is triangular up to roundoff below the diagonal; drop that
-    interp = np.linalg.solve(np.triu(r[:rank, selected]), r[:rank])
-    interp[:, selected] = np.eye(rank)
-    return IdResult(rank, selected, interp, tail, pivot_norms)
+    return IdResult(rank, selected, r[:rank], tail, np.array(pivot_norms))
 
 
 def nnls(a, b, max_iter: int | None = None) -> NnlsResult:
     """Lawson-Hanson active-set solver for min ||A z - b||, z >= 0.
 
-    Terminates when every inactive dual w_i = (A^T (b - A z))_i is below
+    A is factored A = QR once (Q orthonormal, R min(m, n) x n) and the loop
+    runs on R and Q^T b alone: A[:, P] = Q R[:, P], so each passive-set
+    least-squares problem min ||R[:, P] x - Q^T b|| has the same (minimum
+    norm) solution as on A, and the duals are w = R^T (Q^T b - R z).
+    Terminates when every inactive dual w_i is below
     10 * ||A||_inf * ||b||_2 * eps, or after ``max_iter`` outer iterations
     (default 3n), in which case ``converged`` is False and the best
-    iterate so far is returned.
+    iterate so far is returned.  ``residual_norm`` is ||A z - b|| on A.
     """
     a = _validate_matrix(a, "A")
     b = np.asarray(b, dtype=float)
@@ -196,13 +204,15 @@ def nnls(a, b, max_iter: int | None = None) -> NnlsResult:
         max_iter = 3 * n
 
     dual_tol = 10.0 * np.linalg.norm(a, np.inf) * np.linalg.norm(b) * np.finfo(float).eps
+    q, r = np.linalg.qr(a)
+    qtb = q.T @ b
 
     z = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     iterations = 0
     converged = False
     while True:
-        w = a.T @ (b - a @ z)
+        w = r.T @ (qtb - r @ z)
         inactive = ~passive
         if not inactive.any() or np.max(w[inactive]) <= dual_tol:
             converged = True
@@ -218,7 +228,7 @@ def nnls(a, b, max_iter: int | None = None) -> NnlsResult:
             if cols.size == 0:
                 z = np.zeros(n)
                 break
-            sol = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
+            sol = np.linalg.lstsq(r[:, cols], qtb, rcond=None)[0]
             if np.min(sol) > 0.0:
                 z = np.zeros(n)
                 z[cols] = sol

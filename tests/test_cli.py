@@ -38,7 +38,7 @@ def qubit_system(tmp_path):
 
 
 def data_rows(path):
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     return [l for l in lines if l and not l.startswith("#")][1:]  # skip header
 
 
@@ -231,7 +231,7 @@ def test_reconstruct_columns_and_accuracy(small_model, tmp_path):
     assert rc == 0
     rows = [r.split(",") for r in data_rows(out)]
     assert len(rows) == 200
-    header = [l for l in open(out).read().splitlines() if not l.startswith("#")][0]
+    header = [l for l in Path(out).read_text().splitlines() if not l.startswith("#")][0]
     assert header == "t_fs,re_C,im_C,re_C_ref,im_C_ref"
     # first row is t=0: imaginary part identically zero
     assert float(rows[0][0]) == 0.0

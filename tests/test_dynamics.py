@@ -227,6 +227,19 @@ def test_dimension_cap():
         )
 
 
+@pytest.mark.parametrize("t_max_fs", [1e300, 1e12])
+def test_output_size_cap_before_hamiltonian_action(t_max_fs, monkeypatch):
+    # 1e300 steps overflow numpy's array size and 1e12 steps need 7.28 TiB;
+    # both must stop at the cap check, before any work or allocation
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the Hamiltonian action was built")
+
+    monkeypatch.setattr(dynamics, "_HamiltonianAction", unreachable)
+    model = dephasing_model([100.0], [10.0])
+    with pytest.raises(ResourceLimitError, match="output steps"):
+        propagate(model, FockTruncation(caps=(3,)), PLUS, t_max_fs, 1.0)
+
+
 def test_psi0_validation():
     model = dephasing_model([100.0], [10.0])
     with pytest.raises(ValidationError, match="normalized"):
@@ -443,10 +456,29 @@ def test_to_csv_leaves_the_propagation_diagnostics_out():
 # --- dephasing oracle ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("omega, g", [(1e-200, 1e-150), (-1e-170, 1.0), (1e-300, 1e10)])
+@pytest.mark.parametrize("omega, g", [(1e-200, 1e-150), (-1e-170, 1.0)])
+def test_dephasing_gamma_finite_where_omega_squared_underflows(omega, g):
+    # g^2 / omega^2 is out of double range, but g / omega and Gamma are not
+    model = dephasing_model([omega, 100.0], [g, 10.0])
+    times = np.linspace(0.0, 100.0, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gamma = dephasing_gamma(model, times)
+    expected = [
+        math.fsum(
+            8.0 * ((gk / wk) * math.sin(wk * RAD_PER_FS_PER_CM1 * t / 2.0)) ** 2
+            for wk, gk in ((omega, g), (100.0, 10.0))
+        )
+        for t in times
+    ]
+    assert gamma[0] == 0.0
+    assert np.all(gamma[1:] > 0.0)
+    np.testing.assert_allclose(gamma, expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("omega, g", [(1e-300, 1e10)])
 def test_dephasing_gamma_out_of_range_raises_without_warnings(omega, g):
-    # g^2 / omega^2 is out of double range, so 4 g^2 / omega^2 * (1 - cos 0)
-    # would be inf * 0 = NaN
+    # g / omega overflows, so 8 ((g / omega) sin 0)^2 would be inf * 0 = NaN
     model = dephasing_model([omega, 100.0], [g, 10.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,11 +1,16 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
+from bathkit.discretize import FdrGrid, FdrOperator, reference_bcf
 from bathkit.errors import ValidationError
 from bathkit.lowrank import column_id, nnls
+from bathkit.specdens import NoiseKernel, Temperature
+from bathkit.surrogate import SURROGATE_OMEGA_MAX, surrogate_sd
 
 
 def random_orthogonal(n, rng):
@@ -193,6 +198,19 @@ def test_id_stays_accurate_down_to_roundoff(seed):
     assert res.frobenius_error_estimate <= 1e-11 * np.linalg.norm(f)
 
 
+def test_id_interp_is_built_on_first_read():
+    rng = np.random.default_rng(29)
+    f = matrix_with_spectrum(30, 60, 0.7 ** np.arange(30.0), rng)
+    res = column_id(f, tol=1e-8)
+    assert "interp" not in vars(res)
+    interp = res.interp
+    assert res.interp is interp
+    # the eager formula: P = triu(R[:, selected])^-1 R, exact identity on selected
+    eager = np.linalg.solve(np.triu(res.r_rows[:, res.selected]), res.r_rows)
+    eager[:, res.selected] = np.eye(res.rank)
+    np.testing.assert_array_equal(interp, eager)
+
+
 def test_id_operator_and_dense_matrix_agree():
     rng = np.random.default_rng(11)
     f = matrix_with_spectrum(50, 90, 0.8 ** np.arange(50.0), rng)
@@ -271,13 +289,27 @@ def test_nnls_matches_brute_force_20x6():
     np.testing.assert_allclose(res.z, z_star, atol=1e-8)
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_nnls_brute_force_sweep_small(seed):
+@pytest.mark.parametrize(
+    "seed, kind",
+    [pytest.param(seed, "tall", id=str(seed)) for seed in range(30)]
+    + [
+        pytest.param(seed, kind, id=f"{kind}-{seed}")
+        for kind in ("duplicate-column", "zero-column", "wide")
+        for seed in range(5)
+    ],
+)
+def test_nnls_brute_force_sweep_small(seed, kind):
     rng = np.random.default_rng(100 + seed)
     m = int(rng.integers(4, 16))
     n = int(rng.integers(1, 7))
+    if kind == "wide":
+        m, n = int(rng.integers(1, 4)), int(rng.integers(4, 8))
     a = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
+    if kind == "duplicate-column":
+        a = np.column_stack((a, a[:, int(rng.integers(n))]))
+    elif kind == "zero-column":
+        a = np.insert(a, int(rng.integers(n + 1)), 0.0, axis=1)
     res = nnls(a, b)
     _, res_star = brute_force_nnls(a, b)
     assert res.converged
@@ -319,3 +351,49 @@ def test_nnls_input_validation():
         nnls(np.eye(2), np.ones(3))
     with pytest.raises(ValidationError):
         nnls(np.array([[np.nan, 1.0]]), np.ones(1))
+
+
+# --- nnls on the default-grid discretization bases ----------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def default_grid_fit_problem(kelvin, tol):
+    """Selected sample columns and the reference target of ``discretize_bath``."""
+    temperature = Temperature.zero() if kelvin == 0.0 else Temperature.finite(kelvin)
+    kernel = NoiseKernel(surrogate_sd(), temperature)
+    grid = FdrGrid(t_max_fs=1000.0, omega_max_cm1=SURROGATE_OMEGA_MAX)
+    samples = FdrOperator(kernel, grid)
+    c_ref = reference_bcf(kernel, grid.times, grid.omega_max_cm1)
+    basis = samples.columns(column_id(samples, tol=tol).selected)
+    return basis, np.concatenate((c_ref.real, c_ref.imag))
+
+
+@pytest.mark.parametrize("kelvin", [0.0, 77.0, 300.0])
+@pytest.mark.parametrize("tol", [1e-2, 1e-3])
+def test_nnls_matches_scipy_on_default_grid_bases(kelvin, tol):
+    a, b = default_grid_fit_problem(kelvin, tol)
+    res = nnls(a, b)
+    z_ref, res_ref = scipy.optimize.nnls(a, b, maxiter=10 * a.shape[1])
+    assert res.converged
+    np.testing.assert_array_equal(res.z > 0.0, z_ref > 0.0)
+    np.testing.assert_allclose(res.z, z_ref, rtol=1e-9, atol=1e-9 * np.max(z_ref))
+    assert res.residual_norm == pytest.approx(res_ref, rel=1e-9)
+
+
+def test_nnls_subproblems_stay_in_the_small_factor(monkeypatch):
+    # every passive-set solve is on the min(m, n) x n triangle, never on A
+    a, b = default_grid_fit_problem(300.0, 1e-2)
+    m, n = a.shape
+    assert m > n
+    rows = []
+    lstsq = np.linalg.lstsq
+
+    def spy(mat, rhs, *args, **kwargs):
+        rows.append(np.shape(mat)[0])
+        return lstsq(mat, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    res = nnls(a, b)
+    assert res.converged
+    assert len(rows) >= res.iterations > 0
+    assert max(rows) <= n

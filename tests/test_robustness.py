@@ -379,14 +379,15 @@ def test_validate_fock_caps_saturate_for_a_tiny_band(exit_code, debye_sd, tmp_pa
     assert len(report["distances"]) == 1 and math.isfinite(report["distances"][0])
 
 
-def test_validate_dephasing_exponent_out_of_range_exits_2(exit_code, debye_sd, tmp_path, capsys):
-    # omega^2 underflows, so 4 g^2 / omega^2 * (1 - cos 0) would be NaN
+def test_validate_dephasing_at_a_tiny_band_exits_0(exit_code, debye_sd, tmp_path):
+    # omega^2 underflows, but g / omega and the dephasing exponent stay finite
     code, out = validate_at_tiny_band(
         exit_code, debye_sd, tmp_path, QUBIT["h_s"], "1e-200", "0.3,0.1"
     )
-    assert code == 2
-    assert "not finite" in capsys.readouterr().err
-    assert not out.exists()
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["observable"] == "dephasing_coherence"
+    assert len(report["distances"]) == 1 and math.isfinite(report["distances"][0])
 
 
 @pytest.mark.parametrize(
