@@ -7,6 +7,7 @@ text.
 """
 
 import json
+import numbers
 import os
 import sys
 
@@ -64,6 +65,11 @@ def is_finite_number(value) -> bool:
         and not isinstance(value, bool)
         and abs(value) <= sys.float_info.max
     )
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def require_number(obj: dict, key: str, pointer: str) -> float:

@@ -28,14 +28,16 @@ import numpy as np
 from . import __version__
 from ._schema import read_json, write_text
 from .discretize import (
+    DEFAULT_MEMORY_CAP_BYTES,
     FdrGrid,
+    check_memory,
     discretize_bath,
     load_bath_model,
     reconstruct_bcf,
     reference_bcf,
     save_bath_model,
 )
-from .dynamics import convergence_study
+from .dynamics import DEFAULT_DIMENSION_CAP, convergence_study
 from .errors import (
     BathkitError,
     ConvergenceError,
@@ -77,6 +79,15 @@ def _write_csv(sink, meta: dict, header: str, rows):
     write_text(sink, "\n".join([*lines, header, *rows]) + "\n")
 
 
+def _check_rows(flag: str, n_rows: int, n_columns: int):
+    """Require a row count >= 2 whose CSV table fits the cap; each value counts
+    twice as a double (intermediates and table) and twice as 25 characters."""
+    if n_rows < 2:
+        raise ValidationError(f"{flag} must be >= 2, got {n_rows}")
+    nbytes = n_rows * n_columns * 2 * (8 + 25)
+    check_memory(nbytes, DEFAULT_MEMORY_CAP_BYTES, f"a table of {n_rows} rows")
+
+
 def _load_sd(path: str):
     if path.endswith(".csv"):
         return load_tabulated(path)
@@ -116,8 +127,7 @@ def _finite_float(text: str) -> float:
 
 def _cmd_eval_sd(args) -> int:
     kernel = NoiseKernel(_load_sd(args.sd), _temperature_from_args(args, required=False))
-    if args.n < 2:
-        raise ValidationError(f"--n must be >= 2, got {args.n}")
+    _check_rows("--n", args.n, 3)
     if not math.isfinite(args.omega_max - args.omega_min):
         raise ValidationError("the span from --omega-min to --omega-max overflows")
     omegas = np.linspace(args.omega_min, args.omega_max, args.n)
@@ -156,21 +166,7 @@ def _cmd_discretize(args) -> int:
         "out": args.out,
     }
     meta = _metadata("discretize", config, [args.sd])
-    try:
-        model = discretize_bath(
-            kernel,
-            grid,
-            args.tol,
-            memory_cap_bytes=int(args.memory_cap_gib * 2**30),
-        )
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.diagnostics:
-            print(
-                "partial diagnostics: " + json.dumps(exc.diagnostics, sort_keys=True),
-                file=sys.stderr,
-            )
-        return EXIT_NONCONVERGED
+    model = discretize_bath(kernel, grid, args.tol, int(args.memory_cap_gib * 2**30))
     save_bath_model(model, args.out, metadata=meta)
     d = model.diagnostics
     print(
@@ -184,8 +180,7 @@ def _cmd_discretize(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     model = load_bath_model(args.model)
-    if args.n_time < 2:
-        raise ValidationError(f"--n-time must be >= 2, got {args.n_time}")
+    _check_rows("--n-time", args.n_time, 5)
     times = np.linspace(0.0, model.t_max_fs, args.n_time)
     c_model = reconstruct_bcf(model, times)
     c_ref = reference_bcf(model.kernel, times, model.omega_max_cm1)
@@ -317,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         "discretize", parents=[kernel, grid], help="compress a kernel into a bath model JSON"
     )
     p.add_argument("--tol", type=_finite_float, default=1e-2)
-    p.add_argument("--memory-cap-gib", type=_finite_float, default=4.0)
+    p.add_argument("--memory-cap-gib", type=_finite_float, default=DEFAULT_MEMORY_CAP_BYTES / 2**30)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_discretize)
 
@@ -332,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--system", required=True, help="system spec JSON")
     p.add_argument("--tol-sweep", required=True, help="comma-separated tolerances")
-    p.add_argument("--dim-cap", type=int, default=1 << 22)
+    p.add_argument("--dim-cap", type=int, default=DEFAULT_DIMENSION_CAP)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--series-out", default=None, help="optional observable series CSV")
     p.set_defaults(func=_cmd_validate)
@@ -361,6 +356,9 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if exc.diagnostics:
+            partial = json.dumps(exc.diagnostics, sort_keys=True)
+            print(f"partial diagnostics: {partial}", file=sys.stderr)
         return EXIT_NONCONVERGED
     except (BathkitError, OSError) as exc:  # config, parse and file-system errors
         print(f"error: {exc}", file=sys.stderr)

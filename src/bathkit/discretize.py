@@ -29,12 +29,13 @@ from functools import cached_property
 
 import numpy as np
 
-from ._schema import read_json, require, require_list, require_number, write_text
+from ._schema import is_integer, read_json, require, require_list, require_number, write_text
 from .errors import ConvergenceError, ResourceLimitError, SchemaError, ValidationError
 from .lowrank import column_id, nnls
 from .quadrature import (
     ChirpSum,
     band_is_finite,
+    direct_sum,
     fourier_midpoint_sum,
     midpoint_frequencies,
     refine_midpoint,
@@ -49,6 +50,7 @@ __all__ = [
     "BathModel",
     "BcfErrorStats",
     "reference_bcf",
+    "check_memory",
     "assemble_fdr",
     "discretize_bath",
     "reconstruct_bcf",
@@ -79,6 +81,9 @@ class FdrGrid:
     def __post_init__(self):
         if not np.isfinite(self.t_max_fs) or self.t_max_fs < 0:
             raise ValidationError(f"t_max_fs must be >= 0, got {self.t_max_fs}")
+        for name in ("n_time", "n_freq"):
+            if not is_integer(getattr(self, name)):
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_time < 1:
             raise ValidationError(f"n_time must be >= 1, got {self.n_time}")
         if self.n_time == 1 and self.t_max_fs != 0.0:
@@ -113,6 +118,9 @@ class BcfErrorStats:
 
 @dataclass(frozen=True)
 class BathDiagnostics:
+    """Counts and errors of one run.  The duals are recomputed on the full basis A,
+    so they meet ``nnls_dual_tolerance`` only to roundoff (see NnlsResult)."""
+
     id_rank: int
     mode_count: int
     max_abs_error: float
@@ -234,28 +242,23 @@ class FdrOperator:
         return self.s * self._transform(q[:m] + 1j * q[m:]).real
 
 
-def _check_memory(grid: FdrGrid, what: str, nbytes: int, memory_cap_bytes: int):
-    if nbytes > memory_cap_bytes:
-        raise ResourceLimitError(
-            f"grid {grid.n_time} x {grid.n_freq} needs {nbytes / 2**30:.1f} GiB for {what}, "
-            f"above the {memory_cap_bytes / 2**30:.1f} GiB cap; "
-            "use a coarser grid or raise the cap"
-        )
+def check_memory(nbytes: int, cap: int, what: str):
+    """Raise ResourceLimitError if ``what`` needs more than ``cap`` bytes."""
+    if nbytes > cap:
+        gib = f"{nbytes / 2**30:.3g} GiB, above the {cap / 2**30:.3g} GiB cap"
+        raise ResourceLimitError(f"{what} needs {gib}; use a coarser grid")
 
 
-def assemble_fdr(
-    kernel: NoiseKernel,
-    grid: FdrGrid,
-    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
-) -> np.ndarray:
+def assemble_fdr(kernel: NoiseKernel, grid: FdrGrid) -> np.ndarray:
     """Sample the kernel on the grid and stack Re/Im into a 2m x n matrix.
 
     Rows [0, m) hold Re f and rows [m, 2m) Im f over the grid times.  The
     dense oracle for ``FdrOperator``, built independently of it; the
-    pipeline itself never builds this matrix.
+    pipeline itself never builds this matrix.  The cap is
+    ``DEFAULT_MEMORY_CAP_BYTES``, read at call time.
     """
     m, n = grid.n_time, grid.n_freq
-    _check_memory(grid, "the sample matrix", 2 * m * n * 8, memory_cap_bytes)
+    check_memory(2 * m * n * 8, DEFAULT_MEMORY_CAP_BYTES, f"the {m} x {n} sample matrix")
     s_vals = kernel.evaluate(grid.freqs)
     arg = np.outer(grid.times, grid.freqs * RAD_PER_FS_PER_CM1)
     realified = np.empty((2 * m, n))
@@ -286,7 +289,8 @@ def discretize_bath(
         raise ValidationError(f"tol must be in (0, 1), got {tol}")
     # column_id's worst case: Q (r x 2m) and R (r x n) at rank r = min(2m, n)
     m2, n = 2 * grid.n_time, grid.n_freq
-    _check_memory(grid, "the column ID", min(m2, n) * (m2 + n) * 8, memory_cap_bytes)
+    what = f"the column ID on the {grid.n_time} x {n} grid"
+    check_memory(min(m2, n) * (m2 + n) * 8, memory_cap_bytes, what)
     samples = FdrOperator(kernel, grid)
     id_res = column_id(samples, tol=tol)
     if id_res.rank == 0:
@@ -333,7 +337,7 @@ def discretize_bath(
     order = np.argsort(omegas)
     omegas, z, g = omegas[order], z[order], g[order]
 
-    c_model = _mode_sum(g * g, omegas, grid.times)
+    c_model = direct_sum(g * g, omegas, 1.0, grid.times)
     stats = bcf_error_stats(c_model, c_ref)
     diagnostics = BathDiagnostics(
         id_rank=id_res.rank,
@@ -361,18 +365,11 @@ def discretize_bath(
     )
 
 
-def _mode_sum(weights, omegas, times_fs) -> np.ndarray:
-    """sum_k weights_k * exp(-i*omega_k_rad*t), Hermitian in t."""
-    times = np.atleast_1d(np.asarray(times_fs, dtype=float))
-    tabs = np.abs(times)
-    phases = np.exp(-1j * np.outer(tabs, omegas * RAD_PER_FS_PER_CM1))
-    out = phases @ np.asarray(weights, dtype=float)
-    return np.where(times < 0.0, np.conj(out), out)
-
-
 def reconstruct_bcf(model: BathModel, times_fs) -> np.ndarray:
     """Correlation function of the discrete modes, C(t) = sum g_k^2 e^{-i w_k t}."""
-    return _mode_sum(model.g * model.g, model.omegas, times_fs)
+    times = np.atleast_1d(np.asarray(times_fs, dtype=float))
+    c = direct_sum(model.g * model.g, model.omegas, 1.0, np.abs(times))
+    return np.where(times < 0.0, np.conj(c), c)
 
 
 def bcf_error_stats(c_model, c_reference) -> BcfErrorStats:

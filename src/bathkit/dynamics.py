@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._schema import write_text
-from .discretize import DEFAULT_MEMORY_CAP_BYTES, FdrGrid, discretize_bath
+from ._schema import is_integer, write_text
+from .discretize import DEFAULT_MEMORY_CAP_BYTES, FdrGrid, check_memory, discretize_bath
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .hamiltonian import DiscreteModel, SystemSpec, build_model
 from .quadrature import fourier_midpoint_sum, midpoint_frequencies, refine_midpoint
@@ -59,16 +59,6 @@ MAX_FOCK_CAP = 10
 SWEEP_SLACK = 0.2
 
 
-def _model_modes(model: DiscreteModel):
-    """Flatten the per-coupling bath copies into (omega, g, coupling_idx)."""
-    modes = []
-    for ci, (label, _) in enumerate(model.system.couplings):
-        bath = model.bath_for(label)
-        for w, g in zip(bath.omegas, bath.g):
-            modes.append((float(w), float(g), ci))
-    return modes
-
-
 @dataclass(frozen=True)
 class FockTruncation:
     """Per-mode occupation caps; mode k keeps levels 0..caps[k]."""
@@ -76,16 +66,15 @@ class FockTruncation:
     caps: tuple
 
     def __post_init__(self):
-        caps = tuple(int(c) for c in self.caps)
-        if any(c < 1 for c in caps):
-            raise ValidationError(f"all occupation caps must be >= 1, got {caps}")
-        object.__setattr__(self, "caps", caps)
+        if not all(is_integer(c) and c >= 1 for c in self.caps):
+            raise ValidationError(f"all occupation caps must be integers >= 1, got {self.caps}")
+        object.__setattr__(self, "caps", tuple(int(c) for c in self.caps))
 
     @classmethod
     def for_model(cls, model: DiscreteModel) -> "FockTruncation":
         """Displaced-oscillator heuristic: cap ~ 8 (g/omega)^2 + 3, at most MAX_FOCK_CAP."""
         caps = []
-        for omega, g, _ in _model_modes(model):
+        for omega, g in zip(model.mode_omegas.tolist(), model.mode_g.tolist()):
             ratio = abs(g / omega) if omega != 0.0 else 0.0
             # past |g/omega| = 1 the cap is saturated and squaring could overflow
             cap = int(math.ceil(8.0 * ratio**2)) + 3 if ratio <= 1.0 else MAX_FOCK_CAP
@@ -150,22 +139,19 @@ class _HamiltonianAction:
     """
 
     def __init__(self, model: DiscreteModel, trunc: FockTruncation):
-        modes = _model_modes(model)
-        if len(trunc.caps) != len(modes):
+        n_modes = model.total_mode_count
+        if len(trunc.caps) != n_modes:
             raise ValidationError(
-                f"truncation has {len(trunc.caps)} caps but the model has "
-                f"{len(modes)} modes"
+                f"truncation has {len(trunc.caps)} caps but the model has {n_modes} modes"
             )
         self.caps = trunc.caps
         self.shape = (model.system.dim,) + tuple(c + 1 for c in self.caps)
         ndim = len(self.shape)
         # total oscillator-energy diagonal, broadcast over the full tensor
         diag = np.zeros(self.shape[1:])
-        for k, (omega, _, _) in enumerate(modes):
+        for k, omega in enumerate(model.mode_omegas):
             occ = np.arange(self.caps[k] + 1, dtype=float)
-            diag = diag + omega * occ.reshape(
-                (1,) * k + (-1,) + (1,) * (len(modes) - k - 1)
-            )
+            diag = diag + omega * occ.reshape((1,) * k + (-1,) + (1,) * (n_modes - k - 1))
         diag = diag[np.newaxis, ...]
         h_s = model.system.h_s
         if _offdiagonal_is_zero(h_s):
@@ -180,7 +166,7 @@ class _HamiltonianAction:
         # coefficient) and a view of one shared scratch buffer for products
         scratch = np.empty(math.prod(self.shape), dtype=complex)
         self.ladder = []
-        for k, (_, g, ci) in enumerate(modes):
+        for k, (g, ci) in enumerate(zip(model.mode_g, model.mode_coupling)):
             if g == 0.0:
                 continue
             ax = 1 + k
@@ -307,7 +293,8 @@ def propagate(
     largest of dt/2, dt/4, dt/8 that passes on the same basis (dt/8 failing
     raises ``ConvergenceError``) and the rest follows in dyadic blocks.
     Output arrays above ``DEFAULT_MEMORY_CAP_BYTES`` raise
-    ``ResourceLimitError`` before the Hamiltonian action is built.
+    ``ResourceLimitError`` (through ``check_memory``) before the
+    Hamiltonian action is built.
     """
     d_s = model.system.dim
     dim = trunc.dimension(d_s)
@@ -324,18 +311,14 @@ def propagate(
         raise ValidationError(
             "t_max_fs and dt_fs must be positive with a finite step count t_max_fs / dt_fs"
         )
-    if not isinstance(krylov_dim, (int, np.integer)) or krylov_dim < 2:
+    if not is_integer(krylov_dim) or krylov_dim < 2:
         raise ValidationError(f"krylov_dim must be an integer >= 2, got {krylov_dim!r}")
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     n_steps = max(1, int(math.ceil(t_max_fs / dt_fs - 1e-9)))
     # times, norm, energy (8 bytes each), coherence (16), populations (8 d_s)
     nbytes = (n_steps + 1) * (8 * d_s + 40)
-    if nbytes > DEFAULT_MEMORY_CAP_BYTES:
-        raise ResourceLimitError(
-            f"{n_steps} output steps need {nbytes / 2**30:.3g} GiB, "
-            f"above the cap of {DEFAULT_MEMORY_CAP_BYTES / 2**30:.3g} GiB"
-        )
+    check_memory(nbytes, DEFAULT_MEMORY_CAP_BYTES, f"the record of {n_steps} output steps")
 
     action = _HamiltonianAction(model, trunc)
     psi = np.zeros(action.shape, dtype=complex)
@@ -415,12 +398,10 @@ def dephasing_gamma(model: DiscreteModel, times_fs) -> np.ndarray:
     violation = _pure_dephasing_violation(model.system)
     if violation is not None:
         raise ValidationError(violation)
-    modes = _model_modes(model)
-    if any(w == 0.0 for w, _, _ in modes):
+    omegas, gs = model.mode_omegas, model.mode_g
+    if np.any(omegas == 0.0):
         raise ValidationError("dephasing exponent undefined for a zero-frequency mode")
     times = np.atleast_1d(np.asarray(times_fs, dtype=float))
-    omegas = np.array([w for w, _, _ in modes])
-    gs = np.array([g for _, g, _ in modes])
     # 8 ((g/omega) sin(omega t/2))^2: g/omega first, so a finite Gamma does
     # not underflow through omega^2, and no cancellation in 1 - cos(omega t)
     with np.errstate(all="ignore"):

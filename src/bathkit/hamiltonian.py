@@ -13,7 +13,7 @@ inherited from g_k >= 0 together with Hermitian H_S and V matrices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,6 +92,11 @@ class DiscreteModel:
 
     system: SystemSpec
     baths: tuple  # of (label, BathModel)
+    # the assembled Hamiltonian's modes, one bath copy per coupling in coupling
+    # order: each mode's frequency, coupling constant and coupling index
+    mode_omegas: np.ndarray = field(init=False, repr=False)
+    mode_g: np.ndarray = field(init=False, repr=False)
+    mode_coupling: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         labels = [label for label, _ in self.baths]
@@ -105,6 +110,11 @@ class DiscreteModel:
                     f"coupling {idx} references unknown bath label '{label}'"
                 )
         object.__setattr__(self, "baths", tuple(self.baths))
+        copies = [table[label] for label, _ in self.system.couplings]
+        counts = [bath.mode_count for bath in copies]
+        object.__setattr__(self, "mode_omegas", np.concatenate([[]] + [b.omegas for b in copies]))
+        object.__setattr__(self, "mode_g", np.concatenate([[]] + [b.g for b in copies]))
+        object.__setattr__(self, "mode_coupling", np.repeat(np.arange(len(copies)), counts))
 
     def bath_for(self, label: str) -> BathModel:
         for name, bath in self.baths:
@@ -115,9 +125,7 @@ class DiscreteModel:
     @property
     def total_mode_count(self) -> int:
         """Modes in the assembled Hamiltonian: one bath copy per coupling."""
-        return sum(
-            self.bath_for(label).mode_count for label, _ in self.system.couplings
-        )
+        return len(self.mode_omegas)
 
 
 def build_model(system: SystemSpec, baths) -> DiscreteModel:

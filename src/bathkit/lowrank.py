@@ -35,6 +35,8 @@ __all__ = ["IdResult", "NnlsResult", "column_id", "nnls"]
 _RECOMPUTE_RATIO = np.sqrt(np.finfo(float).eps)
 # columns built at once when recomputing residual norms
 _RECOMPUTE_CHUNK = 256
+# nnls gives up after this many outer iterations per column of A
+NNLS_ITERATIONS_PER_COLUMN = 3
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,9 @@ class IdResult:
 class NnlsResult:
     """Solution of min ||A z - b||_2 subject to z >= 0.
 
-    ``dual_tolerance`` is the stationarity threshold used for termination;
-    KKT checks should compare dual values against it.
+    On convergence every inactive dual that ``nnls`` stopped on (computed
+    on R) is at or below ``dual_tolerance``; duals recomputed on A agree
+    with those only to roundoff, a few times the tolerance.
     """
 
     z: np.ndarray
@@ -106,7 +109,7 @@ class _Dense:
         return q @ self.f
 
 
-def column_id(f, tol: float | None = None, max_rank: int | None = None) -> IdResult:
+def column_id(f, tol: float) -> IdResult:
     """Interpolative decomposition by left-looking pivoted Gram-Schmidt.
 
     ``f`` is a dense m x n array or a column operator: an object with
@@ -120,32 +123,25 @@ def column_id(f, tol: float | None = None, max_rank: int | None = None) -> IdRes
     last exact value; columns that are exactly zero are never pivots.
 
     The rank is the smallest k for which the (k+1)-th pivot norm satisfies
-    ||residual|| <= tol * (first pivot norm), capped at ``max_rank``.  At
-    least one of ``tol``/``max_rank`` must be given.  A zero matrix yields
-    rank 0 with an empty selection.
+    ||residual|| <= tol * (first pivot norm).  The pivots do not depend on
+    ``tol``, so the selection at a looser tol is a prefix of the one at a
+    tighter tol.  A zero matrix yields rank 0 with an empty selection.
     """
     op = f if hasattr(f, "rmatvec") else _Dense(f)
-    if tol is None and max_rank is None:
-        raise ValidationError("column_id: provide tol or max_rank")
-    if tol is not None and not (tol > 0 and np.isfinite(tol)):
+    if not (tol > 0 and np.isfinite(tol)):
         raise ValidationError(f"column_id: tol must be positive, got {tol}")
-    if max_rank is not None and max_rank < 0:
-        raise ValidationError(f"column_id: max_rank must be >= 0, got {max_rank}")
     m, n = op.shape
     norms2 = np.array(op.norms2, dtype=float)
     if norms2.shape != (n,) or not np.all(np.isfinite(norms2)):
         raise ValidationError("column_id: column norms must be finite")
 
     kmax = min(m, n)
-    if max_rank is not None:
-        kmax = min(kmax, max_rank)
     exact = norms2.copy()  # each norm^2 at its last exact evaluation
     free = np.ones(n, dtype=bool)  # not selected yet
     # sized for the worst-case rank; only the rows reached are ever written
     q = np.empty((kmax, m))
     r = np.empty((kmax, n))
     selected, pivot_norms = [], []
-    thresh = 0.0
     for k in range(kmax + 1):
         candidates = free & (exact > 0.0)  # a zero residual is never a pivot
         if not candidates.any():
@@ -157,9 +153,7 @@ def column_id(f, tol: float | None = None, max_rank: int | None = None) -> IdRes
             w = w - q[:k].T @ (q[:k] @ w)
         pivnorm = float(np.linalg.norm(w))
         pivot_norms.append(pivnorm)
-        if k == 0 and tol is not None:
-            thresh = tol * pivnorm
-        if k == kmax or pivnorm <= thresh:
+        if k == kmax or pivnorm <= tol * pivot_norms[0]:
             break
         q[k] = w / pivnorm
         r[k] = op.rmatvec(q[k])
@@ -181,7 +175,7 @@ def column_id(f, tol: float | None = None, max_rank: int | None = None) -> IdRes
     return IdResult(rank, selected, r[:rank], tail, np.array(pivot_norms))
 
 
-def nnls(a, b, max_iter: int | None = None) -> NnlsResult:
+def nnls(a, b) -> NnlsResult:
     """Lawson-Hanson active-set solver for min ||A z - b||, z >= 0.
 
     A is factored A = QR once (Q orthonormal, R min(m, n) x n) and the loop
@@ -189,9 +183,10 @@ def nnls(a, b, max_iter: int | None = None) -> NnlsResult:
     least-squares problem min ||R[:, P] x - Q^T b|| has the same (minimum
     norm) solution as on A, and the duals are w = R^T (Q^T b - R z).
     Terminates when every inactive dual w_i is below
-    10 * ||A||_inf * ||b||_2 * eps, or after ``max_iter`` outer iterations
-    (default 3n), in which case ``converged`` is False and the best
-    iterate so far is returned.  ``residual_norm`` is ||A z - b|| on A.
+    10 * ||A||_inf * ||b||_2 * eps, or after ``NNLS_ITERATIONS_PER_COLUMN``
+    * n outer iterations (the constant is read at call time), in which case
+    ``converged`` is False and the best iterate so far is returned.
+    ``residual_norm`` is ||A z - b|| on A.
     """
     a = _validate_matrix(a, "A")
     b = np.asarray(b, dtype=float)
@@ -200,8 +195,7 @@ def nnls(a, b, max_iter: int | None = None) -> NnlsResult:
         raise ValidationError(f"b must have shape ({m},), got {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValidationError("b contains non-finite entries")
-    if max_iter is None:
-        max_iter = 3 * n
+    max_iter = NNLS_ITERATIONS_PER_COLUMN * n
 
     dual_tol = 10.0 * np.linalg.norm(a, np.inf) * np.linalg.norm(b) * np.finfo(float).eps
     q, r = np.linalg.qr(a)

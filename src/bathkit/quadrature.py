@@ -75,12 +75,10 @@ def fourier_midpoint_sum(weights, omega_max_cm1: float, times_fs) -> np.ndarray:
     n = x.size
     h = 2.0 * omega_max_cm1 / n
     freqs = midpoint_frequencies(omega_max_cm1, n)
-    if times.size == 0:
-        return np.zeros(0, dtype=complex)
     if times.size >= 2 and _is_uniform(times):
         dw_rad = (freqs[1] - freqs[0]) * RAD_PER_FS_PER_CM1
         return ChirpSum(n, freqs[0] * RAD_PER_FS_PER_CM1, dw_rad, times, scale=h)(x)
-    return _direct_sum(x, freqs, h, times)
+    return direct_sum(x, freqs, h, times)
 
 
 class ChirpSum:
@@ -130,7 +128,8 @@ def _fast_len(target: int) -> int:
         n += 1
 
 
-def _direct_sum(x, freqs, h, times):
+def direct_sum(x, freqs, h, times):
+    """h * sum_j x_j * exp(-i*omega_j_rad*t) at each time, on any frequencies."""
     out = np.zeros(times.size, dtype=complex)
     cols = max(1, _DIRECT_CHUNK // max(times.size, 1))
     w_rad = freqs * RAD_PER_FS_PER_CM1

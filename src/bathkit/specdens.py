@@ -46,6 +46,11 @@ __all__ = [
 SERIES_SWITCHOVER = 1e-6
 
 
+def _require_positive(where: str, name: str, value: float):
+    if not (value > 0 and np.isfinite(value)):
+        raise ValidationError(f"{where}: {name} must be positive, got {value}")
+
+
 class SpectralDensity:
     """Base class; subclasses implement the magnitude on omega >= 0."""
 
@@ -79,10 +84,8 @@ class Debye(SpectralDensity):
     gamma: float
 
     def __post_init__(self):
-        if not (self.lam > 0 and np.isfinite(self.lam)):
-            raise ValidationError(f"debye: lambda must be positive, got {self.lam}")
-        if not (self.gamma > 0 and np.isfinite(self.gamma)):
-            raise ValidationError(f"debye: gamma must be positive, got {self.gamma}")
+        _require_positive("debye", "lambda", self.lam)
+        _require_positive("debye", "gamma", self.gamma)
 
     def _magnitude(self, x):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -115,12 +118,8 @@ class OhmicExp(SpectralDensity):
     omega_c: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and np.isfinite(self.alpha)):
-            raise ValidationError(f"ohmic_exp: alpha must be positive, got {self.alpha}")
-        if not (self.omega_c > 0 and np.isfinite(self.omega_c)):
-            raise ValidationError(
-                f"ohmic_exp: omega_c must be positive, got {self.omega_c}"
-            )
+        _require_positive("ohmic_exp", "alpha", self.alpha)
+        _require_positive("ohmic_exp", "omega_c", self.omega_c)
 
     def _magnitude(self, x):
         return 0.5 * np.pi * self.alpha * x * np.exp(-x / self.omega_c)
@@ -152,19 +151,9 @@ class LorentzianSum(SpectralDensity):
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise ValidationError("lorentzian_sum: needs at least one term")
-        for i, (lam, gamma, omega0) in enumerate(terms):
-            if not (lam > 0 and np.isfinite(lam)):
-                raise ValidationError(
-                    f"lorentzian_sum: term {i}: lambda must be positive, got {lam}"
-                )
-            if not (gamma > 0 and np.isfinite(gamma)):
-                raise ValidationError(
-                    f"lorentzian_sum: term {i}: gamma must be positive, got {gamma}"
-                )
-            if not (omega0 > 0 and np.isfinite(omega0)):
-                raise ValidationError(
-                    f"lorentzian_sum: term {i}: omega0 must be positive, got {omega0}"
-                )
+        for i, term in enumerate(terms):
+            for name, value in zip(("lambda", "gamma", "omega0"), term):
+                _require_positive(f"lorentzian_sum: term {i}", name, value)
 
     def _magnitude(self, x):
         out = np.zeros_like(np.asarray(x, dtype=float))

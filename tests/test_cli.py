@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bathkit.cli import main
+import bathkit.cli as cli
+from bathkit.cli import build_parser, main
 from bathkit.discretize import load_bath_model
 from bathkit.hamiltonian import import_model
 
@@ -75,6 +76,23 @@ def test_eval_sd_row_count(debye_sd, tmp_path):
     assert len(rows) == 1001
     header = [l for l in out.read_text().splitlines() if not l.startswith("#")][0]
     assert header == "omega_cm1,J_cm1,S_beta_cm1"
+
+
+def no_linspace(*args, **kwargs):
+    raise AssertionError("rows were allocated before the memory check")
+
+
+@pytest.mark.parametrize("n", ["1000000000000", "10000000000000000000"])
+def test_eval_sd_huge_row_count_exit_4(debye_sd, tmp_path, capsys, monkeypatch, n):
+    # 10^12 rows need terabytes and 10^19 exceed numpy's array size: both
+    # stop at the cap, before any row array exists
+    monkeypatch.setattr(cli.np, "linspace", no_linspace)
+    out = tmp_path / "sd.csv"
+    argv = ["eval-sd", "--sd", debye_sd, "--omega-min", "0", "--omega-max", "1", "--n", n]
+    assert main(argv + ["--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"a table of {n} rows" in err and "cap" in err
+    assert not out.exists()
 
 
 def test_eval_sd_defaults_to_zero_temperature(debye_sd, tmp_path):
@@ -182,6 +200,23 @@ def test_discretize_nnls_nonconvergence_exit_3(debye_sd, tmp_path, capsys, monke
     assert "partial diagnostics" in err and '"id_rank": 7' in err
 
 
+def test_cap_defaults_are_the_library_constants(monkeypatch):
+    from bathkit.discretize import DEFAULT_MEMORY_CAP_BYTES
+    from bathkit.dynamics import DEFAULT_DIMENSION_CAP
+
+    common = ["--sd", "x.json", "--omega-max-cm1", "1", "--out", "o"]
+    discretize = build_parser().parse_args(["discretize", *common])
+    validate = build_parser().parse_args(["validate", *common, "--system", "s", "--tol-sweep", "1"])
+    assert discretize.memory_cap_gib * 2**30 == DEFAULT_MEMORY_CAP_BYTES
+    assert validate.dim_cap == DEFAULT_DIMENSION_CAP
+    # the parser reads the constants, not copies of their values
+    monkeypatch.setattr(cli, "DEFAULT_MEMORY_CAP_BYTES", 3 << 30)
+    monkeypatch.setattr(cli, "DEFAULT_DIMENSION_CAP", 12345)
+    assert build_parser().parse_args(["discretize", *common]).memory_cap_gib == 3.0
+    validate = build_parser().parse_args(["validate", *common, "--system", "s", "--tol-sweep", "1"])
+    assert validate.dim_cap == 12345
+
+
 def test_discretize_memory_cap_exit_4(debye_sd, tmp_path, capsys):
     rc = main(
         discretize_args(
@@ -251,6 +286,16 @@ def test_reconstruct_deterministic_bytes(small_model, tmp_path):
     assert b1.replace(b"a.csv", b"x.csv") == b2.replace(b"b.csv", b"x.csv")
 
 
+@pytest.mark.parametrize("n", ["1000000000000", "10000000000000000000"])
+def test_reconstruct_huge_row_count_exit_4(small_model, tmp_path, capsys, monkeypatch, n):
+    monkeypatch.setattr(cli.np, "linspace", no_linspace)
+    out = tmp_path / "bcf.csv"
+    assert main(["reconstruct", "--model", small_model, "--n-time", n, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"a table of {n} rows" in err and "cap" in err
+    assert not out.exists()
+
+
 def test_reconstruct_schema_violation_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema": "bathkit-bath/1", "t_max_fs": 10.0}')
@@ -280,6 +325,29 @@ def test_validate_qubit_sweep_exit_0(debye_sd, qubit_system, tmp_path):
     assert len(report["distances"]) == 2
     rows = data_rows(series_path)
     assert len(rows) == 100
+
+
+def test_validate_nnls_nonconvergence_exit_3(
+    debye_sd, qubit_system, tmp_path, capsys, monkeypatch
+):
+    # every ConvergenceError with diagnostics is reported by main, whichever
+    # subcommand raised it
+    import bathkit.discretize as disc
+    from bathkit.lowrank import NnlsResult
+
+    def no_convergence(a, b):
+        return NnlsResult(np.zeros(a.shape[1]), float(np.linalg.norm(b)), 0, False, 1e-12)
+
+    monkeypatch.setattr(disc, "nnls", no_convergence)
+    rc = main(
+        ["validate", "--sd", debye_sd, "--temp-k", "300", "--system", qubit_system,
+         "--tol-sweep", "1e-1", "--t-max-fs", "100", "--omega-max-cm1", "500",
+         "--n-time", "20", "--n-freq", "200", "--out", str(tmp_path / "r.json")]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "partial diagnostics" in err and '"id_rank": ' in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_validate_non_hermitian_system_exit_2(debye_sd, tmp_path, capsys):

@@ -77,6 +77,19 @@ def test_grid_validation():
         FdrGrid(t_max_fs=10.0, omega_max_cm1=100.0, n_time=1, n_freq=4)
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [{"n_freq": 10.0}, {"n_time": 2.5}, {"n_time": "11"}, {"n_time": True, "n_freq": 4}],
+    ids=["float-n_freq", "fractional-n_time", "string-n_time", "bool-n_time"],
+)
+def test_grid_counts_must_be_integers(counts):
+    t_max = 0.0 if counts.get("n_time") is True else 100.0
+    with pytest.raises(ValidationError, match="integer"):
+        FdrGrid(t_max_fs=t_max, omega_max_cm1=100.0, **counts)
+    g = FdrGrid(t_max_fs=100.0, omega_max_cm1=100.0, n_time=np.int64(11), n_freq=np.int32(10))
+    assert g.times.size == 11 and g.freqs.size == 10
+
+
 def test_default_grid_shape_is_1000_by_10000():
     g = FdrGrid(t_max_fs=1000.0, omega_max_cm1=600.0)
     assert (g.n_time, g.n_freq) == (1000, 10000)
@@ -189,10 +202,12 @@ def test_assemble_column_norms():
     np.testing.assert_allclose(norms_sq, g.n_time * s * s, rtol=1e-12)
 
 
-def test_assemble_memory_cap():
+def test_assemble_memory_cap(monkeypatch):
+    # the cap is the module constant, read at call time
     g = FdrGrid(t_max_fs=1000.0, omega_max_cm1=600.0, n_time=1000, n_freq=10000)
+    monkeypatch.setattr(disc, "DEFAULT_MEMORY_CAP_BYTES", 1 << 20)
     with pytest.raises(ResourceLimitError, match="coarser grid"):
-        assemble_fdr(DEBYE_300K, g, memory_cap_bytes=1 << 20)
+        assemble_fdr(DEBYE_300K, g)
 
 
 # --- FdrOperator: the matrix-free sample matrix --------------------------------

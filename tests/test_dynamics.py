@@ -214,6 +214,18 @@ def test_fock_caps_saturate_without_overflow(omega, g):
     assert FockTruncation.for_model(model).caps == (dynamics.MAX_FOCK_CAP, 3, 4, 5)
 
 
+@pytest.mark.parametrize("cap", [2.7, "3", True, 3.0, None])
+def test_fock_caps_must_be_integers(cap):
+    # a float, string or bool cap is rejected, not rounded or converted
+    with pytest.raises(ValidationError, match="integers"):
+        FockTruncation(caps=(4, cap))
+
+
+def test_fock_caps_accept_numpy_integers():
+    caps = FockTruncation(caps=tuple(np.array([2, 3]))).caps
+    assert caps == (2, 3) and all(type(c) is int for c in caps)
+
+
 def test_dimension_cap():
     model = dephasing_model([100.0, 110.0, 120.0], [10.0, 10.0, 10.0])
     with pytest.raises(ResourceLimitError):

@@ -48,6 +48,21 @@ def test_two_site_two_bath_structure(bath):
     assert model.total_mode_count == 2 * bath.mode_count
 
 
+def test_mode_arrays_hold_one_bath_copy_per_coupling_in_order(bath):
+    other = discretize_bath(KERNEL, GRID, 1e-1)
+    couplings = tuple((label, site_projector(3, i)) for i, label in enumerate("bob"))
+    system = SystemSpec(h_s=np.eye(3), couplings=couplings)
+    model = build_model(system, [("b", bath), ("o", other)])
+    m, k = bath.mode_count, other.mode_count
+    expected = np.concatenate((bath.omegas, other.omegas, bath.omegas))
+    np.testing.assert_array_equal(model.mode_omegas, expected)
+    np.testing.assert_array_equal(model.mode_g, np.concatenate((bath.g, other.g, bath.g)))
+    np.testing.assert_array_equal(model.mode_coupling, [0] * m + [1] * k + [2] * m)
+    assert model.total_mode_count == 2 * m + k
+    empty = build_model(SystemSpec(h_s=np.eye(2), couplings=()), [("b", bath)])
+    assert empty.total_mode_count == 0 and empty.mode_coupling.size == 0
+
+
 def test_seven_site_shared_bath_mode_count(bath):
     # placeholder seven-site system: values are arbitrary smoke-test numbers
     rng = np.random.default_rng(0)

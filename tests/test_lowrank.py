@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
+import bathkit.lowrank as lowrank
 from bathkit.discretize import FdrGrid, FdrOperator, reference_bcf
 from bathkit.errors import ValidationError
 from bathkit.lowrank import column_id, nnls
@@ -113,14 +114,18 @@ def test_id_reconstruction_bound_and_identity_substructure(seed):
 
 
 def test_id_pivot_prefix_property():
+    # a looser tol stops the same pivot sequence earlier: a tol between two
+    # successive pivot norms of the full run gives exactly that prefix
     rng = np.random.default_rng(5)
     f = matrix_with_spectrum(60, 90, 0.7 ** np.arange(60.0), rng)
     full = column_id(f, tol=1e-10)
     assert full.rank > 5
+    norms = full.pivot_norms
     for r_prime in (1, 3, full.rank - 2):
-        part = column_id(f, tol=1e-10, max_rank=r_prime)
+        part = column_id(f, tol=np.sqrt(norms[r_prime - 1] * norms[r_prime]) / norms[0])
         assert part.rank == r_prime
         np.testing.assert_array_equal(part.selected, full.selected[:r_prime])
+        np.testing.assert_array_equal(part.pivot_norms, norms[: r_prime + 1])
 
 
 def test_id_zero_matrix_yields_empty_selection():
@@ -132,8 +137,9 @@ def test_id_zero_matrix_yields_empty_selection():
 
 
 def test_id_input_validation():
-    with pytest.raises(ValidationError):
-        column_id(np.ones((2, 2)))
+    for tol in (0.0, -1e-3, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="tol"):
+            column_id(np.ones((2, 2)), tol=tol)
     with pytest.raises(ValidationError):
         column_id(np.array([[1.0, np.inf], [0.0, 1.0]]), tol=1e-3)
     with pytest.raises(ValidationError):
@@ -175,11 +181,13 @@ def test_id_pivots_match_geqp3_with_graded_column_norms(seed):
     # downdated norms lose their leading digits, so the exact recompute
     # must fire; LAPACK geqp3 is the independent pivot-order oracle.
     rng = np.random.default_rng(seed)
-    m, n, k = 80, 120, 30
+    m, n = 80, 120
     f = matrix_with_spectrum(m, n, 0.6 ** np.arange(min(m, n), dtype=float), rng)
     f *= np.logspace(0.0, -12.0, n)[rng.permutation(n)]
     op = CountingColumns(f)
-    res = column_id(op, max_rank=k)
+    res = column_id(op, tol=1e-8)
+    k = res.rank
+    assert k >= 20
     assert op.built > k + 1  # columns beyond the k + 1 pivot candidates: recomputes
     piv = scipy.linalg.qr(f, pivoting=True, mode="r")[1]
     np.testing.assert_array_equal(res.selected, piv[:k])
@@ -187,12 +195,13 @@ def test_id_pivots_match_geqp3_with_graded_column_norms(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_id_stays_accurate_down_to_roundoff(seed):
-    # 45 pivots on singular values 2^-k reach residuals near 1e-14; the
+    # about 45 pivots on singular values 2^-k reach residuals near 1e-14; the
     # second Gram-Schmidt pass keeps Q orthogonal there (one pass leaves
     # errors near 1e-8)
     rng = np.random.default_rng(seed)
     f = matrix_with_spectrum(60, 90, 0.5 ** np.arange(60.0), rng)
-    res = column_id(f, max_rank=45)
+    res = column_id(f, tol=1e-13)
+    assert res.rank >= 40
     err = np.linalg.norm(f - f[:, res.selected] @ res.interp)
     assert err <= 1e-11 * np.linalg.norm(f)
     assert res.frobenius_error_estimate <= 1e-11 * np.linalg.norm(f)
@@ -235,14 +244,9 @@ def test_id_pivot_norms_decay(tol):
     assert norms[0] == pytest.approx(np.max(np.linalg.norm(f, axis=0)), rel=1e-14)
 
 
-def test_id_pivot_norms_at_full_rank_and_max_rank():
+def test_id_pivot_norms_at_full_rank():
     res = column_id(np.eye(3), tol=1e-12)
     np.testing.assert_array_equal(res.pivot_norms, [1.0, 1.0, 1.0, 0.0])
-    rng = np.random.default_rng(2)
-    f = rng.standard_normal((10, 20))
-    res = column_id(f, max_rank=4)
-    assert res.pivot_norms.shape == (5,)
-    assert res.pivot_norms[-1] > 0.0  # the candidate that max_rank turned away
 
 
 def test_id_skips_zero_columns():
@@ -337,11 +341,13 @@ def test_nnls_zero_rhs():
     assert res.converged
 
 
-def test_nnls_iteration_cap_reports_nonconvergence():
+def test_nnls_iteration_cap_reports_nonconvergence(monkeypatch):
+    # the cap is NNLS_ITERATIONS_PER_COLUMN * n, read at call time
     rng = np.random.default_rng(9)
     a = rng.standard_normal((10, 4))
     b = rng.standard_normal(10)
-    res = nnls(a, b, max_iter=0)
+    monkeypatch.setattr(lowrank, "NNLS_ITERATIONS_PER_COLUMN", 0)
+    res = nnls(a, b)
     assert not res.converged
     assert np.all(res.z == 0.0)
 
@@ -357,15 +363,38 @@ def test_nnls_input_validation():
 
 
 @functools.lru_cache(maxsize=None)
-def default_grid_fit_problem(kelvin, tol):
-    """Selected sample columns and the reference target of ``discretize_bath``."""
+def default_grid_samples(kelvin):
+    """The surrogate's kernel and sample operator on the default grid."""
     temperature = Temperature.zero() if kelvin == 0.0 else Temperature.finite(kelvin)
     kernel = NoiseKernel(surrogate_sd(), temperature)
     grid = FdrGrid(t_max_fs=1000.0, omega_max_cm1=SURROGATE_OMEGA_MAX)
-    samples = FdrOperator(kernel, grid)
+    return kernel, grid, FdrOperator(kernel, grid)
+
+
+@functools.lru_cache(maxsize=None)
+def default_grid_id(kelvin, tol):
+    return column_id(default_grid_samples(kelvin)[2], tol=tol)
+
+
+@functools.lru_cache(maxsize=None)
+def default_grid_fit_problem(kelvin, tol):
+    """Selected sample columns and the reference target of ``discretize_bath``."""
+    kernel, grid, samples = default_grid_samples(kelvin)
     c_ref = reference_bcf(kernel, grid.times, grid.omega_max_cm1)
-    basis = samples.columns(column_id(samples, tol=tol).selected)
+    basis = samples.columns(default_grid_id(kelvin, tol).selected)
     return basis, np.concatenate((c_ref.real, c_ref.imag))
+
+
+@pytest.mark.parametrize("kelvin", [0.0, 77.0, 300.0])
+def test_id_tolerances_select_pivot_prefixes_on_the_operator(kelvin):
+    # the pivots of the matrix-free ID do not depend on tol: a looser tol
+    # stops the same sequence earlier, pivot norms included
+    tight = default_grid_id(kelvin, 1e-3)
+    for tol in (1e-1, 1e-2):
+        loose = default_grid_id(kelvin, tol)
+        assert 0 < loose.rank < tight.rank
+        np.testing.assert_array_equal(loose.selected, tight.selected[: loose.rank])
+        np.testing.assert_array_equal(loose.pivot_norms, tight.pivot_norms[: loose.rank + 1])
 
 
 @pytest.mark.parametrize("kelvin", [0.0, 77.0, 300.0])
