@@ -37,7 +37,7 @@ from .discretize import (
     reference_bcf,
     save_bath_model,
 )
-from .dynamics import DEFAULT_DIMENSION_CAP, convergence_study
+from .dynamics import convergence_study
 from .errors import (
     BathkitError,
     ConvergenceError,
@@ -85,7 +85,7 @@ def _check_rows(flag: str, n_rows: int, n_columns: int):
     if n_rows < 2:
         raise ValidationError(f"{flag} must be >= 2, got {n_rows}")
     nbytes = n_rows * n_columns * 2 * (8 + 25)
-    check_memory(nbytes, DEFAULT_MEMORY_CAP_BYTES, f"a table of {n_rows} rows")
+    check_memory(nbytes, DEFAULT_MEMORY_CAP_BYTES, f"a table of {n_rows} rows; ask for fewer")
 
 
 def _load_sd(path: str):
@@ -107,8 +107,13 @@ def _temperature_from_args(args, required: bool = True) -> Temperature:
     return Temperature.zero()
 
 
-def _grid_from_args(args) -> FdrGrid:
-    return FdrGrid(args.t_max_fs, args.omega_max_cm1, args.n_time, args.n_freq)
+def _grid_from_args(args) -> tuple:
+    """The grid flags: the FdrGrid and the --memory-cap-gib cap in bytes."""
+    if not args.memory_cap_gib > 0:
+        raise ValidationError(f"--memory-cap-gib must be positive, got {args.memory_cap_gib}")
+    num, den = args.memory_cap_gib.as_integer_ratio()  # exact; gib * 2**30 may overflow
+    grid = FdrGrid(args.t_max_fs, args.omega_max_cm1, args.n_time, args.n_freq)
+    return grid, num * 2**30 // den
 
 
 def _finite_float(text: str) -> float:
@@ -154,9 +159,7 @@ def _cmd_eval_sd(args) -> int:
 
 def _cmd_discretize(args) -> int:
     kernel = NoiseKernel(_load_sd(args.sd), _temperature_from_args(args))
-    grid = _grid_from_args(args)
-    if not args.memory_cap_gib > 0:
-        raise ValidationError(f"--memory-cap-gib must be positive, got {args.memory_cap_gib}")
+    grid, cap = _grid_from_args(args)
     config = {
         "sd": args.sd,
         "temperature_K": kernel.temperature.to_json(),
@@ -166,7 +169,7 @@ def _cmd_discretize(args) -> int:
         "out": args.out,
     }
     meta = _metadata("discretize", config, [args.sd])
-    model = discretize_bath(kernel, grid, args.tol, int(args.memory_cap_gib * 2**30))
+    model = discretize_bath(kernel, grid, args.tol, cap)
     save_bath_model(model, args.out, metadata=meta)
     d = model.diagnostics
     print(
@@ -197,25 +200,21 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if args.dim_cap < 1:
-        raise ValidationError(f"--dim-cap must be >= 1, got {args.dim_cap}")
     kernel = NoiseKernel(_load_sd(args.sd), _temperature_from_args(args))
     system = _load_system(args.system)
     try:
         tols = [_finite_float(t) for t in args.tol_sweep.split(",") if t.strip()]
     except argparse.ArgumentTypeError as exc:
         raise ValidationError(f"--tol-sweep: {exc}") from None
-    if not tols:
-        raise ValidationError("--tol-sweep must list at least one tolerance")
-    grid = _grid_from_args(args)
-    report = convergence_study(kernel, system, tols, grid, dimension_cap=args.dim_cap)
+    grid, cap = _grid_from_args(args)
+    report = convergence_study(kernel, system, tols, grid, cap)
     config = {
         "sd": args.sd,
         "temperature_K": kernel.temperature.to_json(),
         "system": args.system,
         "tol_sweep": report.tols,
         **asdict(grid),
-        "dim_cap": args.dim_cap,
+        "memory_cap_gib": args.memory_cap_gib,
         "out": args.out,
         "series_out": args.series_out,
     }
@@ -293,8 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--t-max-fs", type=_finite_float, default=1000.0)
     grid.add_argument("--omega-max-cm1", type=_finite_float, required=True)
-    grid.add_argument("--n-time", type=int, default=1000)
-    grid.add_argument("--n-freq", type=int, default=10000)
+    grid.add_argument("--n-time", type=int, default=FdrGrid.n_time)
+    grid.add_argument("--n-freq", type=int, default=FdrGrid.n_freq)
+    grid.add_argument(
+        "--memory-cap-gib", type=_finite_float, default=DEFAULT_MEMORY_CAP_BYTES / 2**30
+    )
 
     p = sub.add_parser(
         "eval-sd",
@@ -312,13 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
         "discretize", parents=[kernel, grid], help="compress a kernel into a bath model JSON"
     )
     p.add_argument("--tol", type=_finite_float, default=1e-2)
-    p.add_argument("--memory-cap-gib", type=_finite_float, default=DEFAULT_MEMORY_CAP_BYTES / 2**30)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_discretize)
 
     p = sub.add_parser("reconstruct", help="model vs reference correlation series CSV")
     p.add_argument("--model", required=True)
-    p.add_argument("--n-time", type=int, default=1000)
+    p.add_argument("--n-time", type=int, default=FdrGrid.n_time)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reconstruct)
 
@@ -327,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--system", required=True, help="system spec JSON")
     p.add_argument("--tol-sweep", required=True, help="comma-separated tolerances")
-    p.add_argument("--dim-cap", type=int, default=DEFAULT_DIMENSION_CAP)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--series-out", default=None, help="optional observable series CSV")
     p.set_defaults(func=_cmd_validate)

@@ -25,13 +25,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from decimal import MAX_EMAX, Context, Decimal
 from functools import cached_property
 
 import numpy as np
 
 from ._schema import is_integer, read_json, require, require_list, require_number, write_text
 from .errors import ConvergenceError, ResourceLimitError, SchemaError, ValidationError
-from .lowrank import column_id, nnls
+from .lowrank import RECOMPUTE_CHUNK, column_id, nnls
 from .quadrature import (
     ChirpSum,
     band_is_finite,
@@ -243,10 +244,11 @@ class FdrOperator:
 
 
 def check_memory(nbytes: int, cap: int, what: str):
-    """Raise ResourceLimitError if ``what`` needs more than ``cap`` bytes."""
+    """Raise ResourceLimitError if ``what`` ("<name>; <remedy>") needs over ``cap`` bytes."""
     if nbytes > cap:
-        gib = f"{nbytes / 2**30:.3g} GiB, above the {cap / 2**30:.3g} GiB cap"
-        raise ResourceLimitError(f"{what} needs {gib}; use a coarser grid")
+        gib = Context(prec=3, Emax=MAX_EMAX)  # three digits for an int of any size
+        need, limit = (gib.divide(Decimal(b), 2**30).normalize() for b in (nbytes, cap))
+        raise ResourceLimitError(f"{need:g} GiB is needed, above the {limit:g} GiB cap, for {what}")
 
 
 def assemble_fdr(kernel: NoiseKernel, grid: FdrGrid) -> np.ndarray:
@@ -258,7 +260,7 @@ def assemble_fdr(kernel: NoiseKernel, grid: FdrGrid) -> np.ndarray:
     ``DEFAULT_MEMORY_CAP_BYTES``, read at call time.
     """
     m, n = grid.n_time, grid.n_freq
-    check_memory(2 * m * n * 8, DEFAULT_MEMORY_CAP_BYTES, f"the {m} x {n} sample matrix")
+    check_memory(16 * m * n, DEFAULT_MEMORY_CAP_BYTES, f"the {m} x {n} samples; use a coarser grid")
     s_vals = kernel.evaluate(grid.freqs)
     arg = np.outer(grid.times, grid.freqs * RAD_PER_FS_PER_CM1)
     realified = np.empty((2 * m, n))
@@ -282,15 +284,17 @@ def discretize_bath(
     weights, build couplings, and attach reconstruction diagnostics.
     Deterministic for fixed inputs; modes come out sorted by ascending
     frequency.  Before any work, the worst-case working set of the column
-    ID, min(2m, n) * (2m + n) * 8 bytes, is checked against
-    ``memory_cap_bytes`` (ResourceLimitError above it).
+    ID, 8 * (min(2m, n) * (2m + n) + 3 * 2m * min(n, 256)) + 160 * n bytes,
+    is checked against ``memory_cap_bytes`` (ResourceLimitError above it).
     """
     if not (0.0 < tol < 1.0):
         raise ValidationError(f"tol must be in (0, 1), got {tol}")
-    # column_id's worst case: Q (r x 2m) and R (r x n) at rank r = min(2m, n)
+    # Q (r x 2m) and R (r x n) at r = min(2m, n), three 2m x RECOMPUTE_CHUNK blocks of
+    # recomputed residuals, and ~130 bytes per column measured for S, norms and chirp-z
     m2, n = 2 * grid.n_time, grid.n_freq
-    what = f"the column ID on the {grid.n_time} x {n} grid"
-    check_memory(min(m2, n) * (m2 + n) * 8, memory_cap_bytes, what)
+    nbytes = 8 * (min(m2, n) * (m2 + n) + 3 * m2 * min(n, RECOMPUTE_CHUNK)) + 160 * n
+    what = f"the column ID on the {grid.n_time} x {n} grid; use a coarser grid or a higher cap"
+    check_memory(nbytes, memory_cap_bytes, what)
     samples = FdrOperator(kernel, grid)
     id_res = column_id(samples, tol=tol)
     if id_res.rank == 0:

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._schema import is_integer, write_text
 from .discretize import DEFAULT_MEMORY_CAP_BYTES, FdrGrid, check_memory, discretize_bath
-from .errors import ConvergenceError, ResourceLimitError, ValidationError
+from .errors import ConvergenceError, ValidationError
 from .hamiltonian import DiscreteModel, SystemSpec, build_model
 from .quadrature import fourier_midpoint_sum, midpoint_frequencies, refine_midpoint
 from .specdens import NoiseKernel
@@ -47,7 +47,6 @@ __all__ = [
     "convergence_study",
 ]
 
-DEFAULT_DIMENSION_CAP = 1 << 22
 # Output steps taken from one Lanczos basis at most.  It bounds the table of
 # projected coefficients built per basis; a basis that could serve longer is
 # rebuilt, which adds at most 1/64 of a basis per step.
@@ -82,10 +81,7 @@ class FockTruncation:
         return cls(caps=tuple(caps))
 
     def dimension(self, system_dim: int) -> int:
-        d = system_dim
-        for c in self.caps:
-            d *= c + 1
-        return d
+        return system_dim * math.prod(c + 1 for c in self.caps)
 
 
 @dataclass(frozen=True)
@@ -281,7 +277,7 @@ def propagate(
     dt_fs: float,
     krylov_dim: int = 16,
     tol: float = 1e-10,
-    dimension_cap: int = DEFAULT_DIMENSION_CAP,
+    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
 ) -> PropagationResult:
     """Lanczos propagation from (system state) x (bath vacuum) on a uniform grid.
 
@@ -292,16 +288,11 @@ def propagate(
     error estimate at or below ``tol``; a step it cannot cover takes the
     largest of dt/2, dt/4, dt/8 that passes on the same basis (dt/8 failing
     raises ``ConvergenceError``) and the rest follows in dyadic blocks.
-    Output arrays above ``DEFAULT_MEMORY_CAP_BYTES`` raise
-    ``ResourceLimitError`` (through ``check_memory``) before the
-    Hamiltonian action is built.
+    Before the Hamiltonian action is built, (krylov_dim + 8) * 16 * D +
+    (n_steps + 1) * (8 * d_s + 40) bytes, D = ``trunc.dimension(d_s)``, are
+    checked against ``memory_cap_bytes`` (``ResourceLimitError`` above it).
     """
     d_s = model.system.dim
-    dim = trunc.dimension(d_s)
-    if dim > dimension_cap:
-        raise ResourceLimitError(
-            f"truncated space has dimension {dim}, above the cap {dimension_cap}"
-        )
     psi0_system = np.asarray(psi0_system, dtype=complex)
     if psi0_system.shape != (d_s,):
         raise ValidationError(f"psi0 must have shape ({d_s},), got {psi0_system.shape}")
@@ -316,9 +307,9 @@ def propagate(
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     n_steps = max(1, int(math.ceil(t_max_fs / dt_fs - 1e-9)))
-    # times, norm, energy (8 bytes each), coherence (16), populations (8 d_s)
-    nbytes = (n_steps + 1) * (8 * d_s + 40)
-    check_memory(nbytes, DEFAULT_MEMORY_CAP_BYTES, f"the record of {n_steps} output steps")
+    # basis and work states (measured peaks: krylov_dim + 5.2 to 7.0 states), then the record
+    nbytes = (int(krylov_dim) + 8) * 16 * trunc.dimension(d_s) + (n_steps + 1) * (8 * d_s + 40)
+    check_memory(nbytes, memory_cap_bytes, "the Krylov basis and output steps; use fewer modes")
 
     action = _HamiltonianAction(model, trunc)
     psi = np.zeros(action.shape, dtype=complex)
@@ -362,6 +353,7 @@ def propagate(
         bases += 1
         halvings += steps.halvings
         max_error = max(max_error, steps.max_error)
+        del steps  # one basis at a time: free this one before the next is built
 
     return PropagationResult(
         times=times,
@@ -454,7 +446,7 @@ def convergence_study(
     system: SystemSpec,
     tol_sweep,
     grid: FdrGrid,
-    dimension_cap: int = DEFAULT_DIMENSION_CAP,
+    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
 ) -> ConvergenceReport:
     """Discretize at each tolerance and compare the resulting observables.
 
@@ -463,8 +455,8 @@ def convergence_study(
     the report to pass.  Qubit models with a single diagonal coupling use
     the closed-form dephasing coherence (any mode count); anything else is
     propagated exactly, with ``propagate``'s default Krylov dimension and
-    tolerance, and compared on site populations.  Each discretization has
-    the default memory cap.
+    tolerance, and compared on site populations.  ``memory_cap_bytes`` caps
+    every discretization and every propagation.
     """
     tols = tuple(sorted({float(t) for t in tol_sweep}, reverse=True))
     if not tols:
@@ -474,7 +466,7 @@ def convergence_study(
     dephasing = _pure_dephasing_violation(system) is None
     series, mode_counts = [], []
     for tol in tols:
-        bath = discretize_bath(kernel, grid, tol)
+        bath = discretize_bath(kernel, grid, tol, memory_cap_bytes)
         model = build_model(system, [(label, bath) for label in labels])
         if dephasing:
             obs = np.exp(-dephasing_gamma(model, grid.times))
@@ -482,9 +474,10 @@ def convergence_study(
             trunc = FockTruncation.for_model(model)
             dt = grid.t_max_fs / max(grid.n_time - 1, 1)
             psi0 = np.eye(system.dim)[0]  # system basis state 0, as a vector
-            result = propagate(model, trunc, psi0, grid.t_max_fs, dt, dimension_cap=dimension_cap)
-            obs = result.populations.reshape(result.populations.shape[0], -1)
-        series.append(np.asarray(obs))
+            obs = propagate(
+                model, trunc, psi0, grid.t_max_fs, dt, memory_cap_bytes=memory_cap_bytes
+            ).populations
+        series.append(obs)
         mode_counts.append(model.total_mode_count)
 
     distances = tuple(

@@ -37,4 +37,4 @@ class ConvergenceError(BathkitError):
 
 
 class ResourceLimitError(BathkitError):
-    """A configured memory or dimension cap would be exceeded."""
+    """A call would allocate more bytes than its memory cap allows."""

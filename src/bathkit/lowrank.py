@@ -34,7 +34,7 @@ __all__ = ["IdResult", "NnlsResult", "column_id", "nnls"]
 # exactly computed value is recomputed (Drmac & Bujanovic 2008).
 _RECOMPUTE_RATIO = np.sqrt(np.finfo(float).eps)
 # columns built at once when recomputing residual norms
-_RECOMPUTE_CHUNK = 256
+RECOMPUTE_CHUNK = 256
 # nnls gives up after this many outer iterations per column of A
 NNLS_ITERATIONS_PER_COLUMN = 3
 
@@ -164,8 +164,8 @@ def column_id(f, tol: float) -> IdResult:
         # roundoff in later rows must not drive it (or the tail) negative
         np.maximum(norms2, 0.0, out=norms2)
         stale = np.flatnonzero(candidates & free & (norms2 <= _RECOMPUTE_RATIO * exact))
-        for start in range(0, stale.size, _RECOMPUTE_CHUNK):
-            cols = stale[start : start + _RECOMPUTE_CHUNK]
+        for start in range(0, stale.size, RECOMPUTE_CHUNK):
+            cols = stale[start : start + RECOMPUTE_CHUNK]
             res = op.columns(cols) - q[: k + 1].T @ r[: k + 1, cols]
             exact[cols] = norms2[cols] = np.einsum("ij,ij->j", res, res)
 

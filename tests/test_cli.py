@@ -201,20 +201,31 @@ def test_discretize_nnls_nonconvergence_exit_3(debye_sd, tmp_path, capsys, monke
 
 
 def test_cap_defaults_are_the_library_constants(monkeypatch):
-    from bathkit.discretize import DEFAULT_MEMORY_CAP_BYTES
-    from bathkit.dynamics import DEFAULT_DIMENSION_CAP
+    from bathkit.discretize import DEFAULT_MEMORY_CAP_BYTES, FdrGrid
 
     common = ["--sd", "x.json", "--omega-max-cm1", "1", "--out", "o"]
-    discretize = build_parser().parse_args(["discretize", *common])
-    validate = build_parser().parse_args(["validate", *common, "--system", "s", "--tol-sweep", "1"])
-    assert discretize.memory_cap_gib * 2**30 == DEFAULT_MEMORY_CAP_BYTES
-    assert validate.dim_cap == DEFAULT_DIMENSION_CAP
+
+    def defaults():
+        parse = build_parser().parse_args
+        return (
+            parse(["discretize", *common]),
+            parse(["validate", *common, "--system", "s", "--tol-sweep", "1"]),
+            parse(["reconstruct", "--model", "m", "--out", "o"]),
+        )
+
+    discretize, validate, reconstruct = defaults()
+    for args in (discretize, validate):
+        assert args.memory_cap_gib * 2**30 == DEFAULT_MEMORY_CAP_BYTES
+        assert (args.n_time, args.n_freq) == (FdrGrid.n_time, FdrGrid.n_freq) == (1000, 10000)
+    assert reconstruct.n_time == FdrGrid.n_time
     # the parser reads the constants, not copies of their values
     monkeypatch.setattr(cli, "DEFAULT_MEMORY_CAP_BYTES", 3 << 30)
-    monkeypatch.setattr(cli, "DEFAULT_DIMENSION_CAP", 12345)
-    assert build_parser().parse_args(["discretize", *common]).memory_cap_gib == 3.0
-    validate = build_parser().parse_args(["validate", *common, "--system", "s", "--tol-sweep", "1"])
-    assert validate.dim_cap == 12345
+    monkeypatch.setattr(FdrGrid, "n_time", 7)
+    monkeypatch.setattr(FdrGrid, "n_freq", 70)
+    discretize, validate, reconstruct = defaults()
+    for args in (discretize, validate):
+        assert (args.memory_cap_gib, args.n_time, args.n_freq) == (3.0, 7, 70)
+    assert reconstruct.n_time == 7
 
 
 def test_discretize_memory_cap_exit_4(debye_sd, tmp_path, capsys):
@@ -226,6 +237,28 @@ def test_discretize_memory_cap_exit_4(debye_sd, tmp_path, capsys):
     )
     assert rc == 4
     assert "cap" in capsys.readouterr().err
+
+
+def test_validate_memory_cap_exit_4(qubit_system, tmp_path, capsys):
+    # the column ID on the default grid needs 0.19 GiB, above a 0.01 GiB cap
+    out = tmp_path / "r.json"
+    argv = ["validate", "--sd", "configs/surrogate_sd.csv", "--temp-k", "300",
+            "--system", qubit_system, "--tol-sweep", "1e-2", "--omega-max-cm1", "600",
+            "--memory-cap-gib", "0.01", "--out", str(out)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "above the 0.01 GiB cap" in err and "column ID" in err
+    assert not out.exists()
+
+
+def test_validate_metadata_records_the_memory_cap(qubit_system, tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["validate", "--sd", "configs/surrogate_sd.csv", "--temp-k", "300",
+            "--system", qubit_system, "--tol-sweep", "1e-1", "--omega-max-cm1", "600",
+            "--n-time", "20", "--n-freq", "200", "--memory-cap-gib", "2.5", "--out", str(out)]
+    assert main(argv) == 0
+    config = json.loads(out.read_text())["metadata"]["config"]
+    assert config["memory_cap_gib"] == 2.5 and "dim_cap" not in config
 
 
 def test_discretize_window_monotonicity_on_surrogate(tmp_path):

@@ -1,5 +1,6 @@
 import io
 import itertools
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -310,9 +311,10 @@ def test_operator_rejects_overflowing_phases():
 
 
 def test_discretize_memory_cap_is_the_id_working_set(monkeypatch):
-    # Q (r x 2m) and R (r x n) at r = min(2m, n): 40 * (40 + 200) * 8 bytes
+    # Q (r x 2m) and R (r x n) at r = min(2m, n), three 2m x 256 blocks capped
+    # at n columns, and 160 bytes per column
     grid = FdrGrid(t_max_fs=100.0, omega_max_cm1=1000.0, n_time=20, n_freq=200)
-    need = min(40, 200) * (40 + 200) * 8
+    need = 8 * (min(40, 200) * (40 + 200) + 3 * 40 * min(200, 256)) + 160 * 200
     assert discretize_bath(DEBYE_300K, grid, 1e-2, memory_cap_bytes=need).mode_count > 0
 
     def no_work(*args, **kwargs):
@@ -322,11 +324,33 @@ def test_discretize_memory_cap_is_the_id_working_set(monkeypatch):
     monkeypatch.setattr(NoiseKernel, "evaluate", no_work)
     with pytest.raises(ResourceLimitError, match="cap"):
         discretize_bath(DEBYE_300K, grid, 1e-2, memory_cap_bytes=need - 1)
-    # 192 MB on the default grid, well inside the default 4 GiB cap
+    # 206 MB on the default grid, well inside the default 4 GiB cap
     default = FdrGrid(t_max_fs=1000.0, omega_max_cm1=600.0)
-    assert min(2000, 10000) * (2000 + 10000) * 8 <= disc.DEFAULT_MEMORY_CAP_BYTES
+    need = 8 * (2000 * 12000 + 3 * 2000 * 256) + 160 * 10000
+    assert need <= disc.DEFAULT_MEMORY_CAP_BYTES
     with pytest.raises(ResourceLimitError, match="column ID"):
-        discretize_bath(DEBYE_300K, default, 1e-2, memory_cap_bytes=(2000 * 12000 * 8) - 1)
+        discretize_bath(DEBYE_300K, default, 1e-2, memory_cap_bytes=need - 1)
+
+
+@pytest.mark.parametrize(
+    "n_time, n_freq, kelvin",
+    [(2, 1 << 18, 300.0), (4, 1 << 17, 300.0), (1000, 10000, 300.0), (1000, 10000, 0.0)],
+)
+def test_discretize_peak_allocation_stays_within_the_checked_bytes(n_time, n_freq, kelvin):
+    # a wide grid is dominated by the per-column arrays, the default grid at
+    # 0 K by the blocks of recomputed residual norms
+    temperature = Temperature.finite(kelvin) if kelvin else Temperature.zero()
+    kernel = NoiseKernel(SURROGATE, temperature)
+    grid = FdrGrid(t_max_fs=1000.0, omega_max_cm1=600.0, n_time=n_time, n_freq=n_freq)
+    need = 8 * (min(2 * n_time, n_freq) * (2 * n_time + n_freq) + 3 * 2 * n_time * 256)
+    need += 160 * n_freq
+    tracemalloc.start()
+    try:
+        discretize_bath(kernel, grid, 1e-2, memory_cap_bytes=need)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
 
 
 def test_discretize_never_builds_the_dense_matrix(monkeypatch):

@@ -1,6 +1,8 @@
 import dataclasses
+import inspect
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -227,6 +229,8 @@ def test_fock_caps_accept_numpy_integers():
 
 
 def test_dimension_cap():
+    # D = 2 * 41**3 = 137,842 states: 24 * 16 * D bytes (about 53 MB) for the
+    # basis and work states alone, above a 10 MB cap
     model = dephasing_model([100.0, 110.0, 120.0], [10.0, 10.0, 10.0])
     with pytest.raises(ResourceLimitError):
         propagate(
@@ -235,8 +239,43 @@ def test_dimension_cap():
             PLUS,
             t_max_fs=10.0,
             dt_fs=1.0,
-            dimension_cap=10_000,
+            memory_cap_bytes=10_000_000,
         )
+
+
+def no_action(*args, **kwargs):
+    raise AssertionError("the Hamiltonian action was built")
+
+
+def test_memory_cap_reports_an_exact_dimension_in_one_short_line(monkeypatch):
+    # D = 2 * 11**4200 has 4,375 digits, more than str(int) may convert
+    monkeypatch.setattr(dynamics, "_HamiltonianAction", no_action)
+    model = dephasing_model(np.full(4200, 100.0), np.full(4200, 1.0))
+    with pytest.raises(ResourceLimitError) as info:
+        propagate(model, FockTruncation(caps=(10,) * 4200), PLUS, 10.0, 1.0)
+    message = str(info.value)
+    assert len(message) < 200 and "\n" not in message
+    assert "GiB is needed, above the 4 GiB cap" in message
+
+
+def test_krylov_basis_counts_against_the_cap_before_any_allocation(monkeypatch):
+    # D = 10 passes any state-count cap, but 2**40 Krylov vectors need 160 TiB
+    monkeypatch.setattr(dynamics, "_HamiltonianAction", no_action)
+    monkeypatch.setattr(dynamics, "_lanczos_expm_apply", no_action)
+    model = dephasing_model([100.0], [10.0])
+    with pytest.raises(ResourceLimitError, match="Krylov basis"):
+        propagate(model, FockTruncation(caps=(4,)), PLUS, 10.0, 1.0, krylov_dim=2**40)
+
+
+def test_memory_cap_is_the_propagation_working_set():
+    model = dephasing_model([100.0, 130.0], [10.0, 20.0])
+    trunc = FockTruncation(caps=(5, 6))  # D = 2 * 6 * 7 = 84
+    # (krylov_dim + 8) vectors of D complex values, then 11 records of 2 populations
+    need = (12 + 8) * 16 * 84 + 11 * (8 * 2 + 40)
+    res = propagate(model, trunc, PLUS, 10.0, 1.0, krylov_dim=12, memory_cap_bytes=need)
+    assert res.populations.shape == (11, 2)
+    with pytest.raises(ResourceLimitError, match="cap"):
+        propagate(model, trunc, PLUS, 10.0, 1.0, krylov_dim=12, memory_cap_bytes=need - 1)
 
 
 @pytest.mark.parametrize("t_max_fs", [1e300, 1e12])
@@ -613,6 +652,53 @@ def test_convergence_study_propagation_path():
     assert report.observable == "populations"
     assert len(report.series) == 2
     assert report.series[0].shape[0] == grid.n_time
+
+
+@pytest.mark.parametrize(
+    "h_s, v",
+    [([[50.0, 0.0], [0.0, -50.0]], SIGMA_Z), ([[50.0, 40.0], [40.0, -50.0]], SIGMA_Z),
+     ([[50.0, 0.0], [0.0, -50.0]], SIGMA_X)],
+    ids=["diagonal", "offdiagonal-h_s", "offdiagonal-v"],
+)
+def test_propagation_peak_allocation_stays_within_the_checked_bytes(h_s, v):
+    # D = 2 * 10**4; 20 steps take several bases, and only one may be alive
+    system = SystemSpec(h_s=h_s, couplings=(("b", v),))
+    bath = synthetic_bath([120.0, -80.0, 200.0, 45.0], [20.0, 10.0, 15.0, 8.0])
+    model = build_model(system, [("b", bath)])
+    trunc = FockTruncation(caps=(9,) * 4)
+    need = (14 + 8) * 16 * 20_000 + 21 * (8 * 2 + 40)
+    tracemalloc.start()
+    try:
+        res = propagate(model, trunc, PLUS, 100.0, 5.0, krylov_dim=14, memory_cap_bytes=need)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.krylov_bases > 1
+    assert peak <= need
+
+
+def test_convergence_study_passes_its_cap_to_every_call(monkeypatch):
+    seen = []
+
+    def spy(real):
+        def call(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            seen.append((real.__name__, bound.arguments["memory_cap_bytes"]))
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(dynamics, "discretize_bath", spy(discretize_bath))
+    monkeypatch.setattr(dynamics, "propagate", spy(propagate))
+    kernel = NoiseKernel(Debye(lam=35.0, gamma=106.1), Temperature.finite(300.0))
+    grid = FdrGrid(t_max_fs=50.0, omega_max_cm1=500.0, n_time=26, n_freq=128)
+    system = SystemSpec(h_s=[[100.0, 30.0], [30.0, 0.0]], couplings=(("b", SIGMA_Z),))
+    convergence_study(kernel, system, [0.5, 0.3], grid, memory_cap_bytes=3 << 30)
+    names = ["discretize_bath", "propagate"] * 2
+    assert seen == [(name, 3 << 30) for name in names]
+    # a cap below the column ID's working set stops the first discretization
+    with pytest.raises(ResourceLimitError, match="column ID"):
+        convergence_study(kernel, system, [0.5], grid, memory_cap_bytes=100_000)
 
 
 def test_propagation_result_csv(tmp_path):

@@ -269,29 +269,61 @@ def test_validate_nan_dim_exits_2(exit_code, debye_sd, tmp_path, capsys):
 # --- numeric CLI flags ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("cap", ["nan", "inf", "0", "-1"])
-def test_memory_cap_must_be_positive_and_finite(exit_code, debye_sd, tmp_path, cap):
+# the discretize cases keep their original ids; validate takes the same flag
+CAP_CASES = [
+    pytest.param(command, cap, id=cap if command == "discretize" else f"{command}-{cap}")
+    for command in ("discretize", "validate")
+    for cap in ("nan", "inf", "0", "-1")
+]
+
+
+@pytest.mark.parametrize("command, cap", CAP_CASES)
+def test_memory_cap_must_be_positive_and_finite(
+    exit_code, debye_sd, tmp_path, capsys, command, cap
+):
+    system = tmp_path / "qubit.json"
+    system.write_text(json.dumps(QUBIT))
     argv = [
-        "discretize", "--sd", debye_sd, "--temp-k", "300", "--omega-max-cm1", "500",
+        command, "--sd", debye_sd, "--temp-k", "300", "--omega-max-cm1", "500",
         "--n-time", "20", "--n-freq", "200", "--t-max-fs", "100",
         f"--memory-cap-gib={cap}", "--out", str(tmp_path / "b.json"),
     ]
+    if command == "validate":
+        argv += ["--system", str(system), "--tol-sweep", "1e-1"]
     assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "--memory-cap-gib" in err and "unrecognized" not in err
     assert not (tmp_path / "b.json").exists()
 
 
-@pytest.mark.parametrize("cap", ["0", "-5"])
-def test_dim_cap_must_be_positive(exit_code, debye_sd, tmp_path, capsys, cap):
-    system = tmp_path / "qubit.json"
-    system.write_text(json.dumps(QUBIT))
+def test_memory_cap_above_the_double_range_of_bytes(exit_code, debye_sd, tmp_path):
+    # 1e300 GiB is 1.07e309 bytes: the cap is converted exactly, not as a float
+    out = tmp_path / "b.json"
+    argv = [
+        "discretize", "--sd", debye_sd, "--temp-k", "300", "--omega-max-cm1", "500",
+        "--n-time", "20", "--n-freq", "200", "--t-max-fs", "100",
+        "--memory-cap-gib=1e300", "--out", str(out),
+    ]
+    assert exit_code(argv) == 0
+    assert json.loads(out.read_text())["metadata"]["config"]["memory_cap_gib"] == 1e300
+
+
+def test_validate_with_a_state_count_beyond_str_exits_4(exit_code, tmp_path, capsys):
+    # 200 sigma_x couplings to one bath: the truncated space has thousands of
+    # digits, which no message may print (str(int) stops at 4300 digits)
+    system = tmp_path / "many.json"
+    coupling = {"bath": "b", "v_sb": [[0.0, 1.0], [1.0, 0.0]]}
+    system.write_text(json.dumps(dict(QUBIT, couplings=[coupling] * 200)))
     out = tmp_path / "r.json"
     argv = [
-        "validate", "--sd", debye_sd, "--temp-k", "300", "--system", str(system),
-        "--tol-sweep", "1e-1", "--omega-max-cm1", "500", "--n-time", "20", "--n-freq", "200",
-        "--t-max-fs", "100", f"--dim-cap={cap}", "--out", str(out),
+        "validate", "--sd", "configs/surrogate_sd.csv", "--temp-k", "300",
+        "--system", str(system), "--tol-sweep", "1e-2", "--omega-max-cm1", "600",
+        "--out", str(out),
     ]
-    assert exit_code(argv) == 2
-    assert "--dim-cap" in capsys.readouterr().err
+    assert exit_code(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "Krylov basis" in err and len(err) < 200
     assert not out.exists()
 
 
