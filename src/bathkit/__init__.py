@@ -9,7 +9,6 @@ from .discretize import (
     FdrOperator,
     assemble_fdr,
     discretize_bath,
-    error_report,
     load_bath_model,
     reconstruct_bcf,
     reference_bcf,
@@ -57,7 +56,6 @@ __all__ = [
     "FdrOperator",
     "assemble_fdr",
     "discretize_bath",
-    "error_report",
     "load_bath_model",
     "reconstruct_bcf",
     "reference_bcf",

@@ -56,7 +56,6 @@ __all__ = [
     "discretize_bath",
     "reconstruct_bcf",
     "bcf_error_stats",
-    "error_report",
     "bath_model_to_dict",
     "bath_model_from_dict",
     "save_bath_model",
@@ -386,13 +385,6 @@ def bcf_error_stats(c_model, c_reference) -> BcfErrorStats:
         mean_abs_error=float(np.mean(diff)) if diff.size else 0.0,
         rel_error=max_abs / max(peak, 1e-300),
     )
-
-
-def error_report(model: BathModel, times_fs) -> BcfErrorStats:
-    """Model-vs-reference errors on the given times, with the model's own kernel and band."""
-    c_model = reconstruct_bcf(model, times_fs)
-    c_ref = reference_bcf(model.kernel, times_fs, model.omega_max_cm1)
-    return bcf_error_stats(c_model, c_ref)
 
 
 # --- serialization (schema "bathkit-bath/1") ------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._schema import is_integer, write_text
+from ._schema import is_integer
 from .discretize import DEFAULT_MEMORY_CAP_BYTES, FdrGrid, check_memory, discretize_bath
 from .errors import ConvergenceError, ValidationError
 from .hamiltonian import DiscreteModel, SystemSpec, build_model
@@ -96,27 +96,6 @@ class PropagationResult:
     krylov_bases: int  # Lanczos bases built; a rejected step reuses its basis
     halvings: int  # times a step was halved because its basis could not cover it
     max_step_error: float  # largest accepted a-posteriori error estimate
-
-    def to_csv(self, sink):
-        """Columns t_fs, pop_1..pop_d, re_coh, im_coh, norm, energy_cm1.
-
-        The coherence columns hold rho_01, or zeros for a one-level system.
-        """
-        coh = self.coherences.get((0, 1), np.zeros_like(self.times, dtype=complex))
-        d = self.populations.shape[1]
-        header = (
-            "t_fs,"
-            + ",".join(f"pop_{i + 1}" for i in range(d))
-            + ",re_coh,im_coh,norm,energy_cm1"
-        )
-        lines = [header]
-        for i, t in enumerate(self.times):
-            pops = ",".join(repr(float(p)) for p in self.populations[i])
-            lines.append(
-                f"{float(t)!r},{pops},{float(coh[i].real)!r},{float(coh[i].imag)!r},"
-                f"{float(self.norm[i])!r},{float(self.energy[i])!r}"
-            )
-        write_text(sink, "\n".join(lines) + "\n")
 
 
 def _offdiagonal_is_zero(matrix) -> bool:

@@ -8,7 +8,8 @@ Two primitives live here:
   columns.  The factorization stops as soon as the next pivot norm falls
   below ``tol`` times the first one.  It only reads f, through its column
   norms, chosen columns and products q^T f, so a structured matrix can
-  supply those without ever being stored.
+  supply those without ever being stored; a stale residual norm is rebuilt
+  only when it could be the next pivot.
 
 * ``nnls`` -- the Lawson-Hanson active-set method for min ||A z - b|| with
   z >= 0.  A is factored A = QR once, and the active-set loop runs on the
@@ -31,7 +32,7 @@ from .errors import ValidationError
 __all__ = ["IdResult", "NnlsResult", "column_id", "nnls"]
 
 # A downdated residual norm^2 that has fallen to this fraction of its last
-# exactly computed value is recomputed (Drmac & Bujanovic 2008).
+# exactly computed value is stale (Drmac & Bujanovic 2008).
 _RECOMPUTE_RATIO = np.sqrt(np.finfo(float).eps)
 # columns built at once when recomputing residual norms
 RECOMPUTE_CHUNK = 256
@@ -47,10 +48,7 @@ class IdResult:
     the r x n rows q_k^T f of the Gram-Schmidt factor R in original column
     order.  ``interp`` is the r x n coefficient matrix P, so
     f ~ f[:, selected] @ interp; it is computed from ``r_rows`` on first
-    read and cached.  ``frobenius_error_estimate`` is the
-    Frobenius norm of the residual of the unselected columns after
-    projection onto the selected ones, which equals ||f - B P||_F up to
-    roundoff.  ``pivot_norms`` holds the r + 1 residual norms of the
+    read and cached.  ``pivot_norms`` holds the r + 1 residual norms of the
     pivot candidates: the r accepted pivots and the one that ended the
     factorization (0.0 when no column with a nonzero residual was left).
     """
@@ -58,7 +56,6 @@ class IdResult:
     rank: int
     selected: np.ndarray
     r_rows: np.ndarray
-    frobenius_error_estimate: float
     pivot_norms: np.ndarray
 
     @cached_property
@@ -118,9 +115,13 @@ def column_id(f, tol: float) -> IdResult:
 
     Each step pivots on the largest residual column norm, orthogonalizes
     that column twice against the previous pivots (CGS2) and appends the
-    row q^T f of R.  Residual norms are downdated by that row and computed
-    afresh, as ||f_j - Q^T R_j||^2, once they fall to sqrt(eps) of their
-    last exact value; columns that are exactly zero are never pivots.
+    row q^T f of R.  Residual norms are downdated by that row; one that has
+    fallen to sqrt(eps) of its last exact value is stale, and is computed
+    afresh, as ||f_j - Q^T R_j||^2, once it plus sqrt(eps) of that value
+    reaches the largest fresh norm.  A downdate errs by a few k*eps of that
+    value, so a stale norm left below the bound cannot be the next pivot and
+    the pivots are those of recomputing every stale norm at once.  Columns
+    that are exactly zero are never pivots.
 
     The rank is the smallest k for which the (k+1)-th pivot norm satisfies
     ||residual|| <= tol * (first pivot norm).  The pivots do not depend on
@@ -160,19 +161,18 @@ def column_id(f, tol: float) -> IdResult:
         selected.append(j)
         free[j] = False
         norms2 -= r[k] * r[k]
-        # a residual once recomputed as exactly 0 is never recomputed again;
-        # roundoff in later rows must not drive it (or the tail) negative
-        np.maximum(norms2, 0.0, out=norms2)
-        stale = np.flatnonzero(candidates & free & (norms2 <= _RECOMPUTE_RATIO * exact))
+        np.maximum(norms2, 0.0, out=norms2)  # roundoff must not drive a residual negative
+        live = candidates & free
+        stale = live & (norms2 <= _RECOMPUTE_RATIO * exact)
+        top = np.max(norms2[live & ~stale], initial=0.0)  # the largest fresh norm^2
+        stale = np.flatnonzero(stale & (norms2 + _RECOMPUTE_RATIO * exact >= top))
         for start in range(0, stale.size, RECOMPUTE_CHUNK):
             cols = stale[start : start + RECOMPUTE_CHUNK]
             res = op.columns(cols) - q[: k + 1].T @ r[: k + 1, cols]
             exact[cols] = norms2[cols] = np.einsum("ij,ij->j", res, res)
 
     rank = len(selected)
-    selected = np.array(selected, dtype=int)
-    tail = float(np.sqrt(np.sum(norms2[free]))) if rank < min(m, n) else 0.0
-    return IdResult(rank, selected, r[:rank], tail, np.array(pivot_norms))
+    return IdResult(rank, np.array(selected, dtype=int), r[:rank], np.array(pivot_norms))
 
 
 def nnls(a, b) -> NnlsResult:

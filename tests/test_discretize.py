@@ -17,7 +17,6 @@ from bathkit.discretize import (
     bath_model_to_dict,
     bcf_error_stats,
     discretize_bath,
-    error_report,
     load_bath_model,
     reconstruct_bcf,
     reference_bcf,
@@ -508,7 +507,7 @@ def test_reconstruct_hermitian():
     np.testing.assert_array_equal(c[0], np.conj(c[1]))
 
 
-# --- error_report ---------------------------------------------------------------
+# --- bcf_error_stats ------------------------------------------------------------
 
 
 def test_error_stats_self_comparison_is_zero():
@@ -531,7 +530,9 @@ def test_error_report_monotone_in_tol():
     errs = []
     for tol in (1e-1, 1e-2, 1e-3):
         model = discretize_bath(DEBYE_300K, SMALL_GRID, tol)
-        errs.append(error_report(model, SMALL_GRID.times).rel_error)
+        c_model = reconstruct_bcf(model, SMALL_GRID.times)
+        c_ref = reference_bcf(DEBYE_300K, SMALL_GRID.times, SMALL_GRID.omega_max_cm1)
+        errs.append(bcf_error_stats(c_model, c_ref).rel_error)
     assert errs[1] <= errs[0] * 1.1
     assert errs[2] <= errs[1] * 1.1
 

@@ -1,6 +1,4 @@
-import dataclasses
 import inspect
-import io
 import math
 import tracemalloc
 import warnings
@@ -14,7 +12,6 @@ import bathkit.dynamics as dynamics
 from bathkit.discretize import BathDiagnostics, BathModel, FdrGrid, discretize_bath
 from bathkit.dynamics import (
     FockTruncation,
-    PropagationResult,
     _HamiltonianAction,
     _pure_dephasing_violation,
     convergence_study,
@@ -481,29 +478,6 @@ def test_invariant_subspace_serves_many_steps_per_basis():
     np.testing.assert_allclose(res.energy, -50.0, rtol=1e-14)
 
 
-def test_to_csv_leaves_the_propagation_diagnostics_out():
-    res = PropagationResult(
-        times=np.array([0.0, 0.5]),
-        populations=np.array([[1.0, 0.0], [0.75, 0.25]]),
-        coherences={(0, 1): np.array([complex(0.5, 0.25), complex(0.0, -0.125)])},
-        norm=np.array([1.0, 1.0]),
-        energy=np.array([2.5, -1.0]),
-        krylov_bases=1,
-        halvings=0,
-        max_step_error=1e-13,
-    )
-    texts = []
-    for r in (res, dataclasses.replace(res, krylov_bases=9, halvings=4, max_step_error=0.5)):
-        buf = io.StringIO()
-        r.to_csv(buf)
-        texts.append(buf.getvalue())
-    assert texts[0] == texts[1] == (
-        "t_fs,pop_1,pop_2,re_coh,im_coh,norm,energy_cm1\n"
-        "0.0,1.0,0.0,0.5,0.25,1.0,2.5\n"
-        "0.5,0.75,0.25,0.0,-0.125,1.0,-1.0\n"
-    )
-
-
 # --- dephasing oracle ---------------------------------------------------------
 
 
@@ -699,13 +673,3 @@ def test_convergence_study_passes_its_cap_to_every_call(monkeypatch):
     # a cap below the column ID's working set stops the first discretization
     with pytest.raises(ResourceLimitError, match="column ID"):
         convergence_study(kernel, system, [0.5], grid, memory_cap_bytes=100_000)
-
-
-def test_propagation_result_csv(tmp_path):
-    model = dephasing_model([120.0], [20.0])
-    res = propagate(model, FockTruncation(caps=(6,)), PLUS, 50.0, 5.0)
-    out = tmp_path / "prop.csv"
-    res.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t_fs,pop_1,pop_2,re_coh,im_coh,norm,energy_cm1"
-    assert len(lines) == 1 + res.times.size
