@@ -5,11 +5,11 @@ The workhorse is the band-limited transform
     F(t_i) = h * sum_j  x_j * exp(-i * omega_j_rad * t_i),
 
 with omega_j the midpoints of a uniform subdivision of [-omega_max,
-omega_max] and h the subdivision width.  On uniformly spaced times this is
-a chirp-z transform, evaluated by Bluestein's algorithm on ``numpy.fft``;
-otherwise it falls back to a chunked direct sum.  Both paths compute the
-identical sum (up to roundoff) and are deterministic.  ``refine_midpoint``
-doubles the number of midpoints of such a quadrature until it settles.
+omega_max] and h the subdivision width.  On uniform times this is a
+chirp-z transform by Bluestein's algorithm on ``numpy.fft``, each chirp
+exp of a real phase so that its modulus stays 1 at any length; otherwise
+a chunked direct sum.  Both are deterministic and agree to roundoff.
+``refine_midpoint`` doubles the midpoints of a quadrature until it settles.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def _is_uniform(times: np.ndarray) -> bool:
     dt = (times[-1] - times[0]) / (times.size - 1)
     ideal = times[0] + dt * np.arange(times.size)
     scale = max(abs(times[0]), abs(times[-1]), 1e-30)
-    return bool(np.max(np.abs(times - ideal)) <= 1e-9 * scale)
+    return bool(np.max(np.abs(times - ideal)) <= 8 * np.finfo(float).eps * scale)
 
 
 def fourier_midpoint_sum(weights, omega_max_cm1: float, times_fs) -> np.ndarray:
@@ -76,8 +76,8 @@ def fourier_midpoint_sum(weights, omega_max_cm1: float, times_fs) -> np.ndarray:
     h = 2.0 * omega_max_cm1 / n
     freqs = midpoint_frequencies(omega_max_cm1, n)
     if times.size >= 2 and _is_uniform(times):
-        dw_rad = (freqs[1] - freqs[0]) * RAD_PER_FS_PER_CM1
-        return ChirpSum(n, freqs[0] * RAD_PER_FS_PER_CM1, dw_rad, times, scale=h)(x)
+        u0, du = freqs[0] * RAD_PER_FS_PER_CM1, h * RAD_PER_FS_PER_CM1
+        return ChirpSum(n, u0, du, times, scale=h)(x)
     return direct_sum(x, freqs, h, times)
 
 
@@ -86,29 +86,26 @@ class ChirpSum:
 
     ``v`` must be uniformly spaced with two or more points.  Each call is
     one chirp-z transform by Bluestein's algorithm (Rabiner, Schafer &
-    Rader 1969) on ``numpy.fft``: with the chirp c_k = w**(k**2/2),
-    sum_j y_j w**(j*k) = c_k * sum_j (y_j c_j) / c_(k-j), a convolution.
-    The chirps and the kernel's FFT are computed once, in the constructor,
-    so a ChirpSum applied many times costs one FFT convolution per call.
+    Rader 1969) on ``numpy.fft``: with h = du*dv/2 and 2jk = j**2 + k**2 -
+    (k-j)**2, the sum is a convolution with exp(i*h*l**2) between chirps
+    exp(-i*h*k**2).  Each chirp is exp of a phase formed in real arithmetic,
+    so its modulus is 1 to roundoff; a power w**(k**2/2) of a rounded w
+    would scale w's ulp error by k**2/2.  The factors and the kernel's FFT
+    are built once, so a call is one FFT convolution and one multiply.
     """
 
     def __init__(self, n: int, u0: float, du: float, v, scale: float = 1.0):
-        dv = (v[-1] - v[0]) / (v.size - 1)
         m = v.size
-        j = np.arange(n)
-        # fold the v[0] phase into the weights, leaving a pure geometric kernel
-        self._pre = np.exp(-1j * j * du * v[0])
-        chirp = np.exp(-1j * du * dv) ** (np.arange(max(m, n)) ** 2 / 2.0)
-        self._n, self._m, self._chirp, self._nfft = n, m, chirp, _fast_len(n + m - 1)
-        self._kernel = np.fft.fft(1 / np.hstack((chirp[n - 1 : 0 : -1], chirp[:m])), self._nfft)
-        self._post = scale * np.exp(-1j * u0 * v)
+        h = du * ((v[-1] - v[0]) / (m - 1)) / 2.0
+        j, k, ell = np.arange(n), np.arange(m), np.arange(1 - n, m)
+        self._n, self._m, self._nfft = n, m, _fast_len(n + m - 1)
+        self._pre = np.exp(-1j * (j * du * v[0] + h * j**2))
+        self._kernel = np.fft.fft(np.exp(1j * (h * ell**2)), self._nfft)
+        self._post = scale * np.exp(-1j * (u0 * v + h * k**2))
 
     def __call__(self, x) -> np.ndarray:
-        n, m, chirp = self._n, self._m, self._chirp
-        y = np.fft.ifft(self._kernel * np.fft.fft((x * self._pre) * chirp[:n], self._nfft))
-        out = y[n - 1 : n + m - 1] * chirp[:m]
-        out *= self._post
-        return out
+        y = np.fft.ifft(self._kernel * np.fft.fft(x * self._pre, self._nfft))
+        return y[self._n - 1 : self._n - 1 + self._m] * self._post
 
 
 def _fast_len(target: int) -> int:

@@ -98,11 +98,21 @@ def test_default_grid_shape_is_1000_by_10000():
 # --- quadrature helpers -------------------------------------------------------
 
 
-def test_fourier_sum_czt_matches_direct():
+# past the first case: the two reference_bcf levels of the default grid and
+# a non-dyadic band, at about the default grid's 1 fs time step
+@pytest.mark.parametrize(
+    "n, omega_max, t_max, n_times",
+    [
+        (2048, 800.0, 700.0, 173),
+        (16384, 600.0, 200.0, 200),
+        (32768, 600.0, 200.0, 200),
+        (16384, 437.3, 200.0, 200),
+    ],
+)
+def test_fourier_sum_czt_matches_direct(n, omega_max, t_max, n_times):
     rng = np.random.default_rng(2)
-    weights = rng.standard_normal(2048)
-    omega_max = 800.0
-    uniform = np.linspace(0.0, 700.0, 173)
+    weights = rng.standard_normal(n)
+    uniform = np.linspace(0.0, t_max, n_times)
     jittered = uniform + rng.uniform(0, 1e-3, size=uniform.size)
     fast = fourier_midpoint_sum(weights, omega_max, uniform)
     freqs = midpoint_frequencies(omega_max, weights.size)
@@ -110,7 +120,7 @@ def test_fourier_sum_czt_matches_direct():
     direct = h * np.exp(
         -1j * np.outer(uniform, freqs * RAD_PER_FS_PER_CM1)
     ) @ weights.astype(complex)
-    np.testing.assert_allclose(fast, direct, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(fast, direct, rtol=0, atol=1e-12 * np.max(np.abs(direct)))
     # the non-uniform fallback is the same sum
     slow = fourier_midpoint_sum(weights, omega_max, jittered)
     direct_j = h * np.exp(
@@ -123,7 +133,7 @@ def test_fourier_sum_czt_matches_direct():
     direct_s = h * np.exp(
         -1j * np.outer(shifted, freqs * RAD_PER_FS_PER_CM1)
     ) @ weights.astype(complex)
-    np.testing.assert_allclose(fast_s, direct_s, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(fast_s, direct_s, rtol=0, atol=1e-12 * np.max(np.abs(direct_s)))
 
 
 # --- reference_bcf ------------------------------------------------------------

@@ -12,7 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bathkit.quadrature import ChirpSum, _fast_len
+from bathkit.quadrature import (
+    ChirpSum,
+    _fast_len,
+    _is_uniform,
+    direct_sum,
+    fourier_midpoint_sum,
+    midpoint_frequencies,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -38,16 +45,34 @@ def test_fast_len_matches_scipy_next_fast_len():
 
 @pytest.mark.parametrize("n, m", [(1, 2), (7, 3), (500, 1000), (1000, 7), (4096, 300)])
 def test_chirp_sum_is_bit_equal_to_scipy_czt(n, m):
+    # scipy's CZT builds its chirp as a power w**(k**2/2), whose modulus drifts
+    # from 1, so ChirpSum agrees with it to a tolerance, not bit for bit
     czt = pytest.importorskip("scipy.signal").CZT
     rng = np.random.default_rng(n + m)
     u0, du = -3.7, 7.5e-4
     v = 0.25 + 0.5 * np.arange(m)
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
     got = ChirpSum(n, u0, du, v, scale=0.3)(x)
+    direct = 0.3 * np.exp(-1j * np.outer(v, u0 + du * np.arange(n))) @ x
+    np.testing.assert_allclose(got, direct, rtol=0, atol=1e-14 * np.abs(x).sum())
     # the same sum written with scipy's chirp-z transform
     pre = np.exp(-1j * np.arange(n) * du * v[0])
     want = czt(n, m=m, w=np.exp(-1j * du * 0.5), a=1.0 + 0.0j)(x * pre)
     want *= 0.3 * np.exp(-1j * u0 * v)
-    assert got.tobytes() == want.tobytes()
-    direct = 0.3 * np.exp(-1j * np.outer(v, u0 + du * np.arange(n))) @ x
-    np.testing.assert_allclose(got, direct, rtol=0, atol=1e-9 * np.abs(x).sum())
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(x).sum())
+
+
+def test_only_uniform_times_take_the_chirp_sum():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        start = rng.uniform(-1e3, 1e3) * rng.choice([0.0, 1e-3, 1.0])
+        stop = start + 10 ** rng.uniform(-3, 6)
+        assert _is_uniform(np.linspace(start, stop, int(rng.integers(3, 5000))))
+    # jitter of 5e-10 of the span: the chirp-z sum would take these times as
+    # uniform and miss the direct sum by ~1e-7 of its peak
+    times = np.linspace(0.0, 1000.0, 1000)
+    jittered = times + 5e-7 * rng.uniform(-1.0, 1.0, times.size)
+    assert not _is_uniform(jittered)
+    x = rng.standard_normal(4096) + 0j
+    direct = direct_sum(x, midpoint_frequencies(600.0, x.size), 1200.0 / x.size, jittered)
+    assert fourier_midpoint_sum(x, 600.0, jittered).tobytes() == direct.tobytes()
