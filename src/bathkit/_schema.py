@@ -42,6 +42,11 @@ def write_text(sink, text: str):
             fh.write(text)
 
 
+def write_json(sink, doc):
+    """Write a JSON document with two-space indent and a final newline."""
+    write_text(sink, json.dumps(doc, indent=2) + "\n")
+
+
 def _name(source) -> str:
     if isinstance(source, (str, os.PathLike)):
         return os.fspath(source)

@@ -26,7 +26,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from ._schema import read_json, write_text
+from ._schema import read_json, write_json, write_text
 from .discretize import (
     DEFAULT_MEMORY_CAP_BYTES,
     FdrGrid,
@@ -71,12 +71,15 @@ def _metadata(command: str, config: dict, input_paths) -> dict:
     }
 
 
-def _write_csv(sink, meta: dict, header: str, rows):
-    """A CSV artifact: ``#`` metadata lines, a header row, the data rows."""
+def _write_csv(sink, meta: dict, names, columns):
+    """A CSV artifact: ``#`` metadata lines, a header row of ``names``, then one
+    row per index of the equal-length ``columns``, every cell ``repr(float(x))``."""
     lines = [f"# {meta['tool']}", f"# command: {meta['command']}"]
     lines.append("# config: " + json.dumps(meta["config"], sort_keys=True))
     lines.append("# inputs: " + json.dumps(meta["inputs"], sort_keys=True))
-    write_text(sink, "\n".join([*lines, header, *rows]) + "\n")
+    lines.append(",".join(names))
+    lines += (",".join(repr(float(x)) for x in row) for row in zip(*columns))
+    write_text(sink, "\n".join(lines) + "\n")
 
 
 def _check_rows(flag: str, n_rows: int, n_columns: int):
@@ -151,9 +154,8 @@ def _cmd_eval_sd(args) -> int:
         "out": args.out,
     }
     meta = _metadata("eval-sd", config, [args.sd])
-    rows = [f"{float(w)!r},{float(j)!r},{float(s)!r}" for w, j, s in table]
     sink = sys.stdout if args.out is None else args.out
-    _write_csv(sink, meta, "omega_cm1,J_cm1,S_beta_cm1", rows)
+    _write_csv(sink, meta, ["omega_cm1", "J_cm1", "S_beta_cm1"], table.T)
     return EXIT_OK
 
 
@@ -190,12 +192,8 @@ def _cmd_reconstruct(args) -> int:
 
     config = {"model": args.model, "n_time": args.n_time, "out": args.out}
     meta = _metadata("reconstruct", config, [args.model])
-    rows = [
-        f"{float(t)!r},{float(cm.real)!r},{float(cm.imag)!r},"
-        f"{float(cr.real)!r},{float(cr.imag)!r}"
-        for t, cm, cr in zip(times, c_model, c_ref)
-    ]
-    _write_csv(args.out, meta, "t_fs,re_C,im_C,re_C_ref,im_C_ref", rows)
+    columns = [times, c_model.real, c_model.imag, c_ref.real, c_ref.imag]
+    _write_csv(args.out, meta, ["t_fs", "re_C", "im_C", "re_C_ref", "im_C_ref"], columns)
     return EXIT_OK
 
 
@@ -228,23 +226,17 @@ def _cmd_validate(args) -> int:
         "slack": report.slack,
         "monotone_within_slack": report.monotone_within_slack,
     }
-    write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    write_json(args.out, doc)
 
     if args.series_out is not None:
         if report.observable == "dephasing_coherence":
             names = [f"coherence_tol{i}" for i in range(len(report.tols))]
-            columns = [np.asarray(s) for s in report.series]
+            columns = list(report.series)
         else:
-            names, columns = [], []
-            for i, s in enumerate(report.series):
-                for j in range(s.shape[1]):
-                    names.append(f"pop{j + 1}_tol{i}")
-                    columns.append(s[:, j])
-        rows = [
-            ",".join([repr(float(t))] + [repr(float(c[k])) for c in columns])
-            for k, t in enumerate(report.times)
-        ]
-        _write_csv(args.series_out, meta, ",".join(["t_fs"] + names), rows)
+            dim = report.series[0].shape[1]
+            names = [f"pop{j + 1}_tol{i}" for i in range(len(report.tols)) for j in range(dim)]
+            columns = [pop for s in report.series for pop in s.T]
+        _write_csv(args.series_out, meta, ["t_fs", *names], [report.times, *columns])
 
     print(
         f"observable={report.observable} tols={list(report.tols)} "

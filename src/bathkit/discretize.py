@@ -22,7 +22,6 @@ builds the dense matrix for tests and small studies.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 from decimal import MAX_EMAX, Context, Decimal
@@ -30,12 +29,12 @@ from functools import cached_property
 
 import numpy as np
 
-from ._schema import is_integer, read_json, require, require_list, require_number, write_text
+from ._schema import is_integer, read_json, require, require_list, require_number, write_json
 from .errors import ConvergenceError, ResourceLimitError, SchemaError, ValidationError
 from .lowrank import RECOMPUTE_CHUNK, column_id, nnls
 from .quadrature import (
     ChirpSum,
-    band_is_finite,
+    check_midpoints,
     direct_sum,
     fourier_midpoint_sum,
     midpoint_frequencies,
@@ -65,6 +64,14 @@ __all__ = [
 DEFAULT_MEMORY_CAP_BYTES = 4 << 30
 
 
+def _check_window(t_max_fs: float, omega_max_cm1: float, n_freq: int = 2):
+    """The window rule of FdrGrid and BathModel: a finite t_max >= 0, and ``n_freq``
+    midpoints of [-omega_max, omega_max] as ``check_midpoints`` accepts them."""
+    if not np.isfinite(t_max_fs) or t_max_fs < 0:
+        raise ValidationError(f"t_max_fs must be >= 0, got {t_max_fs}")
+    check_midpoints(omega_max_cm1, n_freq)
+
+
 @dataclass(frozen=True)
 class FdrGrid:
     """Uniform sampling rectangle [0, t_max] x [-omega_max, omega_max].
@@ -79,24 +86,16 @@ class FdrGrid:
     n_freq: int = 10000
 
     def __post_init__(self):
-        if not np.isfinite(self.t_max_fs) or self.t_max_fs < 0:
-            raise ValidationError(f"t_max_fs must be >= 0, got {self.t_max_fs}")
         for name in ("n_time", "n_freq"):
             if not is_integer(getattr(self, name)):
                 raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        _check_window(self.t_max_fs, self.omega_max_cm1, self.n_freq)
         if self.n_time < 1:
             raise ValidationError(f"n_time must be >= 1, got {self.n_time}")
         if self.n_time == 1 and self.t_max_fs != 0.0:
             raise ValidationError("n_time=1 requires t_max_fs=0")
         if self.n_time > 1 and self.t_max_fs == 0.0:
             raise ValidationError("t_max_fs must be positive for n_time > 1")
-        if not band_is_finite(self.omega_max_cm1):
-            raise ValidationError(
-                "omega_max_cm1 must be positive with a finite band width, "
-                f"got {self.omega_max_cm1}"
-            )
-        if self.n_freq < 2 or self.n_freq % 2 != 0:
-            raise ValidationError(f"n_freq must be even and >= 2, got {self.n_freq}")
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -142,7 +141,7 @@ class BathModel:
     strictly positive fitted weights and ``g`` the couplings
     sqrt(z * S_beta(omega)).  The spectral density and frequency window are
     kept so the reference correlation function can be recomputed from the
-    serialized model alone.
+    serialized model alone; the window must be one ``FdrGrid`` accepts.
     """
 
     omegas: np.ndarray
@@ -165,6 +164,7 @@ class BathModel:
             raise ValidationError("bath model weights must be strictly positive")
         if np.any(self.g < 0.0):
             raise ValidationError("bath model couplings must be nonnegative")
+        _check_window(self.t_max_fs, self.omega_max_cm1)
 
     @property
     def mode_count(self) -> int:
@@ -309,21 +309,18 @@ def discretize_bath(
     fit = nnls(basis, target)
     duals = basis.T @ (target - basis @ fit.z)
     active = fit.z > 0.0
-    # 0.0 when the inactive set is empty (keeps the JSON strict)
-    max_dual_inactive = float(np.max(duals[~active])) if (~active).any() else 0.0
-    max_abs_dual_active = float(np.max(np.abs(duals[active]), initial=0.0))
-
+    # the fit record: a nonconverged fit's partial diagnostics, part of every BathDiagnostics
+    record = {
+        "id_rank": id_res.rank,
+        "nnls_iterations": fit.iterations,
+        "nnls_residual_norm": fit.residual_norm,
+        "nnls_dual_tolerance": fit.dual_tolerance,
+        # 0.0 when the inactive set is empty (keeps the JSON strict)
+        "nnls_max_dual_inactive": float(np.max(duals[~active])) if (~active).any() else 0.0,
+    }
     if not fit.converged:
-        partial = {
-            "id_rank": id_res.rank,
-            "nnls_iterations": fit.iterations,
-            "nnls_residual_norm": fit.residual_norm,
-            "nnls_dual_tolerance": fit.dual_tolerance,
-            "nnls_max_dual_inactive": max_dual_inactive,
-        }
         raise ConvergenceError(
-            f"nonnegative fit did not converge in {fit.iterations} iterations",
-            diagnostics=partial,
+            f"nonnegative fit did not converge in {fit.iterations} iterations", diagnostics=record
         )
 
     omegas = grid.freqs[id_res.selected][active]
@@ -341,19 +338,12 @@ def discretize_bath(
     omegas, z, g = omegas[order], z[order], g[order]
 
     c_model = direct_sum(g * g, omegas, 1.0, grid.times)
-    stats = bcf_error_stats(c_model, c_ref)
     diagnostics = BathDiagnostics(
-        id_rank=id_res.rank,
-        mode_count=int(np.count_nonzero(active)),
-        max_abs_error=stats.max_abs_error,
-        mean_abs_error=stats.mean_abs_error,
-        rel_error=stats.rel_error,
-        nnls_iterations=fit.iterations,
-        nnls_residual_norm=fit.residual_norm,
+        **record,
+        mode_count=len(omegas),
+        **asdict(bcf_error_stats(c_model, c_ref)),
         nnls_converged=fit.converged,
-        nnls_dual_tolerance=fit.dual_tolerance,
-        nnls_max_dual_inactive=max_dual_inactive,
-        nnls_max_abs_dual_active=max_abs_dual_active,
+        nnls_max_abs_dual_active=float(np.max(np.abs(duals[active]), initial=0.0)),
     )
     return BathModel(
         omegas=omegas,
@@ -451,17 +441,20 @@ def bath_model_from_dict(doc: dict, pointer: str = "") -> BathModel:
             f"{dp}/mode_count",
             f"expected {len(modes)}, the number of modes, got {diagnostics['mode_count']}",
         )
-    return BathModel(
-        omegas=np.array(omegas, dtype=float),
-        z=np.array(z, dtype=float),
-        g=np.array(g, dtype=float),
-        temperature=temperature,
-        sd=sd,
-        t_max_fs=t_max,
-        omega_max_cm1=omega_max,
-        tol=tol,
-        diagnostics=BathDiagnostics(**diagnostics),
-    )
+    try:
+        return BathModel(
+            omegas=np.array(omegas, dtype=float),
+            z=np.array(z, dtype=float),
+            g=np.array(g, dtype=float),
+            temperature=temperature,
+            sd=sd,
+            t_max_fs=t_max,
+            omega_max_cm1=omega_max,
+            tol=tol,
+            diagnostics=BathDiagnostics(**diagnostics),
+        )
+    except ValidationError as exc:
+        raise SchemaError(pointer or "/", str(exc)) from None
 
 
 def save_bath_model(model: BathModel, sink, metadata: dict | None = None):
@@ -469,7 +462,7 @@ def save_bath_model(model: BathModel, sink, metadata: dict | None = None):
     doc = bath_model_to_dict(model)
     if metadata is not None:
         doc["metadata"] = metadata
-    write_text(sink, json.dumps(doc, indent=2, sort_keys=False) + "\n")
+    write_json(sink, doc)
 
 
 def load_bath_model(source) -> BathModel:

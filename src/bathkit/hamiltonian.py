@@ -12,12 +12,11 @@ inherited from g_k >= 0 together with Hermitian H_S and V matrices.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._schema import is_finite_number, read_json, require, require_list, write_text
+from ._schema import is_finite_number, read_json, require, require_list, write_json
 from .discretize import BathModel, bath_model_from_dict, bath_model_to_dict
 from .errors import SchemaError, ValidationError
 
@@ -220,7 +219,7 @@ def export_model(model: DiscreteModel, sink, metadata: dict | None = None):
     doc = model_to_dict(model)
     if metadata is not None:
         doc["metadata"] = metadata
-    write_text(sink, json.dumps(doc, indent=2) + "\n")
+    write_json(sink, doc)
 
 
 def import_model(source) -> DiscreteModel:

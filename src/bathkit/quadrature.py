@@ -39,20 +39,21 @@ def midpoint_frequencies(omega_max_cm1: float, n: int) -> np.ndarray:
     contains omega = 0; the array is built as an exact mirror of its
     positive half.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValidationError(f"frequency count must be even and >= 2, got {n}")
-    if not band_is_finite(omega_max_cm1):
-        raise ValidationError(
-            f"omega_max must be positive with a finite band width, got {omega_max_cm1}"
-        )
+    check_midpoints(omega_max_cm1, n)
     half = (np.arange(n // 2) + 0.5) * (2.0 * omega_max_cm1 / n)
     return np.concatenate((-half[::-1], half))
 
 
-def band_is_finite(omega_max_cm1: float) -> bool:
-    """True when omega_max > 0 and the band width 2*omega_max is a finite double."""
+def check_midpoints(omega_max_cm1: float, n: int):
+    """Raise ValidationError, allocating nothing, unless n is even and >= 2 and the
+    band width 2*omega_max is positive and a finite double."""
+    if n < 2 or n % 2 != 0:
+        raise ValidationError(f"frequency count must be even and >= 2, got {n}")
     # a Python float product overflows to inf without a numpy warning
-    return omega_max_cm1 > 0 and math.isfinite(2.0 * float(omega_max_cm1))
+    if not (omega_max_cm1 > 0 and math.isfinite(2.0 * float(omega_max_cm1))):
+        raise ValidationError(
+            f"omega_max must be positive with a finite band width, got {omega_max_cm1}"
+        )
 
 
 def _is_uniform(times: np.ndarray) -> bool:

@@ -9,8 +9,10 @@ import pytest
 
 import bathkit.cli as cli
 from bathkit.cli import build_parser, main
-from bathkit.discretize import load_bath_model
-from bathkit.hamiltonian import import_model
+from bathkit.discretize import FdrGrid, load_bath_model
+from bathkit.dynamics import convergence_study
+from bathkit.hamiltonian import import_model, system_from_dict
+from bathkit.specdens import NoiseKernel, Temperature, load_tabulated
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DEBYE_JSON = '{"kind": "debye", "lambda": 35.0, "gamma": 106.1}'
@@ -358,6 +360,41 @@ def test_validate_qubit_sweep_exit_0(debye_sd, qubit_system, tmp_path):
     assert len(report["distances"]) == 2
     rows = data_rows(series_path)
     assert len(rows) == 100
+
+
+def test_validate_populations_series_csv(tmp_path):
+    # off-diagonal h_s takes the propagation branch: one population column per
+    # system level and tolerance, each cell repr(float(x)) of the library's series
+    spin_boson = {
+        "dim": 2,
+        "h_s": [[50.0, 40.0], [40.0, -50.0]],
+        "couplings": [{"bath": "main", "v_sb": [[1.0, 0.0], [0.0, -1.0]]}],
+    }
+    system = tmp_path / "spin_boson.json"
+    system.write_text(json.dumps(spin_boson))
+    series_path = tmp_path / "series.csv"
+    rc = main(
+        ["validate", "--sd", "configs/surrogate_sd.csv", "--temp-k", "300",
+         "--system", str(system), "--tol-sweep", "0.3,0.2,0.1",
+         "--t-max-fs", "100", "--omega-max-cm1", "600", "--n-time", "101", "--n-freq", "2000",
+         "--out", str(tmp_path / "r.json"), "--series-out", str(series_path)]
+    )
+    assert rc == 0
+    header, *rows = [l for l in series_path.read_text().splitlines() if not l.startswith("#")]
+    assert header == "t_fs," + ",".join(f"pop{j}_tol{i}" for i in range(3) for j in (1, 2))
+    rows = [r.split(",") for r in rows]
+    assert {len(r) for r in rows} == {1 + 2 * 3}
+
+    kernel = NoiseKernel(load_tabulated("configs/surrogate_sd.csv"), Temperature.finite(300.0))
+    report = convergence_study(
+        kernel, system_from_dict(spin_boson, pointer=""), [0.3, 0.2, 0.1],
+        FdrGrid(t_max_fs=100.0, omega_max_cm1=600.0, n_time=101, n_freq=2000),
+    )
+    expected = [
+        [repr(float(t))] + [repr(float(p)) for s in report.series for p in s[k]]
+        for k, t in enumerate(report.times)
+    ]
+    assert rows == expected
 
 
 def test_validate_nnls_nonconvergence_exit_3(

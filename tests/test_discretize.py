@@ -2,6 +2,7 @@ import io
 import itertools
 import tracemalloc
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import bathkit.discretize as disc
 import bathkit.quadrature as quadrature
 from bathkit.discretize import (
+    BathDiagnostics,
     FdrGrid,
     FdrOperator,
     assemble_fdr,
@@ -88,6 +90,14 @@ def test_grid_counts_must_be_integers(counts):
         FdrGrid(t_max_fs=t_max, omega_max_cm1=100.0, **counts)
     g = FdrGrid(t_max_fs=100.0, omega_max_cm1=100.0, n_time=np.int64(11), n_freq=np.int32(10))
     assert g.times.size == 11 and g.freqs.size == 10
+
+
+def test_grid_checks_a_huge_frequency_count_without_allocating():
+    # the grid rule allocates nothing, so discretize_bath's memory check is what
+    # refuses a grid whose frequency axis alone would not fit
+    grid = FdrGrid(t_max_fs=1000.0, omega_max_cm1=600.0, n_freq=10**14)
+    with pytest.raises(ResourceLimitError):
+        discretize_bath(DEBYE_300K, grid, 1e-2)
 
 
 def test_default_grid_shape_is_1000_by_10000():
@@ -468,6 +478,13 @@ def test_nnls_nonconvergence_carries_partial_diagnostics(monkeypatch):
         disc.discretize_bath(DEBYE_300K, SMALL_GRID, 1e-2)
     assert err.value.diagnostics["id_rank"] > 0
     assert err.value.diagnostics["nnls_iterations"] > 0
+    # one fit record: the partial diagnostics are exactly these BathDiagnostics fields
+    keys = {
+        "id_rank", "nnls_iterations", "nnls_residual_norm",
+        "nnls_dual_tolerance", "nnls_max_dual_inactive",
+    }
+    assert set(err.value.diagnostics) == keys
+    assert keys <= {f.name for f in fields(BathDiagnostics)}
 
 
 def test_pipeline_determinism_bitwise():

@@ -67,6 +67,18 @@ def test_bath_json_rejects_non_finite_window(bath_doc):
     assert err.value.pointer == "/t_max_fs"
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("t_max_fs", -1000.0), ("omega_max_cm1", -600.0), ("omega_max_cm1", 0.0),
+     ("omega_max_cm1", 1e308)],
+)
+def test_bath_json_window_is_one_a_grid_accepts(bath_doc, key, value):
+    doc = json.loads(json.dumps(bath_doc))
+    doc[key] = value
+    with pytest.raises(SchemaError, match=key.rsplit("_", 1)[0]):
+        load_bath_model(io.StringIO(json.dumps(doc)))
+
+
 def test_bath_json_top_level_must_be_an_object():
     with pytest.raises(ValidationError):
         load_bath_model(io.StringIO("[1, 2]"))
@@ -253,6 +265,31 @@ def test_build_model_nan_bath_exits_2_without_output(exit_code, nan_bath, tmp_pa
     argv = ["build-model", "--system", str(system), "--bath", f"main={nan_bath}", "--out", str(out)]
     assert exit_code(argv) == 2
     assert not out.exists()
+
+
+def test_reconstruct_bath_with_a_negative_window_exits_2(exit_code, bath_doc, tmp_path, capsys):
+    doc = json.loads(json.dumps(bath_doc))
+    doc["t_max_fs"] = -1000.0
+    model = tmp_path / "bath.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "bcf.csv"
+    assert exit_code(["reconstruct", "--model", str(model), "--n-time", "3", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "t_max_fs must be >= 0" in capsys.readouterr().err
+
+
+def test_build_model_bath_with_a_negative_band_exits_2(exit_code, bath_doc, tmp_path, capsys):
+    doc = json.loads(json.dumps(bath_doc))
+    doc["omega_max_cm1"] = -600.0
+    bath = tmp_path / "bath.json"
+    bath.write_text(json.dumps(doc))
+    system = tmp_path / "qubit.json"
+    system.write_text(json.dumps(QUBIT))
+    out = tmp_path / "model.json"
+    argv = ["build-model", "--system", str(system), "--bath", f"main={bath}", "--out", str(out)]
+    assert exit_code(argv) == 2
+    assert not out.exists()
+    assert "band width" in capsys.readouterr().err
 
 
 def test_validate_nan_dim_exits_2(exit_code, debye_sd, tmp_path, capsys):
