@@ -165,6 +165,8 @@ class BathModel:
         if np.any(self.g < 0.0):
             raise ValidationError("bath model couplings must be nonnegative")
         _check_window(self.t_max_fs, self.omega_max_cm1)
+        if not (0.0 < self.tol < 1.0):
+            raise ValidationError(f"bath model tol must be in (0, 1), got {self.tol}")
 
     @property
     def mode_count(self) -> int:
@@ -383,6 +385,11 @@ BATH_SCHEMA = "bathkit-bath/1"
 
 
 def bath_model_to_dict(model: BathModel) -> dict:
+    # here, not in BathModel, so that dataclasses.replace can cut sub-models
+    # from a fit; what is written must load with bath_model_from_dict
+    count = model.diagnostics.mode_count
+    if count != model.mode_count:
+        raise ValidationError(f"diagnostics.mode_count {count} is not the {model.mode_count} modes")
     return {
         "schema": BATH_SCHEMA,
         "temperature_K": model.temperature.to_json(),

@@ -2,8 +2,9 @@
 
 ``propagate`` integrates the Schroedinger equation for a DiscreteModel in
 a truncated number-state space with Lanczos exponentials, never
-materializing the Hamiltonian: the action of each mode's ladder operators
-is applied axis by axis on the state tensor.  One Lanczos basis serves as
+materializing the Hamiltonian: each mode's ladder operators act on the
+flattened state as two contiguous products shifted by that mode's stride,
+and the system operators as one matmul.  One Lanczos basis serves as
 many uniform output steps as its a-posteriori error estimate allows.  The
 bath always starts in its vacuum; at finite temperature the thermal
 occupation is already baked into the couplings and signed frequencies of
@@ -106,11 +107,20 @@ def _offdiagonal_is_zero(matrix) -> bool:
 class _HamiltonianAction:
     """Matrix-free application of the assembled Hamiltonian on a state tensor.
 
+    Each mode's ladder operators act on the flattened state as two
+    contiguous products shifted by the mode's stride s: a moves level n+1
+    onto level n through ``out[:-s] += c * psi[s:]`` and a^dag moves level
+    n onto n+1 through ``out[s:] += c * psi[:-s]``.  The float64
+    coefficient c of length D - s holds g * sqrt(n+1) on each level n below
+    the cap and 0 on the cap, so no product crosses into the next block.
+
     Exactly diagonal operators take fast paths: a diagonal H_S is folded
-    into the oscillator diagonal, and a mode whose coupling V is diagonal
-    applies g * v_s * sqrt(n) as one precomputed coefficient array on slice
-    views.  The test is for exact zeros, so any nonzero off-diagonal entry,
-    however small, keeps the general path (``h_s`` and the mode's ``v`` set).
+    into the oscillator diagonal, and a coupling V that is diagonal with an
+    exactly real diagonal is folded into c as g * sqrt(n+1) * v_s.  The test
+    is for exact zeros, so any nonzero off-diagonal or imaginary entry,
+    however small, keeps the general path (``h_s`` and the mode's ``v``
+    set), which applies the system operator as one matmul on the
+    (d_s, D/d_s) view.
     """
 
     def __init__(self, model: DiscreteModel, trunc: FockTruncation):
@@ -136,40 +146,41 @@ class _HamiltonianAction:
             self.h_s = h_s
         self.diag = diag
 
-        # per mode with g != 0: the slices of levels n and n+1 along its axis,
-        # the coefficient of g (a + a^dag), V (None when folded into the
-        # coefficient) and a view of one shared scratch buffer for products
-        scratch = np.empty(math.prod(self.shape), dtype=complex)
+        # per mode with g != 0: its stride, the coefficient of g (a + a^dag)
+        # and V (None when folded into the coefficient); the products go
+        # through one shared scratch buffer
+        d_s = self.shape[0]
+        self.scratch = np.empty(math.prod(self.shape), dtype=complex)
         self.ladder = []
         for k, (g, ci) in enumerate(zip(model.mode_g, model.mode_coupling)):
             if g == 0.0:
                 continue
-            ax = 1 + k
-            lo = (slice(None),) * ax + (slice(None, -1),)
-            hi = (slice(None),) * ax + (slice(1, None),)
-            coef = g * np.sqrt(np.arange(1.0, self.caps[k] + 1.0)).reshape(
-                (-1,) + (1,) * (ndim - 1 - ax)
-            )
+            stride = math.prod(self.shape[2 + k :])
+            # sqrt(n+1) on levels 0..cap-1 and 0 on the cap: no shift leaves the block
+            levels = np.append(g * np.sqrt(np.arange(1.0, self.caps[k] + 1.0)), 0.0)
+            coef = np.empty((d_s, math.prod(self.shape[1 : 1 + k]), levels.size, stride))
+            coef[...] = levels[:, np.newaxis]
             v = model.system.couplings[ci][1]
-            if _offdiagonal_is_zero(v):
-                coef = coef * v.diagonal().reshape((-1,) + (1,) * (ndim - 1))
+            if _offdiagonal_is_zero(v) and not np.any(v.diagonal().imag):
+                coef *= v.diagonal().real.reshape(-1, 1, 1, 1)
                 v = None
-            tmp_shape = self.shape[:ax] + (self.caps[k],) + self.shape[ax + 1 :]
-            tmp = scratch[: math.prod(tmp_shape)].reshape(tmp_shape)
-            self.ladder.append((lo, hi, coef, v, tmp))
+            self.ladder.append((stride, coef.reshape(-1)[:-stride], v))
 
     def __call__(self, psi):
+        d_s = self.shape[0]
         if self.h_s is None:
             out = self.diag * psi
         else:
-            out = np.tensordot(self.h_s, psi, axes=(1, 0))
+            out = (self.h_s @ psi.reshape(d_s, -1)).reshape(self.shape)
             out += self.diag * psi
-        for lo, hi, coef, v, tmp in self.ladder:
-            src = psi if v is None else np.tensordot(v, psi, axes=(1, 0))
-            np.multiply(coef, src[hi], out=tmp)
-            out[lo] += tmp  # annihilation: sqrt(n+1) from level n+1
-            np.multiply(coef, src[lo], out=tmp)
-            out[hi] += tmp  # creation: sqrt(n) from level n-1
+        flat = out.reshape(-1)
+        for s, coef, v in self.ladder:
+            src = (psi if v is None else v @ psi.reshape(d_s, -1)).reshape(-1)
+            tmp = self.scratch[: coef.size]
+            np.multiply(coef, src[s:], out=tmp)
+            flat[:-s] += tmp  # annihilation: sqrt(n+1) from level n+1
+            np.multiply(coef, src[:-s], out=tmp)
+            flat[s:] += tmp  # creation: sqrt(n) from level n-1
         return out
 
 
@@ -268,8 +279,9 @@ def propagate(
     largest of dt/2, dt/4, dt/8 that passes on the same basis (dt/8 failing
     raises ``ConvergenceError``) and the rest follows in dyadic blocks.
     Before the Hamiltonian action is built, (krylov_dim + 8) * 16 * D +
-    (n_steps + 1) * (8 * d_s + 40) bytes, D = ``trunc.dimension(d_s)``, are
-    checked against ``memory_cap_bytes`` (``ResourceLimitError`` above it).
+    8 * M * D + (n_steps + 1) * (8 * d_s + 40) bytes, D =
+    ``trunc.dimension(d_s)`` and M = ``model.total_mode_count``, are checked
+    against ``memory_cap_bytes`` (``ResourceLimitError`` above it).
     """
     d_s = model.system.dim
     psi0_system = np.asarray(psi0_system, dtype=complex)
@@ -286,8 +298,10 @@ def propagate(
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     n_steps = max(1, int(math.ceil(t_max_fs / dt_fs - 1e-9)))
-    # basis and work states (measured peaks: krylov_dim + 5.2 to 7.0 states), then the record
-    nbytes = (int(krylov_dim) + 8) * 16 * trunc.dimension(d_s) + (n_steps + 1) * (8 * d_s + 40)
+    # basis and work states, the action's float64 ladder coefficients (one per
+    # mode; measured peaks: krylov_dim + 7.4 to 9.0 states at 4 modes), then the record
+    per_state = (int(krylov_dim) + 8) * 16 + 8 * model.total_mode_count
+    nbytes = per_state * trunc.dimension(d_s) + (n_steps + 1) * (8 * d_s + 40)
     check_memory(nbytes, memory_cap_bytes, "the Krylov basis and output steps; use fewer modes")
 
     action = _HamiltonianAction(model, trunc)

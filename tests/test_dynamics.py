@@ -121,8 +121,8 @@ def test_diagonal_fast_paths_match_general_path():
     assert _pure_dephasing_violation(SystemSpec(h_s=tiny_h_s, couplings=(("b", tiny_z),))) is None
     fast = _HamiltonianAction(build_model(fast_sys, baths), trunc)
     general = _HamiltonianAction(build_model(general_sys, baths), trunc)
-    assert fast.h_s is None and all(v is None for _, _, _, v, _ in fast.ladder)
-    assert general.h_s is not None and all(v is not None for _, _, _, v, _ in general.ladder)
+    assert fast.h_s is None and all(v is None for _, _, v in fast.ladder)
+    assert general.h_s is not None and all(v is not None for _, _, v in general.ladder)
     assert len(fast.ladder) == 3  # the g = 0 mode is skipped
     h_fast, h_general = materialize(fast), materialize(general)
     np.testing.assert_allclose(h_fast, h_general, rtol=0.0, atol=1e-12)
@@ -137,7 +137,7 @@ def test_mixed_paths_match_kronecker_construction():
         [("b", synthetic_bath([-70.0], [18.0]))],
     )
     action = _HamiltonianAction(model, FockTruncation(caps=(n - 1,)))
-    assert action.h_s is None and action.ladder[0][3] is not None
+    assert action.h_s is None and action.ladder[0][2] is not None
     a = np.diag(np.sqrt(np.arange(1.0, n)), k=1)
     h_expl = (
         np.kron(np.diag([40.0, -20.0]), np.eye(n))
@@ -145,6 +145,36 @@ def test_mixed_paths_match_kronecker_construction():
         + 18.0 * np.kron(np.array(SIGMA_X), a + a.T)
     )
     np.testing.assert_allclose(materialize(action), h_expl, atol=1e-12)
+
+
+def test_stride_shifted_ladders_match_kronecker_construction():
+    # four modes with unequal caps, cap 1 on the innermost axis and a g = 0
+    # mode; sigma_z folds into the coefficients, sigma_x and H_S take matmuls.
+    # A product leaking from a cap level into the next block shows up here.
+    h_s = np.array([[40.0, 15.0], [15.0, -20.0]])
+    omegas, gs, caps = [120.0, -80.0, 60.0, 95.0], [25.0, 0.0, 15.0, 10.0], (3, 2, 4, 1)
+    couplings = [SIGMA_Z] * 3 + [SIGMA_X]
+    model = build_model(
+        SystemSpec(h_s=h_s, couplings=(("b", SIGMA_Z), ("c", SIGMA_X))),
+        [("b", synthetic_bath(omegas[:3], gs[:3])), ("c", synthetic_bath(omegas[3:], gs[3:]))],
+    )
+    action = _HamiltonianAction(model, FockTruncation(caps=caps))
+    assert [v is None for _, _, v in action.ladder] == [True, True, False]
+
+    def embed(system_op, mode, mode_op):
+        factors = [np.asarray(system_op)] + [np.eye(c + 1) for c in caps]
+        factors[1 + mode] = mode_op
+        out = factors[0]
+        for f in factors[1:]:
+            out = np.kron(out, f)
+        return out
+
+    h_expl = embed(h_s, 0, np.eye(caps[0] + 1))
+    for k, c in enumerate(caps):
+        a = np.diag(np.sqrt(np.arange(1.0, c + 1.0)), k=1)
+        h_expl = h_expl + omegas[k] * embed(np.eye(2), k, np.diag(np.arange(c + 1.0)))
+        h_expl = h_expl + gs[k] * embed(couplings[k], k, a + a.T)
+    np.testing.assert_allclose(materialize(action), h_expl, rtol=0.0, atol=1e-12)
 
 
 # --- propagate ---------------------------------------------------------------
@@ -267,8 +297,9 @@ def test_krylov_basis_counts_against_the_cap_before_any_allocation(monkeypatch):
 def test_memory_cap_is_the_propagation_working_set():
     model = dephasing_model([100.0, 130.0], [10.0, 20.0])
     trunc = FockTruncation(caps=(5, 6))  # D = 2 * 6 * 7 = 84
-    # (krylov_dim + 8) vectors of D complex values, then 11 records of 2 populations
-    need = (12 + 8) * 16 * 84 + 11 * (8 * 2 + 40)
+    # (krylov_dim + 8) vectors of D complex values, one float64 ladder
+    # coefficient of D values per mode, then 11 records of 2 populations
+    need = (12 + 8) * 16 * 84 + 8 * 2 * 84 + 11 * (8 * 2 + 40)
     res = propagate(model, trunc, PLUS, 10.0, 1.0, krylov_dim=12, memory_cap_bytes=need)
     assert res.populations.shape == (11, 2)
     with pytest.raises(ResourceLimitError, match="cap"):
@@ -640,7 +671,7 @@ def test_propagation_peak_allocation_stays_within_the_checked_bytes(h_s, v):
     bath = synthetic_bath([120.0, -80.0, 200.0, 45.0], [20.0, 10.0, 15.0, 8.0])
     model = build_model(system, [("b", bath)])
     trunc = FockTruncation(caps=(9,) * 4)
-    need = (14 + 8) * 16 * 20_000 + 21 * (8 * 2 + 40)
+    need = (14 + 8) * 16 * 20_000 + 8 * 4 * 20_000 + 21 * (8 * 2 + 40)
     tracemalloc.start()
     try:
         res = propagate(model, trunc, PLUS, 100.0, 5.0, krylov_dim=14, memory_cap_bytes=need)

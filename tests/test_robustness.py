@@ -5,6 +5,7 @@ and the CLI may only exit with 0 or 2-5 (never a traceback, never NaN
 output with exit 0).
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import bathkit.quadrature as quadrature
-from bathkit.discretize import BathModel, load_bath_model
+from bathkit.discretize import BathModel, load_bath_model, save_bath_model
 from bathkit.dynamics import dephasing_gamma_continuum
 from bathkit.errors import ConvergenceError, SchemaError, ValidationError
 from bathkit.hamiltonian import SystemSpec, system_from_dict
@@ -99,6 +100,24 @@ def test_bath_model_rejects_non_finite_arrays(bath_doc, field):
             tol=model.tol,
             diagnostics=model.diagnostics,
         )
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, 5.0, -5.0, math.nan])
+def test_bath_model_rejects_a_tol_the_loader_rejects(bath_doc, tol):
+    # load_bath_model refuses these, so save_bath_model must never write one
+    model = load_bath_model(io.StringIO(json.dumps(bath_doc)))
+    with pytest.raises(ValidationError, match="tol"):
+        dataclasses.replace(model, tol=tol)
+
+
+def test_saving_a_bath_whose_diagnostics_miscount_its_modes_raises(bath_doc):
+    model = load_bath_model(io.StringIO(json.dumps(bath_doc)))
+    assert model.mode_count > 2
+    diagnostics = dataclasses.replace(model.diagnostics, mode_count=2)
+    buf = io.StringIO()
+    with pytest.raises(ValidationError, match="mode"):
+        save_bath_model(dataclasses.replace(model, diagnostics=diagnostics), buf)
+    assert buf.getvalue() == ""
 
 
 @pytest.mark.parametrize("dim", [math.nan, 2.5, "2", True])
