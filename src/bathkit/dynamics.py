@@ -5,7 +5,8 @@ a truncated number-state space with Lanczos exponentials, never
 materializing the Hamiltonian: each mode's ladder operators act on the
 flattened state as two contiguous products shifted by that mode's stride,
 and the system operators as one matmul.  One Lanczos basis serves as
-many uniform output steps as its a-posteriori error estimate allows.  The
+many uniform output steps as its a-posteriori error estimate allows, and
+grows only until it covers the steps it is asked for.  The
 bath always starts in its vacuum; at finite temperature the thermal
 occupation is already baked into the couplings and signed frequencies of
 the bath model.
@@ -148,7 +149,7 @@ class _HamiltonianAction:
 
         # per mode with g != 0: its stride, the coefficient of g (a + a^dag)
         # and V (None when folded into the coefficient); the products go
-        # through one shared scratch buffer
+        # through one shared scratch buffer, and each V @ psi into another
         d_s = self.shape[0]
         self.scratch = np.empty(math.prod(self.shape), dtype=complex)
         self.ladder = []
@@ -165,6 +166,8 @@ class _HamiltonianAction:
                 coef *= v.diagonal().real.reshape(-1, 1, 1, 1)
                 v = None
             self.ladder.append((stride, coef.reshape(-1)[:-stride], v))
+        general = any(v is not None for _, _, v in self.ladder)
+        self.v_psi = np.empty((d_s, self.scratch.size // d_s), dtype=complex) if general else None
 
     def __call__(self, psi):
         d_s = self.shape[0]
@@ -175,7 +178,8 @@ class _HamiltonianAction:
             out += self.diag * psi
         flat = out.reshape(-1)
         for s, coef, v in self.ladder:
-            src = (psi if v is None else v @ psi.reshape(d_s, -1)).reshape(-1)
+            src = psi if v is None else np.matmul(v, psi.reshape(d_s, -1), out=self.v_psi)
+            src = src.reshape(-1)
             tmp = self.scratch[: coef.size]
             np.multiply(coef, src[s:], out=tmp)
             flat[:-s] += tmp  # annihilation: sqrt(n+1) from level n+1
@@ -203,36 +207,44 @@ def _lanczos_expm_apply(apply_h, psi, dt_rad, krylov_dim, tol, max_steps, halvin
 
     Steps are taken while Saad's a-posteriori estimate
     |beta_k| * |e_k^T exp(-i*m*dt_rad*T_k) e_1| stays at or below ``tol``,
-    at most ``max_steps`` of them.  If even m = 1 fails, the same projection
-    is evaluated at dt_rad/2, dt_rad/4, ..., at most ``halvings`` times, and
-    the one state at the largest step that passes is returned.
+    at most ``max_steps`` of them.  The basis grows one vector at a time and
+    stops as soon as that estimate passes for all ``max_steps`` steps, at
+    ``krylov_dim`` vectors at most, or when the recursion breaks down (an
+    invariant subspace, whose projection is exact).  If even m = 1 fails at
+    the cap, the same projection is evaluated at dt_rad/2, dt_rad/4, ..., at
+    most ``halvings`` times, and the one state at the largest step that
+    passes is returned.
     """
     flat = psi.reshape(-1)
     nrm = np.linalg.norm(flat)
     basis = np.empty((krylov_dim, flat.size), dtype=complex)
     basis[0] = flat / nrm
-    alphas, betas = [], []
+    t = np.zeros((krylov_dim, krylov_dim))  # the projection T, filled as the basis grows
     for j in range(krylov_dim):
         w = apply_h(basis[j].reshape(psi.shape)).reshape(-1)
-        alpha = float(np.real(np.vdot(basis[j], w)))
-        alphas.append(alpha)
+        t[j, j] = alpha = float(np.real(np.vdot(basis[j], w)))
         w -= alpha * basis[j]
         if j > 0:
-            w -= betas[j - 1] * basis[j - 1]
+            w -= t[j, j - 1] * basis[j - 1]
         # full re-orthogonalization keeps the small projection accurate;
         # conjugating w instead of the basis avoids copying the basis
         done = basis[: j + 1]
         w -= (w.conj() @ done.T).conj() @ done
         beta = float(np.linalg.norm(w))
-        betas.append(beta)
-        if j + 1 == krylov_dim or beta < 1e-14 * nrm:
+        invariant = beta < 1e-14 * nrm
+        evals, evecs = np.linalg.eigh(t[: j + 1, : j + 1])
+        if invariant or j + 1 == krylov_dim:
             break
+        # stop once the estimate passes at every step the call may take; its
+        # phases as running products, which are exact enough for an estimate
+        phases = np.cumprod(np.broadcast_to(np.exp(-1j * dt_rad * evals), (max_steps, j + 1)), 0)
+        if np.all(beta * np.abs(phases @ (evecs[0] * evecs[-1])) <= tol):
+            break
+        t[j, j + 1] = t[j + 1, j] = beta
         basis[j + 1] = w / beta
 
-    k = len(alphas)
-    beta_k = betas[-1] if k == krylov_dim else 0.0  # an invariant subspace is exact
-    t_k = np.diag(alphas) + np.diag(betas[: k - 1], 1) + np.diag(betas[: k - 1], -1)
-    evals, evecs = np.linalg.eigh(t_k)
+    k = j + 1
+    beta_k = 0.0 if invariant else beta  # an invariant subspace is exact
     tau, n, split = dt_rad, max_steps, 0
     while True:
         phases = np.exp(-1j * tau * np.outer(np.arange(1, n + 1), evals))
@@ -249,7 +261,7 @@ def _lanczos_expm_apply(apply_h, psi, dt_rad, krylov_dim, tol, max_steps, halvin
             )
         tau, n, split = tau / 2, 1, split + 1
     ys = ys[:n_ok]
-    energies = nrm * nrm * np.einsum("mi,mi->m", ys.conj(), ys @ t_k).real
+    energies = nrm * nrm * np.einsum("mi,mi->m", ys.conj(), ys @ t[:k, :k]).real
     return _KrylovSteps(
         coeffs=nrm * ys,
         basis=basis[:k],
@@ -265,7 +277,7 @@ def propagate(
     psi0_system,
     t_max_fs: float,
     dt_fs: float,
-    krylov_dim: int = 16,
+    krylov_dim: int = 32,
     tol: float = 1e-10,
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
 ) -> PropagationResult:
@@ -275,9 +287,11 @@ def propagate(
     initial state is its product with every mode's ground state.  Output
     steps are uniform with the end point hit exactly.  Each Lanczos basis
     covers as many steps (up to ``MAX_STEPS_PER_BASIS``) as keep its local
-    error estimate at or below ``tol``; a step it cannot cover takes the
-    largest of dt/2, dt/4, dt/8 that passes on the same basis (dt/8 failing
-    raises ``ConvergenceError``) and the rest follows in dyadic blocks.
+    error estimate at or below ``tol``.  ``krylov_dim`` is the largest
+    basis: a basis stops growing once it covers every step of its call.  A
+    step the largest basis cannot cover takes the largest of dt/2, dt/4,
+    dt/8 that passes on that basis (dt/8 failing raises
+    ``ConvergenceError``) and the rest follows in dyadic blocks.
     Before the Hamiltonian action is built, (krylov_dim + 8) * 16 * D +
     8 * M * D + (n_steps + 1) * (8 * d_s + 40) bytes, D =
     ``trunc.dimension(d_s)`` and M = ``model.total_mode_count``, are checked
@@ -299,7 +313,7 @@ def propagate(
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     n_steps = max(1, int(math.ceil(t_max_fs / dt_fs - 1e-9)))
     # basis and work states, the action's float64 ladder coefficients (one per
-    # mode; measured peaks: krylov_dim + 7.4 to 9.0 states at 4 modes), then the record
+    # mode; measured peaks: krylov_dim + 7.5 to 8.5 states at 4 modes), then the record
     per_state = (int(krylov_dim) + 8) * 16 + 8 * model.total_mode_count
     nbytes = per_state * trunc.dimension(d_s) + (n_steps + 1) * (8 * d_s + 40)
     check_memory(nbytes, memory_cap_bytes, "the Krylov basis and output steps; use fewer modes")
@@ -447,8 +461,9 @@ def convergence_study(
     distances must not grow by more than ``SWEEP_SLACK`` (fractional) for
     the report to pass.  Qubit models with a single diagonal coupling use
     the closed-form dephasing coherence (any mode count); anything else is
-    propagated exactly, with ``propagate``'s default Krylov dimension and
-    tolerance, and compared on site populations.  ``memory_cap_bytes`` caps
+    propagated exactly, with ``propagate``'s default tolerance and largest
+    Krylov basis (32 vectors, each basis stopping once it covers its call's
+    steps), and compared on site populations.  ``memory_cap_bytes`` caps
     every discretization and every propagation.
     """
     tols = tuple(sorted({float(t) for t in tol_sweep}, reverse=True))

@@ -256,8 +256,8 @@ def test_fock_caps_accept_numpy_integers():
 
 
 def test_dimension_cap():
-    # D = 2 * 41**3 = 137,842 states: 24 * 16 * D bytes (about 53 MB) for the
-    # basis and work states alone, above a 10 MB cap
+    # D = 2 * 41**3 = 137,842 states: (32 + 8) * 16 * D bytes (about 88 MB)
+    # for the largest basis and work states alone, above a 10 MB cap
     model = dephasing_model([100.0, 110.0, 120.0], [10.0, 10.0, 10.0])
     with pytest.raises(ResourceLimitError):
         propagate(
@@ -509,6 +509,93 @@ def test_invariant_subspace_serves_many_steps_per_basis():
     np.testing.assert_allclose(res.energy, -50.0, rtol=1e-14)
 
 
+def fixed_size_lanczos(apply_h, psi, dt_rad, krylov_dim, tol, max_steps, halvings):
+    """The fixed-size rule: krylov_dim vectors unless the recursion breaks down.
+
+    Same interface and estimate as ``_lanczos_expm_apply``, written
+    independently (Gram-Schmidt twice against the whole basis), without
+    step halving.
+    """
+    flat = psi.reshape(-1)
+    nrm = np.linalg.norm(flat)
+    basis = [flat / nrm]
+    t = np.zeros((krylov_dim, krylov_dim))
+    for j in range(krylov_dim):
+        w = apply_h(basis[j].reshape(psi.shape)).reshape(-1)
+        t[j, j] = np.vdot(basis[j], w).real
+        done = np.array(basis)
+        for _ in range(2):
+            w = w - (done.conj() @ w) @ done
+        beta = np.linalg.norm(w)
+        if j + 1 == krylov_dim or beta < 1e-14 * nrm:
+            break
+        t[j, j + 1] = t[j + 1, j] = beta
+        basis.append(w / beta)
+    k = len(basis)
+    evals, evecs = np.linalg.eigh(t[:k, :k])
+    phases = np.exp(-1j * dt_rad * np.outer(np.arange(1, max_steps + 1), evals))
+    ys = (phases * evecs[0].conj()) @ evecs.T
+    errs = (beta if k == krylov_dim else 0.0) * np.abs(ys[:, -1])
+    n_ok = int(np.argmax(errs > tol)) if np.any(errs > tol) else max_steps
+    assert n_ok > 0, "the fixed-size reference does not halve steps"
+    ys = ys[:n_ok]
+    energies = nrm * nrm * np.einsum("mi,mi->m", ys.conj(), ys @ t[:k, :k]).real
+    return dynamics._KrylovSteps(
+        coeffs=nrm * ys, basis=np.array(basis), energies=energies, halvings=0,
+        max_error=float(np.max(errs[:n_ok])),
+    )
+
+
+@pytest.mark.parametrize("make", [spin_boson_oracle_model, shared_label_oracle_model])
+def test_basis_stops_growing_once_it_covers_the_steps(make, monkeypatch):
+    # 20 steps of 2 fs at D = 120 and 288: one basis covers them all well
+    # below the cap of 32 vectors, and the result is the fixed-size rule's
+    model, trunc = make()
+    psi0_system = np.array([0.6, 0.8j])
+    krylov_dim = 32
+    h_calls = []
+    call = _HamiltonianAction.__call__
+
+    def counting(self, psi):
+        h_calls.append(1)
+        return call(self, psi)
+
+    monkeypatch.setattr(_HamiltonianAction, "__call__", counting)
+    res = propagate(model, trunc, psi0_system, 40.0, 2.0, krylov_dim=krylov_dim, tol=1e-12)
+    monkeypatch.undo()
+    # one call records the initial energy
+    assert res.halvings == 0 and len(h_calls) - 1 < res.krylov_bases * krylov_dim
+
+    monkeypatch.setattr(dynamics, "_lanczos_expm_apply", fixed_size_lanczos)
+    ref = propagate(model, trunc, psi0_system, 40.0, 2.0, krylov_dim=krylov_dim, tol=1e-12)
+    np.testing.assert_allclose(res.populations, ref.populations, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(res.coherences[(0, 1)], ref.coherences[(0, 1)], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(res.energy, ref.energy, rtol=0.0, atol=1e-12)
+
+
+def test_early_stopped_basis_is_not_treated_as_invariant(monkeypatch):
+    # a basis that stops short of the cap without breaking down keeps its
+    # beta_k, so its error estimate is reported, not taken as exact
+    model, trunc = spin_boson_oracle_model()
+    sizes, betas = [], []
+    lanczos = dynamics._lanczos_expm_apply
+
+    def spy(apply_h, psi, *args):
+        steps = lanczos(apply_h, psi, *args)
+        sizes.append(steps.basis.shape[0])
+        # the residual of the last vector: zero only for an invariant subspace
+        v = steps.basis[-1]
+        w = apply_h(v.reshape(psi.shape)).reshape(-1)
+        w = w - steps.basis.T @ (steps.basis.conj() @ w)
+        betas.append(np.linalg.norm(w))
+        return steps
+
+    monkeypatch.setattr(dynamics, "_lanczos_expm_apply", spy)
+    res = propagate(model, trunc, np.array([0.6, 0.8j]), 40.0, 2.0, krylov_dim=32, tol=1e-12)
+    assert sizes and max(sizes) < 32 and min(betas) > 1e-3
+    assert 0.0 < res.max_step_error <= 1e-12
+
+
 # --- dephasing oracle ---------------------------------------------------------
 
 
@@ -666,7 +753,9 @@ def test_convergence_study_propagation_path():
     ids=["diagonal", "offdiagonal-h_s", "offdiagonal-v"],
 )
 def test_propagation_peak_allocation_stays_within_the_checked_bytes(h_s, v):
-    # D = 2 * 10**4; 20 steps take several bases, and only one may be alive
+    # D = 2 * 10**4; 20 steps take several bases, and only one may be alive.
+    # tracemalloc peaks 7.46, 7.70 and 8.45 states above the basis (diagonal,
+    # off-diagonal H_S, sigma_x, whose V @ psi has its own kept buffer)
     system = SystemSpec(h_s=h_s, couplings=(("b", v),))
     bath = synthetic_bath([120.0, -80.0, 200.0, 45.0], [20.0, 10.0, 15.0, 8.0])
     model = build_model(system, [("b", bath)])
