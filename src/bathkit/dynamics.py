@@ -6,7 +6,7 @@ materializing the Hamiltonian: each mode's ladder operators act on the
 flattened state as two contiguous products shifted by that mode's stride,
 and the system operators as one matmul.  One Lanczos basis serves as
 many uniform output steps as its a-posteriori error estimate allows, and
-grows only until it covers the steps it is asked for.  The
+grows only until that estimate passes at the last step it is asked for.  The
 bath always starts in its vacuum; at finite temperature the thermal
 occupation is already baked into the couplings and signed frequencies of
 the bath model.
@@ -94,7 +94,7 @@ class PropagationResult:
     populations: np.ndarray  # (n_steps+1, d_s)
     coherences: dict  # {(0, 1): complex series}, empty for a one-level system
     norm: np.ndarray
-    energy: np.ndarray  # <H> in cm^-1
+    energy: np.ndarray  # <H> in cm^-1; each state has its Lanczos basis's start <H>, exact in T
     krylov_bases: int  # Lanczos bases built; a rejected step reuses its basis
     halvings: int  # times a step was halved because its basis could not cover it
     max_step_error: float  # largest accepted a-posteriori error estimate
@@ -194,7 +194,7 @@ class _KrylovSteps:
 
     coeffs: np.ndarray  # (steps, k)
     basis: np.ndarray  # (k, D) orthonormal Lanczos vectors
-    energies: np.ndarray  # <H> of each state, from the projected Hamiltonian
+    energy: float  # <H> of the start state and so of every state: exp(-i tau T) commutes with T
     halvings: int  # times the step was halved; each state is one step / 2**halvings
     max_error: float  # largest accepted error estimate
 
@@ -205,21 +205,28 @@ class _KrylovSteps:
 def _lanczos_expm_apply(apply_h, psi, dt_rad, krylov_dim, tol, max_steps, halvings):
     """exp(-i*m*dt_rad*H) psi for m = 1, 2, ... from one Lanczos projection.
 
-    Steps are taken while Saad's a-posteriori estimate
-    |beta_k| * |e_k^T exp(-i*m*dt_rad*T_k) e_1| stays at or below ``tol``,
-    at most ``max_steps`` of them.  The basis grows one vector at a time and
-    stops as soon as that estimate passes for all ``max_steps`` steps, at
-    ``krylov_dim`` vectors at most, or when the recursion breaks down (an
-    invariant subspace, whose projection is exact).  If even m = 1 fails at
-    the cap, the same projection is evaluated at dt_rad/2, dt_rad/4, ..., at
-    most ``halvings`` times, and the one state at the largest step that
-    passes is returned.
+    Saad's a-posteriori estimate of step m*tau on the basis T_k is
+    beta_k * |e_k^T exp(-i*m*tau*T_k) e_1|, with beta_k = 0 once the
+    recursion breaks down (an invariant subspace, whose projection is
+    exact).  The basis grows one vector at a time until the estimate passes
+    at the call's last step, m = ``max_steps``, or until it has
+    ``krylov_dim`` vectors.  The leading steps whose estimate stays at or
+    below ``tol`` are taken.  If even m = 1 fails, the same projection is
+    evaluated at dt_rad/2, dt_rad/4, ..., at most ``halvings`` times, and
+    the one state at the largest step that passes is returned.
     """
     flat = psi.reshape(-1)
     nrm = np.linalg.norm(flat)
     basis = np.empty((krylov_dim, flat.size), dtype=complex)
     basis[0] = flat / nrm
     t = np.zeros((krylov_dim, krylov_dim))  # the projection T, filled as the basis grows
+
+    def estimate(tau, n):
+        """Rows y_m = exp(-i*m*tau*T_k) e_1, m = 1..n, and their error estimates."""
+        phases = np.exp(-1j * tau * np.outer(np.arange(1, n + 1), evals))
+        ys = (phases * evecs[0, :].conj()) @ evecs.T
+        return ys, beta_k * np.abs(ys[:, -1])
+
     for j in range(krylov_dim):
         w = apply_h(basis[j].reshape(psi.shape)).reshape(-1)
         t[j, j] = alpha = float(np.real(np.vdot(basis[j], w)))
@@ -231,41 +238,28 @@ def _lanczos_expm_apply(apply_h, psi, dt_rad, krylov_dim, tol, max_steps, halvin
         done = basis[: j + 1]
         w -= (w.conj() @ done.T).conj() @ done
         beta = float(np.linalg.norm(w))
-        invariant = beta < 1e-14 * nrm
+        beta_k = 0.0 if beta < 1e-14 * nrm else beta
         evals, evecs = np.linalg.eigh(t[: j + 1, : j + 1])
-        if invariant or j + 1 == krylov_dim:
-            break
-        # stop once the estimate passes at every step the call may take; its
-        # phases as running products, which are exact enough for an estimate
-        phases = np.cumprod(np.broadcast_to(np.exp(-1j * dt_rad * evals), (max_steps, j + 1)), 0)
-        if np.all(beta * np.abs(phases @ (evecs[0] * evecs[-1])) <= tol):
+        if j + 1 == krylov_dim or estimate(max_steps * dt_rad, 1)[1][0] <= tol:
             break
         t[j, j + 1] = t[j + 1, j] = beta
         basis[j + 1] = w / beta
 
-    k = j + 1
-    beta_k = 0.0 if invariant else beta  # an invariant subspace is exact
-    tau, n, split = dt_rad, max_steps, 0
-    while True:
-        phases = np.exp(-1j * tau * np.outer(np.arange(1, n + 1), evals))
-        ys = (phases * evecs[0, :].conj()) @ evecs.T  # row m-1: y at time m*tau
-        errs = beta_k * np.abs(ys[:, -1])
+    for split in range(halvings + 1):
+        ys, errs = estimate(dt_rad / 2**split, 1 if split else max_steps)
         failed = ~(errs <= tol)
-        n_ok = int(np.argmax(failed)) if failed.any() else n
+        n_ok = int(np.argmax(failed)) if failed.any() else len(errs)
         if n_ok:
             break
-        if split == halvings:
-            raise ConvergenceError(
-                f"Lanczos step error {errs[0]:.3e} above tolerance {tol:.1e} "
-                "after 3 step halvings; reduce dt or raise krylov_dim"
-            )
-        tau, n, split = tau / 2, 1, split + 1
-    ys = ys[:n_ok]
-    energies = nrm * nrm * np.einsum("mi,mi->m", ys.conj(), ys @ t[:k, :k]).real
+    else:
+        raise ConvergenceError(
+            f"Lanczos step error {errs[0]:.3e} above tolerance {tol:.1e} "
+            "after 3 step halvings; reduce dt or raise krylov_dim"
+        )
     return _KrylovSteps(
-        coeffs=nrm * ys,
-        basis=basis[:k],
-        energies=energies,
+        coeffs=nrm * ys[:n_ok],
+        basis=basis[: j + 1],
+        energy=float(nrm * nrm * t[0, 0]),
         halvings=split,
         max_error=float(np.max(errs[:n_ok])),
     )
@@ -285,13 +279,14 @@ def propagate(
 
     ``psi0_system`` is the normalized system amplitude vector; the full
     initial state is its product with every mode's ground state.  Output
-    steps are uniform with the end point hit exactly.  Each Lanczos basis
-    covers as many steps (up to ``MAX_STEPS_PER_BASIS``) as keep its local
-    error estimate at or below ``tol``.  ``krylov_dim`` is the largest
-    basis: a basis stops growing once it covers every step of its call.  A
-    step the largest basis cannot cover takes the largest of dt/2, dt/4,
-    dt/8 that passes on that basis (dt/8 failing raises
-    ``ConvergenceError``) and the rest follows in dyadic blocks.
+    steps are uniform with the end point hit exactly.  A Lanczos basis
+    grows until its local error estimate is at or below ``tol`` at its
+    call's last step (up to ``MAX_STEPS_PER_BASIS`` ahead), at most to
+    ``krylov_dim`` vectors, and serves the leading steps that pass.  A step
+    the largest basis cannot cover takes the largest of dt/2, dt/4, dt/8
+    that passes on that basis (dt/8 failing raises ``ConvergenceError``)
+    and the rest follows in dyadic blocks.  Every state a basis serves is
+    recorded with one energy, its start state's <H>, exact in the projection.
     Before the Hamiltonian action is built, (krylov_dim + 8) * 16 * D +
     8 * M * D + (n_steps + 1) * (8 * d_s + 40) bytes, D =
     ``trunc.dimension(d_s)`` and M = ``model.total_mode_count``, are checked
@@ -351,12 +346,12 @@ def propagate(
             action, psi, dt_rad / (8 // block), krylov_dim, tol,
             1 if pos else min(n_steps - done, MAX_STEPS_PER_BASIS), block.bit_length() - 1,
         )
-        for m, e in enumerate(steps.energies):
+        for m in range(len(steps.coeffs)):
             psi = steps.state(m, action.shape)
             pos = (pos + (block >> steps.halvings)) % 8
             if pos == 0:
                 done += 1
-                record(done, psi, float(e))
+                record(done, psi, steps.energy)
         bases += 1
         halvings += steps.halvings
         max_error = max(max_error, steps.max_error)
@@ -462,9 +457,10 @@ def convergence_study(
     the report to pass.  Qubit models with a single diagonal coupling use
     the closed-form dephasing coherence (any mode count); anything else is
     propagated exactly, with ``propagate``'s default tolerance and largest
-    Krylov basis (32 vectors, each basis stopping once it covers its call's
-    steps), and compared on site populations.  ``memory_cap_bytes`` caps
-    every discretization and every propagation.
+    Krylov basis (32 vectors, each basis stopping once its call's last step
+    passes), on a grid of at least two times, checked before any
+    discretization, and compared on site populations.  ``memory_cap_bytes``
+    caps every discretization and every propagation.
     """
     tols = tuple(sorted({float(t) for t in tol_sweep}, reverse=True))
     if not tols:
@@ -472,6 +468,8 @@ def convergence_study(
 
     labels = sorted({label for label, _ in system.couplings})
     dephasing = _pure_dephasing_violation(system) is None
+    if not dephasing and grid.n_time < 2:
+        raise ValidationError(f"propagating a sweep needs n_time >= 2, got {grid.n_time}")
     series, mode_counts = [], []
     for tol in tols:
         bath = discretize_bath(kernel, grid, tol, memory_cap_bytes)

@@ -397,6 +397,26 @@ def test_validate_populations_series_csv(tmp_path):
     assert rows == expected
 
 
+def test_validate_populations_on_a_one_time_grid_exit_2(tmp_path, capsys):
+    # the propagation branch names the grid option, not propagate's arguments
+    system = tmp_path / "spin_boson.json"
+    system.write_text(json.dumps({
+        "dim": 2,
+        "h_s": [[50.0, 40.0], [40.0, -50.0]],
+        "couplings": [{"bath": "main", "v_sb": [[1.0, 0.0], [0.0, -1.0]]}],
+    }))
+    rc = main(
+        ["validate", "--sd", "configs/surrogate_sd.csv", "--temp-k", "300",
+         "--system", str(system), "--tol-sweep", "0.3,0.2", "--t-max-fs", "0",
+         "--omega-max-cm1", "600", "--n-time", "1", "--n-freq", "2000",
+         "--out", str(tmp_path / "r.json")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "n_time >= 2" in err and "t_max_fs and dt_fs" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_validate_nnls_nonconvergence_exit_3(
     debye_sd, qubit_system, tmp_path, capsys, monkeypatch
 ):

@@ -352,6 +352,21 @@ def test_propagation_reports_halvings_and_error_estimates():
     assert 0.0 < coarse.max_step_error <= 1e-8
 
 
+def test_energies_after_halvings_match_dense_expectation():
+    # states served by halved steps record their basis's energy, which must
+    # be the dense <psi(t)|H|psi(t)> on the output grid
+    model, trunc, psi0, coarse = _coarse_halving_run()
+    assert coarse.halvings > 0
+    h = materialize(_HamiltonianAction(model, trunc))
+    step = scipy.linalg.expm(-1j * 16.0 * RAD_PER_FS_PER_CM1 * h)
+    psi = np.zeros(trunc.dimension(2), dtype=complex)
+    psi[0] = 1.0
+    for i, e in enumerate(coarse.energy):
+        energy = np.real(np.vdot(psi, h @ psi))
+        assert abs(e - energy) <= 1e-9 * max(1.0, abs(energy))
+        psi = step @ psi
+
+
 def test_rejected_step_reuses_its_basis(monkeypatch):
     # a rejected step is evaluated again on the same basis, so no basis is
     # ever rebuilt from a state an earlier call already started from
@@ -464,7 +479,7 @@ def test_propagate_matches_dense_exponential(make, monkeypatch):
 
     def spy(*args, **kwargs):
         steps = lanczos(*args, **kwargs)
-        states.extend(steps.state(m, args[1].shape) for m in range(len(steps.energies)))
+        states.extend(steps.state(m, args[1].shape) for m in range(len(steps.coeffs)))
         return steps
 
     def counting(self, psi):
@@ -540,8 +555,10 @@ def fixed_size_lanczos(apply_h, psi, dt_rad, krylov_dim, tol, max_steps, halving
     assert n_ok > 0, "the fixed-size reference does not halve steps"
     ys = ys[:n_ok]
     energies = nrm * nrm * np.einsum("mi,mi->m", ys.conj(), ys @ t[:k, :k]).real
+    # every state of one basis has the same <H> in the projection
+    assert np.ptp(energies) <= 1e-12 * np.max(np.abs(t))
     return dynamics._KrylovSteps(
-        coeffs=nrm * ys, basis=np.array(basis), energies=energies, halvings=0,
+        coeffs=nrm * ys, basis=np.array(basis), energy=float(energies[0]), halvings=0,
         max_error=float(np.max(errs[:n_ok])),
     )
 
@@ -793,3 +810,16 @@ def test_convergence_study_passes_its_cap_to_every_call(monkeypatch):
     # a cap below the column ID's working set stops the first discretization
     with pytest.raises(ResourceLimitError, match="column ID"):
         convergence_study(kernel, system, [0.5], grid, memory_cap_bytes=100_000)
+
+
+def test_convergence_study_rejects_a_one_time_grid_before_discretizing(monkeypatch):
+    # populations need two output times; the dephasing branch takes one
+    def no_discretize(*args, **kwargs):
+        raise AssertionError("a bath was discretized")
+
+    monkeypatch.setattr(dynamics, "discretize_bath", no_discretize)
+    kernel = NoiseKernel(Debye(lam=35.0, gamma=106.1), Temperature.finite(300.0))
+    grid = FdrGrid(t_max_fs=0.0, omega_max_cm1=500.0, n_time=1, n_freq=128)
+    system = SystemSpec(h_s=[[100.0, 30.0], [30.0, 0.0]], couplings=(("b", SIGMA_Z),))
+    with pytest.raises(ValidationError, match="n_time"):
+        convergence_study(kernel, system, [0.5, 0.3], grid)
