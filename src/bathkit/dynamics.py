@@ -229,12 +229,12 @@ def _lanczos_expm_apply(apply_h, psi, dt_rad, krylov_dim, tol, max_steps, halvin
 
     for j in range(krylov_dim):
         w = apply_h(basis[j].reshape(psi.shape)).reshape(-1)
-        t[j, j] = alpha = float(np.real(np.vdot(basis[j], w)))
-        w -= alpha * basis[j]
-        if j > 0:
-            w -= t[j, j - 1] * basis[j - 1]
-        # full re-orthogonalization keeps the small projection accurate;
-        # conjugating w instead of the basis avoids copying the basis
+        t[j, j] = float(np.real(np.vdot(basis[j], w)))
+        # the three-term recurrence as one product with T's filled row j, then
+        # full re-orthogonalization: the second pass keeps large energy offsets
+        # out of the span (conjugating w, not the basis, avoids a basis copy)
+        lo = max(j - 1, 0)
+        w -= t[j, lo : j + 1] @ basis[lo : j + 1]
         done = basis[: j + 1]
         w -= (w.conj() @ done.T).conj() @ done
         beta = float(np.linalg.norm(w))
@@ -243,7 +243,7 @@ def _lanczos_expm_apply(apply_h, psi, dt_rad, krylov_dim, tol, max_steps, halvin
         if j + 1 == krylov_dim or estimate(max_steps * dt_rad, 1)[1][0] <= tol:
             break
         t[j, j + 1] = t[j + 1, j] = beta
-        basis[j + 1] = w / beta
+        np.divide(w, beta, out=basis[j + 1])
 
     for split in range(halvings + 1):
         ys, errs = estimate(dt_rad / 2**split, 1 if split else max_steps)
@@ -452,10 +452,11 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Discretize at each tolerance and compare the resulting observables.
 
-    Tolerances are processed loosest to tightest; successive observable
-    distances must not grow by more than ``SWEEP_SLACK`` (fractional) for
-    the report to pass.  Qubit models with a single diagonal coupling use
-    the closed-form dephasing coherence (any mode count); anything else is
+    Tolerances are processed loosest to tightest; successive nonzero
+    observable distances must not grow by more than ``SWEEP_SLACK``
+    (fractional) for the report to pass, and a zero distance, from two
+    tols giving the same bath, is skipped.  Qubit models with a single
+    diagonal coupling use the closed-form dephasing coherence (any mode count); anything else is
     propagated exactly, with ``propagate``'s default tolerance and largest
     Krylov basis (32 vectors, each basis stopping once its call's last step
     passes), on a grid of at least two times, checked before any
@@ -489,10 +490,9 @@ def convergence_study(
     distances = tuple(
         float(np.max(np.abs(series[i + 1] - series[i]))) for i in range(len(series) - 1)
     )
-    monotone = all(
-        distances[i + 1] <= (1.0 + SWEEP_SLACK) * distances[i] + 1e-12
-        for i in range(len(distances) - 1)
-    )
+    # a zero distance (two tols giving the same bath) carries no trend
+    trend = [d for d in distances if d > 0.0]
+    monotone = all(b <= (1.0 + SWEEP_SLACK) * a + 1e-12 for a, b in zip(trend, trend[1:]))
     return ConvergenceReport(
         tols=tols,
         mode_counts=tuple(mode_counts),

@@ -10,11 +10,12 @@ The quantum noise combines J with the thermal occupation factor,
     S_beta(omega) = 0.5 * J(omega) * (coth(beta*omega/2) + 1),
 
 evaluated through the cancellation-free identity
-coth(x) + 1 = -2/expm1(-2x) and a power series below |beta*omega| = 1e-6,
-so values are finite for all real omega and detailed balance
-S_beta(-omega) = exp(-beta*omega) * S_beta(omega) holds to machine
-precision.  At zero temperature S_beta(omega) = J(omega) for omega > 0 and
-exactly 0 for omega <= 0.
+coth(x) + 1 = -2/expm1(-2x), accurate for every normal beta*omega, with
+no power series; where beta*omega underflows (omega = 0 or a subnormal
+product) it takes the limit J'(0)/beta.  Values are finite for all real
+omega, and detailed balance S_beta(-omega) = exp(-beta*omega) *
+S_beta(omega) holds to machine precision.  At zero temperature
+S_beta(omega) = J(omega) for omega > 0 and exactly 0 for omega <= 0.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ __all__ = [
     "load_tabulated",
     "sd_from_config",
 ]
-
-# Below this value of |beta*omega| the thermal factor switches to its
-# power series; the linearized coth is then exact to < 1e-12 relative.
-SERIES_SWITCHOVER = 1e-6
 
 
 def _require_positive(where: str, name: str, value: float):
@@ -403,18 +400,10 @@ class NoiseKernel:
 
         beta = self.temperature.beta
         y = beta * w
-        out = np.empty_like(w)
-        small = np.abs(y) < SERIES_SWITCHOVER
-        big = ~small
-        # coth(y/2) + 1 == -2/expm1(-y), exact to machine precision for all y != 0
-        with np.errstate(over="ignore"):  # e^{|y|} -> inf gives a clean S -> 0
-            out[big] = -j[big] / np.expm1(-y[big])
-        if np.any(small):
-            ws, ys, js = w[small], y[small], j[small]
-            slope = np.where(
-                ws == 0.0,
-                self.sd.derivative_at_zero(),
-                np.divide(js, ws, out=np.zeros_like(js), where=ws != 0.0),
-            )
-            out[small] = slope / beta + js * (0.5 + ys / 12.0)
+        # coth(y/2) + 1 == -2/expm1(-y), exact to machine precision for all normal y;
+        # e^{|y|} -> inf gives a clean S -> 0, and a y that underflows (zero or
+        # subnormal, where J(omega)/y loses bits) takes the limit J'(0)/beta
+        underflow = np.abs(y) < np.finfo(float).tiny
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out = np.where(underflow, self.sd.derivative_at_zero() / beta, -j / np.expm1(-y))
         return float(out[0]) if scalar else out

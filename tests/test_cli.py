@@ -397,6 +397,45 @@ def test_validate_populations_series_csv(tmp_path):
     assert rows == expected
 
 
+def test_validate_sweep_with_a_zero_distance_exit_0(tmp_path):
+    # tols 0.3 and 0.2 give the same 4-mode bath, so the first distance is
+    # exactly 0; the trend is judged on the nonzero distances only
+    system = tmp_path / "spin_boson.json"
+    system.write_text(json.dumps({
+        "dim": 2,
+        "h_s": [[50.0, 40.0], [40.0, -50.0]],
+        "couplings": [{"bath": "main", "v_sb": [[1.0, 0.0], [0.0, -1.0]]}],
+    }))
+    rc = main(
+        ["validate", "--sd", "configs/surrogate_sd.csv", "--temp-k", "300",
+         "--system", str(system), "--tol-sweep", "0.3,0.2,0.1", "--t-max-fs", "100",
+         "--omega-max-cm1", "600", "--n-time", "6", "--n-freq", "2000",
+         "--out", str(tmp_path / "r.json")]
+    )
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["distances"][0] == 0.0 and report["distances"][1] > 0.0
+    assert report["monotone_within_slack"] is True
+    assert rc == 0
+
+
+def test_validate_non_monotone_sweep_exit_5(debye_sd, qubit_system, tmp_path, monkeypatch):
+    # distances 0.01 then 0.05 grow past the slack: the report is written and
+    # the exit code says the validation failed
+    import bathkit.dynamics as dynamics
+
+    gammas = iter(-np.log([0.5, 0.51, 0.56]))
+    monkeypatch.setattr(
+        dynamics, "dephasing_gamma", lambda model, times: np.full(len(times), next(gammas))
+    )
+    rc = main(
+        ["validate", "--sd", debye_sd, "--temp-k", "300", "--system", qubit_system,
+         "--tol-sweep", "0.5,0.4,0.3", "--t-max-fs", "50", "--omega-max-cm1", "500",
+         "--n-time", "4", "--n-freq", "128", "--out", str(tmp_path / "r.json")]
+    )
+    assert rc == 5
+    assert json.loads((tmp_path / "r.json").read_text())["monotone_within_slack"] is False
+
+
 def test_validate_populations_on_a_one_time_grid_exit_2(tmp_path, capsys):
     # the propagation branch names the grid option, not propagate's arguments
     system = tmp_path / "spin_boson.json"

@@ -234,6 +234,20 @@ def test_negative_frequency_norm_conserved():
     assert np.max(np.abs(res.norm - 1.0)) <= 1e-8
 
 
+@pytest.mark.parametrize("v", [SIGMA_Z, SIGMA_X], ids=["sigma_z", "sigma_x"])
+def test_energy_offset_is_only_a_global_phase(v):
+    # a site energy of 12,400 cm^-1 adds only a phase; one Gram-Schmidt pass
+    # per Lanczos step leaves eps * |alpha| in the span and needs 42 bases here
+    def run(e0):
+        system = SystemSpec(h_s=[[e0 + 50.0, 40.0], [40.0, e0 - 50.0]], couplings=(("b", v),))
+        model = build_model(system, [("b", synthetic_bath([120.0, -80.0], [40.0, 25.0]))])
+        return propagate(model, FockTruncation(caps=(6, 6)), np.array([1.0, 0.0]), 100.0, 1.0)
+
+    res, shifted = run(0.0), run(12_400.0)
+    np.testing.assert_allclose(shifted.populations, res.populations, rtol=0.0, atol=1e-12)
+    assert shifted.krylov_bases == res.krylov_bases
+
+
 @pytest.mark.parametrize(
     "omega, g", [(1e-200, 1.0), (-1e-200, 1.0), (1e-300, 1e10)],
     ids=["square-overflows", "negative-omega", "ratio-overflows"],
@@ -740,6 +754,27 @@ def test_convergence_study_loose_vs_tight_differ(dephasing_system):
     grid = FdrGrid(t_max_fs=400.0, omega_max_cm1=1200.0, n_time=200, n_freq=2400)
     report = convergence_study(kernel, dephasing_system, [0.9, 1e-3], grid)
     assert report.distances[0] > 0.0
+
+
+@pytest.mark.parametrize(
+    "distances, passes",
+    [([0.0, 0.01], True), ([0.01, 0.05], False), ([0.01, 0.0, 0.05], False)],
+)
+def test_convergence_study_judges_the_trend_on_nonzero_distances(
+    distances, passes, dephasing_system, monkeypatch
+):
+    # two tols giving the same bath have distance 0, which says nothing of the
+    # trend; a growth past the slack still fails across a zero in between
+    gammas = iter(-np.log(np.cumsum([0.5] + distances)))
+    monkeypatch.setattr(
+        dynamics, "dephasing_gamma", lambda model, times: np.full(len(times), next(gammas))
+    )
+    kernel = NoiseKernel(Debye(lam=35.0, gamma=106.1), Temperature.finite(300.0))
+    grid = FdrGrid(t_max_fs=50.0, omega_max_cm1=500.0, n_time=4, n_freq=128)
+    tols = [0.5, 0.4, 0.3, 0.2][: len(distances) + 1]
+    report = convergence_study(kernel, dephasing_system, tols, grid)
+    np.testing.assert_allclose(report.distances, distances, rtol=1e-12, atol=1e-15)
+    assert report.monotone_within_slack is passes
 
 
 def test_convergence_study_empty_sweep(dephasing_system):

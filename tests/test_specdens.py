@@ -168,6 +168,14 @@ def test_series_switchover_continuity():
         assert abs(below - above) / abs(above) < 1e-8
 
 
+def test_noise_takes_its_zero_limit_where_beta_omega_underflows():
+    # a subnormal beta*omega carries too few bits for J/expm1; S is continuous
+    # there, so it reads S(0) = J'(0)/beta
+    nk = NoiseKernel(Debye(lam=35.0, gamma=106.1), Temperature.finite(300.0))
+    w = np.array([5e-324, -5e-324, 1e-320, -1e-320])
+    np.testing.assert_allclose(nk.evaluate(w), nk.evaluate(0.0), rtol=1e-12)
+
+
 def test_noise_is_finite_everywhere():
     for sd in ALL_KINDS:
         for temp in (Temperature.zero(), Temperature.finite(0.1), Temperature.finite(5000.0)):
