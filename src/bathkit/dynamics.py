@@ -77,9 +77,8 @@ class FockTruncation:
         caps = []
         for omega, g in zip(model.mode_omegas.tolist(), model.mode_g.tolist()):
             ratio = abs(g / omega) if omega != 0.0 else 0.0
-            # past |g/omega| = 1 the cap is saturated and squaring could overflow
-            cap = int(math.ceil(8.0 * ratio**2)) + 3 if ratio <= 1.0 else MAX_FOCK_CAP
-            caps.append(min(MAX_FOCK_CAP, cap))
+            # past |g/omega| = 1 the cap is saturated; clipping there keeps the square finite
+            caps.append(min(MAX_FOCK_CAP, int(math.ceil(8.0 * min(ratio, 1.0) ** 2)) + 3))
         return cls(caps=tuple(caps))
 
     def dimension(self, system_dim: int) -> int:

@@ -14,8 +14,9 @@ coth(x) + 1 = -2/expm1(-2x), accurate for every normal beta*omega, with
 no power series; where beta*omega underflows (omega = 0 or a subnormal
 product) it takes the limit J'(0)/beta.  Values are finite for all real
 omega, and detailed balance S_beta(-omega) = exp(-beta*omega) *
-S_beta(omega) holds to machine precision.  At zero temperature
-S_beta(omega) = J(omega) for omega > 0 and exactly 0 for omega <= 0.
+S_beta(omega) holds to machine precision.  Zero temperature is the
+beta -> inf limit of the same formula: S_beta(omega) = J(omega) for
+omega > 0 and exactly 0 for omega <= 0.
 """
 
 from __future__ import annotations
@@ -90,10 +91,10 @@ class Debye(SpectralDensity):
             out = 2.0 * self.lam * self.gamma * x / denom
             far = np.isinf(denom)
             if np.any(far):
-                # x*x overflows: divide by hypot(x, gamma) twice instead; the
-                # result stays non-finite only where 2*lam*gamma*x overflows
+                # x*x overflows: divide by hypot(x, gamma) first, so neither the
+                # square nor 2*lam*gamma*x is ever formed
                 h = np.hypot(x, self.gamma)
-                out = np.where(far, 2.0 * self.lam * self.gamma * x / h / h, out)
+                out = np.where(far, 2.0 * self.lam * self.gamma / h * (x / h), out)
         return out
 
     def derivative_at_zero(self) -> float:
@@ -119,7 +120,8 @@ class OhmicExp(SpectralDensity):
         _require_positive("ohmic_exp", "omega_c", self.omega_c)
 
     def _magnitude(self, x):
-        return 0.5 * np.pi * self.alpha * x * np.exp(-x / self.omega_c)
+        # x * exp(-x/omega_c) first: it underflows to 0 where alpha * x would overflow
+        return 0.5 * np.pi * self.alpha * (x * np.exp(-x / self.omega_c))
 
     def derivative_at_zero(self) -> float:
         return 0.5 * np.pi * self.alpha
@@ -260,8 +262,6 @@ def load_tabulated(source) -> Tabulated:
             )
         omegas.append(w)
         values.append(j)
-    if len(omegas) < 2:
-        raise ValidationError(f"tabulated: needs at least 2 points, got {len(omegas)}")
     try:
         return Tabulated(np.array(omegas), np.array(values))
     except ValidationError as exc:
@@ -333,8 +333,8 @@ def sd_from_config(config: dict) -> SpectralDensity:
 class Temperature:
     """Environment temperature; ``kelvin is None`` means exactly zero.
 
-    Zero temperature is handled symbolically (dedicated code paths), never
-    as a floating-point infinity.
+    Zero temperature stays symbolic here (``beta`` raises there);
+    ``NoiseKernel`` takes the beta -> inf limit of its one formula.
     """
 
     kelvin: float | None
@@ -391,19 +391,14 @@ class NoiseKernel:
     def evaluate(self, omega):
         """S_beta(omega); finite for every real omega, scalars or arrays."""
         w = np.asarray(omega, dtype=float)
-        scalar = w.ndim == 0
-        w = np.atleast_1d(w)
         j = self.sd.evaluate(w)
-        if self.temperature.is_zero:
-            out = np.where(w > 0.0, j, 0.0)
-            return float(out[0]) if scalar else out
-
-        beta = self.temperature.beta
-        y = beta * w
+        beta = math.inf if self.temperature.is_zero else self.temperature.beta
         # coth(y/2) + 1 == -2/expm1(-y), exact to machine precision for all normal y;
-        # e^{|y|} -> inf gives a clean S -> 0, and a y that underflows (zero or
-        # subnormal, where J(omega)/y loses bits) takes the limit J'(0)/beta
-        underflow = np.abs(y) < np.finfo(float).tiny
+        # e^{|y|} -> inf gives a clean S -> 0 (at beta = inf: J above omega = 0, 0
+        # below), and omega = 0 or a y that underflows (subnormal, where J(omega)/y
+        # loses bits) takes the limit J'(0)/beta, which also replaces inf * 0 = nan
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            out = np.where(underflow, self.sd.derivative_at_zero() / beta, -j / np.expm1(-y))
-        return float(out[0]) if scalar else out
+            y = beta * w
+            limit = (w == 0.0) | (np.abs(y) < np.finfo(float).tiny)
+            out = np.where(limit, self.sd.derivative_at_zero() / beta, -j / np.expm1(-y))
+        return out if w.ndim else float(out)

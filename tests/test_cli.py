@@ -9,7 +9,7 @@ import pytest
 
 import bathkit.cli as cli
 from bathkit.cli import build_parser, main
-from bathkit.discretize import FdrGrid, load_bath_model
+from bathkit.discretize import FdrGrid, load_bath_model, save_bath_model
 from bathkit.dynamics import convergence_study
 from bathkit.hamiltonian import import_model, system_from_dict
 from bathkit.specdens import NoiseKernel, Temperature, load_tabulated
@@ -109,6 +109,14 @@ def test_eval_sd_defaults_to_zero_temperature(debye_sd, tmp_path):
     assert rc == 0
     s_col = [float(r.split(",")[2]) for r in data_rows(out)]
     assert all(s == 0.0 for s in s_col)  # S vanishes for omega < 0 at T = 0
+
+
+def test_eval_sd_needs_two_rows_exit_2(debye_sd, tmp_path, capsys):
+    out = tmp_path / "sd.csv"
+    argv = ["eval-sd", "--sd", debye_sd, "--omega-min", "0", "--omega-max", "1", "--n", "1"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "--n must be >= 2, got 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_sd_malformed_json_exits_2_no_partial_file(tmp_path, capsys):
@@ -337,6 +345,41 @@ def test_reconstruct_schema_violation_exit_2(tmp_path, capsys):
     rc = main(["reconstruct", "--model", str(bad), "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     assert "temperature_K" in capsys.readouterr().err
+
+
+def test_reconstruct_unknown_bath_schema_exit_2(small_model, tmp_path, capsys):
+    doc = json.loads(Path(small_model).read_text())
+    doc["schema"] = "bathkit-bath/2"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["reconstruct", "--model", str(bad), "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert "/schema" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("temp", [["--temp-k", "300"], ["--zero-temp"]], ids=["300K", "zero"])
+def test_bath_json_reloads_and_resaves_byte_identical(debye_sd, tmp_path, temp):
+    out, again = tmp_path / "bath.json", tmp_path / "again.json"
+    argv = discretize_args(debye_sd, out)
+    i = argv.index("--temp-k")
+    argv[i : i + 2] = temp
+    assert main(argv) == 0
+    model = load_bath_model(str(out))
+    assert model.temperature.is_zero == (temp == ["--zero-temp"])
+    save_bath_model(model, again, metadata=json.loads(out.read_text())["metadata"])
+    assert again.read_bytes() == out.read_bytes()
+    assert main(["reconstruct", "--model", str(again), "--out", str(tmp_path / "c.csv")]) == 0
+
+
+def test_discretize_negative_noise_at_a_selected_column_exit_2(tmp_path, capsys):
+    sd, out = tmp_path / "neg.csv", tmp_path / "b.json"
+    sd.write_text("omega,J\n10,-1\n20,-2\n40,-1\n")
+    argv = ["discretize", "--sd", str(sd), "--temp-k", "300", "--n-time", "20",
+            "--n-freq", "100", "--omega-max-cm1", "60", "--t-max-fs", "200", "--out", str(out)]
+    assert main(argv) == 2
+    assert "quantum noise is negative at selected frequencies" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- validate --------------------------------------------------------------------

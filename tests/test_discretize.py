@@ -77,6 +77,8 @@ def test_grid_validation():
     assert g.times.tolist() == [0.0]
     with pytest.raises(ValidationError):
         FdrGrid(t_max_fs=10.0, omega_max_cm1=100.0, n_time=1, n_freq=4)
+    with pytest.raises(ValidationError, match="t_max_fs must be positive for n_time > 1"):
+        FdrGrid(0.0, 600.0, 5, 10)
 
 
 @pytest.mark.parametrize(

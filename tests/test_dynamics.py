@@ -333,6 +333,12 @@ def test_output_size_cap_before_hamiltonian_action(t_max_fs, monkeypatch):
         propagate(model, FockTruncation(caps=(3,)), PLUS, t_max_fs, 1.0)
 
 
+def test_action_rejects_a_cap_count_other_than_the_mode_count():
+    model = dephasing_model([100.0], [10.0])
+    with pytest.raises(ValidationError, match="2 caps but the model has 1 modes"):
+        dynamics._HamiltonianAction(model, FockTruncation(caps=(3, 3)))
+
+
 def test_psi0_validation():
     model = dephasing_model([100.0], [10.0])
     with pytest.raises(ValidationError, match="normalized"):
@@ -433,10 +439,11 @@ def test_step_halving_exhausted_raises(monkeypatch):
         {"tol": -1e-10},
         {"tol": math.inf},
         {"psi0_system": np.array([math.nan, 1.0])},
+        {"psi0_system": np.array([1.0, 0.0, 0.0])},
         {"krylov_dim": 4.5},
     ],
     ids=["t_max-inf", "step-count-overflows", "tol-nan", "tol-negative", "tol-inf",
-         "psi0-nan", "krylov_dim-float"],
+         "psi0-nan", "psi0-shape", "krylov_dim-float"],
 )
 def test_propagate_rejects_bad_inputs_before_any_work(monkeypatch, kwargs):
     def no_work(*args):
@@ -680,6 +687,11 @@ def test_gamma_rejects_zero_frequency_and_wrong_structure():
     system = SystemSpec(h_s=[[0.0, 5.0], [5.0, 0.0]], couplings=(("b", SIGMA_Z),))
     model = build_model(system, [("b", synthetic_bath([100.0], [1.0]))])
     with pytest.raises(ValidationError, match="diagonal"):
+        dephasing_gamma(model, [0.0])
+    qutrit = np.diag([1.0, 0.0, -1.0])
+    system = SystemSpec(h_s=qutrit, couplings=(("b", qutrit),))
+    model = build_model(system, [("b", synthetic_bath([100.0], [1.0]))])
+    with pytest.raises(ValidationError, match="two-level"):
         dephasing_gamma(model, [0.0])
 
 

@@ -186,3 +186,50 @@ def test_import_rejects_wrong_schema(bath):
     with pytest.raises(SchemaError) as err:
         import_model_via_dict(doc)
     assert err.value.pointer == "/schema"
+
+
+@pytest.mark.parametrize(
+    "h_s, couplings, match",
+    [
+        ([[0.0, 1.0]], (), "h_s must be square"),
+        ([[np.nan]], (), "h_s contains non-finite"),
+        ([[0.0]], (("", [[1.0]]),), "nonempty string"),
+        ([[0.0, 0.0], [0.0, 0.0]], (("b", [[1.0]]),), "does not match"),
+        (np.zeros((0, 0)), (), "dimension must be >= 1"),
+    ],
+    ids=["non-square", "non-finite", "empty-label", "v_sb-shape", "zero-dimension"],
+)
+def test_system_spec_rejects_bad_matrices_and_labels(h_s, couplings, match):
+    with pytest.raises(ValidationError, match=match):
+        SystemSpec(h_s=h_s, couplings=couplings)
+
+
+@pytest.mark.parametrize(
+    "h_s, match",
+    [
+        ([[0.0, 0.0], [0.0]], "ragged"),
+        ([], "nonempty"),
+        ([[0.0]], "expected 2 x 2"),
+    ],
+    ids=["ragged-rows", "empty-rows", "shape-differs-from-dim"],
+)
+def test_system_from_dict_rejects_bad_h_s(h_s, match):
+    doc = {"dim": 2, "h_s": h_s, "couplings": []}
+    with pytest.raises(SchemaError, match=match) as err:
+        system_from_dict(doc, pointer="")
+    assert err.value.pointer == "/h_s"
+
+
+def test_bath_for_unknown_label_raises(bath):
+    model = build_model(SystemSpec(h_s=[[0.0]], couplings=(("b", [[1.0]]),)), [("b", bath)])
+    with pytest.raises(ValidationError, match="unknown bath label 'c'"):
+        model.bath_for("c")
+
+
+def test_import_rejects_duplicate_bath_labels(bath):
+    system = SystemSpec(h_s=[[0.0]], couplings=(("b", [[1.0]]),))
+    doc = model_to_dict(build_model(system, [("b", bath)]))
+    doc["baths"].append(doc["baths"][0])
+    with pytest.raises(SchemaError, match="duplicate") as err:
+        import_model_via_dict(doc)
+    assert err.value.pointer == "/"

@@ -330,6 +330,12 @@ def test_nnls_kkt_and_exact_zeros(seed):
     assert np.max(np.abs(w[z > 0.0]), initial=0.0) <= res.dual_tolerance
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nnls_rejects_a_non_finite_rhs(value):
+    with pytest.raises(ValidationError, match="b contains non-finite"):
+        nnls(np.eye(2), np.array([1.0, value]))
+
+
 def test_nnls_zero_rhs():
     res = nnls(np.eye(3), np.zeros(3))
     np.testing.assert_array_equal(res.z, np.zeros(3))

@@ -102,6 +102,18 @@ def test_bath_model_rejects_non_finite_arrays(bath_doc, field):
         )
 
 
+@pytest.mark.parametrize(
+    "arrays, match",
+    [({"g": np.array([1.0])}, "equal length"), ({"g": np.array([-1.0, 1.0])}, "nonnegative")],
+    ids=["unequal-lengths", "negative-g"],
+)
+def test_bath_model_rejects_unequal_arrays_and_negative_couplings(bath_doc, arrays, match):
+    model = load_bath_model(io.StringIO(json.dumps(bath_doc)))
+    two = {"omegas": model.omegas[:2], "z": model.z[:2], "g": model.g[:2]}
+    with pytest.raises(ValidationError, match=match):
+        dataclasses.replace(model, **{**two, **arrays})
+
+
 @pytest.mark.parametrize("tol", [0.0, 1.0, 5.0, -5.0, math.nan])
 def test_bath_model_rejects_a_tol_the_loader_rejects(bath_doc, tol):
     # load_bath_model refuses these, so save_bath_model must never write one
@@ -479,13 +491,21 @@ def test_validate_dephasing_at_a_tiny_band_exits_0(exit_code, debye_sd, tmp_path
 
 
 @pytest.mark.parametrize(
-    "span", [("-1.7e308", "1.7e308"), ("0", "1.7e308")], ids=["span-overflows", "noise-overflows"]
+    "config, span",
+    [
+        (DEBYE_JSON, ("-1.7e308", "1.7e308")),
+        # 2*lam*gamma itself overflows, so J is inf at every omega > 0
+        ('{"kind": "debye", "lambda": 1e300, "gamma": 1e300}', ("0", "1.7e308")),
+    ],
+    ids=["span-overflows", "noise-overflows"],
 )
 def test_eval_sd_extreme_finite_range_exits_2_without_warnings(
-    exit_code, debye_sd, tmp_path, capsys, span
+    exit_code, tmp_path, capsys, config, span
 ):
+    sd = tmp_path / "sd.json"
+    sd.write_text(config)
     out = tmp_path / "sd.csv"
-    argv = ["eval-sd", "--sd", debye_sd, f"--omega-min={span[0]}", f"--omega-max={span[1]}",
+    argv = ["eval-sd", "--sd", str(sd), f"--omega-min={span[0]}", f"--omega-max={span[1]}",
             "--n", "3", "--out", str(out)]
     assert run_without_warnings(exit_code, argv) == 2
     err = capsys.readouterr().err
@@ -504,6 +524,19 @@ def test_eval_sd_far_debye_tail_is_not_zero(exit_code, debye_sd, tmp_path):
     for omega, j, s in rows:
         assert float(j) == pytest.approx(2.0 * 35.0 * 106.1 / float(omega), rel=1e-14, abs=0.0)
         assert float(s) == float(j)  # zero temperature: S = J for omega > 0
+
+
+def test_eval_sd_shipped_debye_is_finite_up_to_the_largest_double(exit_code, tmp_path):
+    sd = Path(__file__).resolve().parent.parent / "configs" / "debye_sd.json"
+    out = tmp_path / "sd.csv"
+    argv = ["eval-sd", "--sd", str(sd), "--omega-min=0", "--omega-max=1.7e308",
+            "--n", "3", "--out", str(out)]
+    assert run_without_warnings(exit_code, argv) == 0
+    rows = [[float(c) for c in line.split(",")] for line in out.read_text().splitlines()[5:]]
+    assert rows[0] == [0.0, 0.0, 0.0]
+    for omega, j, s in rows[1:]:
+        assert j == pytest.approx(2.0 * 35.0 * 106.1 / omega, rel=1e-14, abs=0.0)
+        assert s == j
 
 
 # --- file-system and decoding errors ------------------------------------------------

@@ -30,10 +30,22 @@ ALL_KINDS = [
 def test_debye_far_tail_where_the_square_overflows():
     # x*x overflows above ~1.3e154 cm^-1 while 2*lam*gamma/omega is a normal double
     sd = Debye(lam=35.0, gamma=106.1)
-    omegas = np.array([2e154, 1e200, -1e200, 1e300])
+    omegas = np.array([2e154, 1e200, -1e200, 1e300, 1e305, 1.7e308, -1.7e308])
     expected = 2.0 * 35.0 * 106.1 / omegas
     np.testing.assert_allclose(sd.evaluate(omegas), expected, rtol=1e-15, atol=0.0)
     assert sd.evaluate(1e200) > 0.0
+
+
+@pytest.mark.parametrize(
+    "temp", [Temperature.zero(), Temperature.finite(300.0)], ids=["0K", "300K"]
+)
+def test_ohmic_far_tail_is_finite_without_warnings(temp):
+    # 0.5*pi*alpha*omega overflows above ~9.5e307 (the suite turns numpy warnings
+    # into errors); omega*exp(-omega/omega_c) is 0 there
+    sd = OhmicExp(alpha=1.2, omega_c=150.0)
+    omegas = np.array([1e308, -1e308, 1.7e308, -1.7e308])
+    assert np.array_equal(sd.evaluate(omegas), np.zeros(4))
+    assert np.array_equal(NoiseKernel(sd, temp).evaluate(omegas), np.zeros(4))
 
 
 def test_debye_in_range_values_unchanged_bit_for_bit():
@@ -83,6 +95,8 @@ def test_tabulated_validation_errors():
         Tabulated(omega=np.array([10.0]), values=np.array([1.0]))
     with pytest.raises(ValidationError):
         Tabulated(omega=np.array([10.0, np.nan]), values=np.array([1.0, 2.0]))
+    with pytest.raises(ValidationError, match="equal-length"):
+        Tabulated(omega=np.array([10.0, 20.0]), values=np.array([1.0]))
 
 
 def test_load_tabulated_roundtrip_and_errors():
@@ -92,6 +106,9 @@ def test_load_tabulated_roundtrip_and_errors():
 
     sd = load_tabulated(io.StringIO("omega_cm1,J_cm1\n10,1.0\n20,2.0\n"))
     assert sd.omega.size == 2
+
+    sd = load_tabulated(io.StringIO("omega_cm1,J_cm1\n# comment\n10,1.0\n20,2.0\n"))
+    assert sd.omega.tolist() == [10.0, 20.0]
 
     with pytest.raises(ValidationError, match="increasing"):
         load_tabulated(io.StringIO("20,2.0\n10,1.0"))
@@ -110,6 +127,8 @@ def test_sd_from_config_all_kinds():
         np.testing.assert_array_equal(clone.evaluate(w), sd.evaluate(w))
     with pytest.raises(ValidationError, match="kind"):
         sd_from_config({"kind": "unknown"})
+    with pytest.raises(ValidationError, match="must be an object"):
+        sd_from_config(["debye"])
     with pytest.raises(ValidationError):
         sd_from_config({"kind": "debye", "lambda": 35.0})  # missing gamma
 
