@@ -300,8 +300,8 @@ def discretize_bath(
     id_res = column_id(samples, tol=tol)
     if id_res.rank == 0:
         raise ValidationError(
-            "interpolative decomposition selected no columns; "
-            "the kernel is identically zero on the grid or tol is too large"
+            "interpolative decomposition selected no columns: "
+            "the noise is identically zero on the grid"
         )
 
     c_ref = reference_bcf(kernel, grid.times, grid.omega_max_cm1)
@@ -411,14 +411,19 @@ def bath_model_from_dict(doc: dict, pointer: str = "") -> BathModel:
     schema = doc.get("schema", BATH_SCHEMA)
     if schema != BATH_SCHEMA:
         raise SchemaError(f"{pointer}/schema", f"expected '{BATH_SCHEMA}', got {schema!r}")
-    temperature = Temperature.from_json(require(doc, "temperature_K", pointer))
+    temperature_k = require(doc, "temperature_K", pointer)
+    try:
+        temperature = Temperature.from_json(temperature_k)
+    except ValidationError as exc:
+        raise SchemaError(f"{pointer}/temperature_K", str(exc)) from None
     t_max = require_number(doc, "t_max_fs", pointer)
     omega_max = require_number(doc, "omega_max_cm1", pointer)
     tol = require_number(doc, "tol", pointer)
     if not (0.0 < tol < 1.0):
         raise SchemaError(f"{pointer}/tol", f"expected a number in (0, 1), got {tol!r}")
+    sd_config = require(doc, "spectral_density", pointer)
     try:
-        sd = sd_from_config(require(doc, "spectral_density", pointer))
+        sd = sd_from_config(sd_config)
     except ValidationError as exc:
         raise SchemaError(f"{pointer}/spectral_density", str(exc)) from None
     modes = require_list(doc, "modes", pointer)

@@ -451,20 +451,23 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Discretize at each tolerance and compare the resulting observables.
 
-    Tolerances are processed loosest to tightest; successive nonzero
-    observable distances must not grow by more than ``SWEEP_SLACK``
+    Tolerances, each in (0, 1), are processed loosest to tightest; successive
+    nonzero observable distances must not grow by more than ``SWEEP_SLACK``
     (fractional) for the report to pass, and a zero distance, from two
     tols giving the same bath, is skipped.  Qubit models with a single
     diagonal coupling use the closed-form dephasing coherence (any mode count); anything else is
     propagated exactly, with ``propagate``'s default tolerance and largest
     Krylov basis (32 vectors, each basis stopping once its call's last step
-    passes), on a grid of at least two times, checked before any
-    discretization, and compared on site populations.  ``memory_cap_bytes``
-    caps every discretization and every propagation.
+    passes), on a grid of at least two times, and compared on site populations.
+    Every tol and the grid are checked before any discretization, and
+    ``memory_cap_bytes`` caps every discretization and every propagation.
     """
     tols = tuple(sorted({float(t) for t in tol_sweep}, reverse=True))
     if not tols:
         raise ValidationError("tolerance sweep must not be empty")
+    for tol in tols:
+        if not (0.0 < tol < 1.0):
+            raise ValidationError(f"tol must be in (0, 1), got {tol}")
 
     labels = sorted({label for label, _ in system.couplings})
     dephasing = _pure_dephasing_violation(system) is None

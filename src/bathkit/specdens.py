@@ -15,8 +15,8 @@ no power series; where beta*omega underflows (omega = 0 or a subnormal
 product) it takes the limit J'(0)/beta.  Values are finite for all real
 omega, and detailed balance S_beta(-omega) = exp(-beta*omega) *
 S_beta(omega) holds to machine precision.  Zero temperature is the
-beta -> inf limit of the same formula: S_beta(omega) = J(omega) for
-omega > 0 and exactly 0 for omega <= 0.
+beta -> inf limit of the same formula (``Temperature.beta`` is inf there):
+S_beta(omega) = J(omega) for omega > 0 and exactly 0 for omega <= 0.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from ._schema import is_finite_number, read_text, require_list, require_number
 from .errors import SchemaError, ValidationError
-from .units import beta_from_kelvin
+from .units import KB_CM1_PER_K
 
 __all__ = [
     "SpectralDensity",
@@ -333,21 +333,18 @@ def sd_from_config(config: dict) -> SpectralDensity:
 class Temperature:
     """Environment temperature; ``kelvin is None`` means exactly zero.
 
-    Zero temperature stays symbolic here (``beta`` raises there);
-    ``NoiseKernel`` takes the beta -> inf limit of its one formula.
+    ``beta`` is 1/(kB*T), and ``math.inf`` at zero temperature, the
+    beta -> inf limit that ``NoiseKernel`` evaluates with its one formula.
     """
 
     kelvin: float | None
 
     def __post_init__(self):
-        # a positive temperature so small that beta overflows is rejected too
-        if self.kelvin is not None and not (
-            self.kelvin > 0
-            and np.isfinite(self.kelvin)
-            and np.isfinite(beta_from_kelvin(self.kelvin))
-        ):
+        # beta is 0 at kelvin = inf and overflows at a tiny positive kelvin: both rejected
+        if self.kelvin is not None and not (self.kelvin > 0 and 0.0 < self.beta < math.inf):
             raise ValidationError(
-                f"temperature must be positive or zero-mode, got {self.kelvin} K"
+                f"temperature must be finite and positive with a finite beta, got {self.kelvin} K; "
+                "for zero temperature use \"zero\" in JSON or --zero-temp on the CLI"
             )
 
     @classmethod
@@ -364,10 +361,8 @@ class Temperature:
 
     @property
     def beta(self) -> float:
-        """1/(kB*T) in (cm^-1)^-1; only defined at finite temperature."""
-        if self.kelvin is None:
-            raise ValidationError("beta is not a finite number at zero temperature")
-        return beta_from_kelvin(self.kelvin)
+        """1/(kB*T) in (cm^-1)^-1; ``math.inf`` at zero temperature."""
+        return math.inf if self.kelvin is None else 1.0 / (KB_CM1_PER_K * self.kelvin)
 
     def to_json(self):
         return "zero" if self.kelvin is None else self.kelvin
@@ -392,7 +387,7 @@ class NoiseKernel:
         """S_beta(omega); finite for every real omega, scalars or arrays."""
         w = np.asarray(omega, dtype=float)
         j = self.sd.evaluate(w)
-        beta = math.inf if self.temperature.is_zero else self.temperature.beta
+        beta = self.temperature.beta
         # coth(y/2) + 1 == -2/expm1(-y), exact to machine precision for all normal y;
         # e^{|y|} -> inf gives a clean S -> 0 (at beta = inf: J above omega = 0, 0
         # below), and omega = 0 or a y that underflows (subnormal, where J(omega)/y

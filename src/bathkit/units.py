@@ -17,9 +17,3 @@ C_CM_PER_FS = 2.99792458e-5
 # Angular frequency (rad/fs) carried by 1 cm^-1.
 RAD_PER_FS_PER_CM1 = 2.0 * math.pi * C_CM_PER_FS
 
-
-def beta_from_kelvin(temp_k: float) -> float:
-    """Inverse temperature 1/(kB*T) in (cm^-1)^-1."""
-    if temp_k <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temp_k} K")
-    return 1.0 / (KB_CM1_PER_K * temp_k)

@@ -249,6 +249,22 @@ def test_discretize_memory_cap_exit_4(debye_sd, tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_validate_bad_tightest_tol_exit_2_before_any_work(
+    qubit_system, tmp_path, capsys, monkeypatch
+):
+    def no_discretize(*args, **kwargs):
+        raise AssertionError("a bath was discretized")
+
+    monkeypatch.setattr("bathkit.dynamics.discretize_bath", no_discretize)
+    out = tmp_path / "r.json"
+    argv = ["validate", "--sd", "configs/surrogate_sd.csv", "--temp-k", "300",
+            "--system", qubit_system, "--tol-sweep", "0.3,0.2,0", "--omega-max-cm1", "600",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert "tol must be in (0, 1), got 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_memory_cap_exit_4(qubit_system, tmp_path, capsys):
     # the column ID on the default grid needs 0.19 GiB, above a 0.01 GiB cap
     out = tmp_path / "r.json"
@@ -379,6 +395,19 @@ def test_discretize_negative_noise_at_a_selected_column_exit_2(tmp_path, capsys)
             "--n-freq", "100", "--omega-max-cm1", "60", "--t-max-fs", "200", "--out", str(out)]
     assert main(argv) == 2
     assert "quantum noise is negative at selected frequencies" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_discretize_identically_zero_noise_exit_2(tmp_path, capsys):
+    # no tol in (0, 1) stops the ID before its first pivot; only a zero noise does
+    sd, out = tmp_path / "zero.csv", tmp_path / "b.json"
+    sd.write_text("1.0,0.0\n600.0,0.0\n")
+    argv = ["discretize", "--sd", str(sd), "--temp-k", "300", "--n-time", "20",
+            "--n-freq", "100", "--omega-max-cm1", "600", "--t-max-fs", "200", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "selected no columns: the noise is identically zero on the grid" in err
+    assert "tol" not in err
     assert not out.exists()
 
 

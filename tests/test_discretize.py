@@ -595,6 +595,16 @@ def test_bath_model_missing_modes_pointer():
     assert err.value.pointer == "/modes"
 
 
+@pytest.mark.parametrize("key", ["temperature_K", "spectral_density"])
+def test_bath_model_missing_key_is_named_once(key):
+    doc = bath_model_to_dict(discretize_bath(DEBYE_300K, SMALL_GRID, 1e-2))
+    del doc[key]
+    with pytest.raises(SchemaError) as err:
+        bath_model_from_dict(doc)
+    assert err.value.pointer == f"/{key}"
+    assert str(err.value) == f"/{key}: missing required key"
+
+
 def test_bath_model_bad_mode_entry_pointer():
     model = discretize_bath(DEBYE_300K, SMALL_GRID, 1e-2)
     doc = bath_model_to_dict(model)

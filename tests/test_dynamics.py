@@ -796,6 +796,22 @@ def test_convergence_study_empty_sweep(dephasing_system):
         convergence_study(kernel, dephasing_system, [], grid)
 
 
+@pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, -0.1, math.nan], ids=str)
+def test_convergence_study_checks_every_tol_before_discretizing(
+    bad, dephasing_system, monkeypatch
+):
+    # tols run loosest first, so a bad tightest tol would otherwise fail only
+    # after every valid tol had been discretized and compared
+    def no_discretize(*args, **kwargs):
+        raise AssertionError("a bath was discretized")
+
+    monkeypatch.setattr(dynamics, "discretize_bath", no_discretize)
+    kernel = NoiseKernel(Debye(lam=35.0, gamma=106.1), Temperature.finite(300.0))
+    grid = FdrGrid(t_max_fs=50.0, omega_max_cm1=500.0, n_time=4, n_freq=128)
+    with pytest.raises(ValidationError, match=r"tol must be in \(0, 1\)"):
+        convergence_study(kernel, dephasing_system, [0.3, 0.2, bad], grid)
+
+
 def test_convergence_study_propagation_path():
     # a non-dephasing system exercises the exact-propagation observable
     kernel = NoiseKernel(Debye(lam=35.0, gamma=106.1), Temperature.finite(300.0))

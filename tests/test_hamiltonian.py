@@ -133,6 +133,15 @@ def test_missing_modes_pointer(bath):
     assert err.value.pointer == "/baths/0/modes"
 
 
+def test_bad_temperature_pointer(bath):
+    system = SystemSpec(h_s=[[0.0]], couplings=(("b", [[1.0]]),))
+    doc = model_to_dict(build_model(system, [("b", bath)]))
+    doc["baths"][0]["temperature_K"] = "hot"
+    with pytest.raises(SchemaError) as err:
+        import_model_via_dict(doc)
+    assert err.value.pointer == "/baths/0/temperature_K"
+
+
 def import_model_via_dict(doc):
     import json
 

@@ -139,12 +139,16 @@ def test_system_dim_must_be_an_integer(dim):
     assert err.value.pointer == "/dim"
 
 
-@pytest.mark.parametrize("value", [math.nan, HUGE_INT, "35"], ids=["nan", "huge", "str"])
+@pytest.mark.parametrize(
+    "value", [math.nan, HUGE_INT, "35", -5], ids=["nan", "huge", "str", "negative"]
+)
 def test_bath_json_temperature_must_be_a_finite_number(bath_doc, value):
     doc = json.loads(json.dumps(bath_doc))
     doc["temperature_K"] = value
-    with pytest.raises(ValidationError, match="temperature"):
+    with pytest.raises(SchemaError, match="temperature") as err:
         load_bath_model(io.StringIO(json.dumps(doc)))
+    assert err.value.pointer == "/temperature_K"
+    assert "zero" in str(err.value)
 
 
 @pytest.mark.parametrize(
