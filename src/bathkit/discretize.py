@@ -285,15 +285,16 @@ def discretize_bath(
     weights, build couplings, and attach reconstruction diagnostics.
     Deterministic for fixed inputs; modes come out sorted by ascending
     frequency.  Before any work, the worst-case working set of the column
-    ID, 8 * (min(2m, n) * (2m + n) + 3 * 2m * min(n, 256)) + 160 * n bytes,
+    ID, 8 * (min(2m, n) * (2m + n) + 3 * 2m * min(n, 256)) + 192 * n bytes,
     is checked against ``memory_cap_bytes`` (ResourceLimitError above it).
     """
     if not (0.0 < tol < 1.0):
         raise ValidationError(f"tol must be in (0, 1), got {tol}")
     # Q (r x 2m) and R (r x n) at r = min(2m, n), three 2m x RECOMPUTE_CHUNK blocks of
-    # recomputed residuals, and ~130 bytes per column measured for S, norms and chirp-z
+    # recomputed residuals, and up to ~160 bytes per column measured for S, the norms,
+    # the chirp-z kernel's blocks and one call's FFT buffers
     m2, n = 2 * grid.n_time, grid.n_freq
-    nbytes = 8 * (min(m2, n) * (m2 + n) + 3 * m2 * min(n, RECOMPUTE_CHUNK)) + 160 * n
+    nbytes = 8 * (min(m2, n) * (m2 + n) + 3 * m2 * min(n, RECOMPUTE_CHUNK)) + 192 * n
     what = f"the column ID on the {grid.n_time} x {n} grid; use a coarser grid or a higher cap"
     check_memory(nbytes, memory_cap_bytes, what)
     samples = FdrOperator(kernel, grid)

@@ -12,9 +12,10 @@ Two primitives live here:
   only when it could be the next pivot.
 
 * ``nnls`` -- the Lawson-Hanson active-set method for min ||A z - b|| with
-  z >= 0.  A is factored A = QR once, and the active-set loop runs on the
-  small triangle R and Q^T b.  Inactive coordinates are exact zeros (never
-  small negatives), which downstream code relies on when pruning.
+  z >= 0.  [A | b] is triangularized once, giving R of A = QR and Q^T b
+  without forming Q, and the active-set loop runs on the small triangle R
+  and Q^T b.  Inactive coordinates are exact zeros (never small
+  negatives), which downstream code relies on when pruning.
 
 Both are pure functions of their inputs; pivot and index ties break toward
 the lowest index, so results are reproducible bit for bit.
@@ -178,10 +179,13 @@ def column_id(f, tol: float) -> IdResult:
 def nnls(a, b) -> NnlsResult:
     """Lawson-Hanson active-set solver for min ||A z - b||, z >= 0.
 
-    A is factored A = QR once (Q orthonormal, R min(m, n) x n) and the loop
-    runs on R and Q^T b alone: A[:, P] = Q R[:, P], so each passive-set
-    least-squares problem min ||R[:, P] x - Q^T b|| has the same (minimum
-    norm) solution as on A, and the duals are w = R^T (Q^T b - R z).
+    [A | b] is triangularized once by Householder QR, with no Q formed: the
+    first n columns of its triangle are R of A = QR (Q orthonormal, R
+    min(m, n) x n) and the top min(m, n) entries of its last column are
+    Q^T b.  The loop runs on R and Q^T b alone: A[:, P] = Q R[:, P], so
+    each passive-set least-squares problem min ||R[:, P] x - Q^T b|| has
+    the same (minimum norm) solution as on A, and the duals are
+    w = R^T (Q^T b - R z).
     Terminates when every inactive dual w_i is below
     10 * ||A||_inf * ||b||_2 * eps, or after ``NNLS_ITERATIONS_PER_COLUMN``
     * n outer iterations (the constant is read at call time), in which case
@@ -198,8 +202,9 @@ def nnls(a, b) -> NnlsResult:
     max_iter = NNLS_ITERATIONS_PER_COLUMN * n
 
     dual_tol = 10.0 * np.linalg.norm(a, np.inf) * np.linalg.norm(b) * np.finfo(float).eps
-    q, r = np.linalg.qr(a)
-    qtb = q.T @ b
+    k = min(m, n)
+    rb = np.linalg.qr(np.column_stack((a, b)), mode="r")
+    r, qtb = rb[:k, :n], rb[:k, n]
 
     z = np.zeros(n)
     passive = np.zeros(n, dtype=bool)

@@ -333,9 +333,9 @@ def test_operator_rejects_overflowing_phases():
 
 def test_discretize_memory_cap_is_the_id_working_set(monkeypatch):
     # Q (r x 2m) and R (r x n) at r = min(2m, n), three 2m x 256 blocks capped
-    # at n columns, and 160 bytes per column
+    # at n columns, and 192 bytes per column
     grid = FdrGrid(t_max_fs=100.0, omega_max_cm1=1000.0, n_time=20, n_freq=200)
-    need = 8 * (min(40, 200) * (40 + 200) + 3 * 40 * min(200, 256)) + 160 * 200
+    need = 8 * (min(40, 200) * (40 + 200) + 3 * 40 * min(200, 256)) + 192 * 200
     assert discretize_bath(DEBYE_300K, grid, 1e-2, memory_cap_bytes=need).mode_count > 0
 
     def no_work(*args, **kwargs):
@@ -347,7 +347,7 @@ def test_discretize_memory_cap_is_the_id_working_set(monkeypatch):
         discretize_bath(DEBYE_300K, grid, 1e-2, memory_cap_bytes=need - 1)
     # 206 MB on the default grid, well inside the default 4 GiB cap
     default = FdrGrid(t_max_fs=1000.0, omega_max_cm1=600.0)
-    need = 8 * (2000 * 12000 + 3 * 2000 * 256) + 160 * 10000
+    need = 8 * (2000 * 12000 + 3 * 2000 * 256) + 192 * 10000
     assert need <= disc.DEFAULT_MEMORY_CAP_BYTES
     with pytest.raises(ResourceLimitError, match="column ID"):
         discretize_bath(DEBYE_300K, default, 1e-2, memory_cap_bytes=need - 1)
@@ -355,16 +355,24 @@ def test_discretize_memory_cap_is_the_id_working_set(monkeypatch):
 
 @pytest.mark.parametrize(
     "n_time, n_freq, kelvin",
-    [(2, 1 << 18, 300.0), (4, 1 << 17, 300.0), (1000, 10000, 300.0), (1000, 10000, 0.0)],
+    [
+        (2, 1 << 18, 300.0),
+        (4, 1 << 17, 300.0),
+        (64, 1 << 17, 300.0),
+        (5, 1 << 18, 300.0),
+        (1000, 10000, 300.0),
+        (1000, 10000, 0.0),
+    ],
 )
 def test_discretize_peak_allocation_stays_within_the_checked_bytes(n_time, n_freq, kelvin):
-    # a wide grid is dominated by the per-column arrays, the default grid at
-    # 0 K by the blocks of recomputed residual norms
+    # a wide grid is dominated by the per-column arrays, among them the chirp-z
+    # kernel's blocks (about 2 n_freq complex values when n_freq >> n_time), the
+    # default grid at 0 K by the blocks of recomputed residual norms
     temperature = Temperature.finite(kelvin) if kelvin else Temperature.zero()
     kernel = NoiseKernel(SURROGATE, temperature)
     grid = FdrGrid(t_max_fs=1000.0, omega_max_cm1=600.0, n_time=n_time, n_freq=n_freq)
     need = 8 * (min(2 * n_time, n_freq) * (2 * n_time + n_freq) + 3 * 2 * n_time * 256)
-    need += 160 * n_freq
+    need += 192 * n_freq
     tracemalloc.start()
     try:
         discretize_bath(kernel, grid, 1e-2, memory_cap_bytes=need)

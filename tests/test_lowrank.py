@@ -441,6 +441,29 @@ def test_nnls_matches_scipy_on_default_grid_bases(kelvin, tol):
     assert res.residual_norm == pytest.approx(res_ref, rel=1e-9)
 
 
+@pytest.mark.parametrize("kelvin", [0.0, 77.0, 300.0])
+@pytest.mark.parametrize("tol", [1e-2, 1e-3])
+def test_nnls_matches_the_explicit_q_formula_on_default_grid_bases(kelvin, tol, monkeypatch):
+    # nnls reads R and Q^T b off one triangle of [A | b]; feeding its loop the
+    # explicit-Q formula instead, R from qr(A) and q.T @ b, must give the same
+    # active set and iteration count and z to roundoff
+    a, b = default_grid_fit_problem(kelvin, tol)
+    res = nnls(a, b)
+    qr = np.linalg.qr
+
+    def explicit_q(ab, mode):
+        assert mode == "r"
+        q, r = qr(ab[:, :-1])
+        return np.column_stack((r, q.T @ ab[:, -1]))
+
+    monkeypatch.setattr(np.linalg, "qr", explicit_q)
+    ref = nnls(a, b)
+    assert res.converged and ref.converged
+    assert res.iterations == ref.iterations
+    np.testing.assert_array_equal(res.z > 0.0, ref.z > 0.0)
+    assert np.linalg.norm(res.z - ref.z) <= 1e-12 * np.linalg.norm(ref.z)
+
+
 def test_nnls_subproblems_stay_in_the_small_factor(monkeypatch):
     # every passive-set solve is on the min(m, n) x n triangle, never on A
     a, b = default_grid_fit_problem(300.0, 1e-2)

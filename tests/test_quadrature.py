@@ -43,21 +43,30 @@ def test_fast_len_matches_scipy_next_fast_len():
     assert [_fast_len(t) for t in targets] == [next_fast_len(t) for t in targets]
 
 
-@pytest.mark.parametrize("n, m", [(1, 2), (7, 3), (500, 1000), (1000, 7), (4096, 300)])
-def test_chirp_sum_is_bit_equal_to_scipy_czt(n, m):
+@pytest.mark.parametrize(
+    "n, m",
+    # one block while n >= m; from (1, 1000) on, m >> n takes many blocks of
+    # B = nfft - n + 1 outputs, m not a multiple of B but for n = 1 (B = 1)
+    [(1, 2), (7, 3), (500, 1000), (1000, 7), (4096, 300),
+     (1, 1000), (2, 4097), (101, 2000), (1000, 10000)],
+)
+def test_chirp_sum_matches_the_direct_sum_and_scipy_czt(n, m):
     # scipy's CZT builds its chirp as a power w**(k**2/2), whose modulus drifts
     # from 1, so ChirpSum agrees with it to a tolerance, not bit for bit
     czt = pytest.importorskip("scipy.signal").CZT
     rng = np.random.default_rng(n + m)
     u0, du = -3.7, 7.5e-4
-    v = 0.25 + 0.5 * np.arange(m)
+    # v spans 10 at every m: the phases v*u and h*k**2 stay below ~40 rad, so
+    # their rounding leaves the direct sum an oracle to 1e-14 (at v up to 5000
+    # the oracle itself rounds its phases by ~3e-13)
+    v = np.linspace(0.25, 10.25, m)
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
     got = ChirpSum(n, u0, du, v, scale=0.3)(x)
     direct = 0.3 * np.exp(-1j * np.outer(v, u0 + du * np.arange(n))) @ x
     np.testing.assert_allclose(got, direct, rtol=0, atol=1e-14 * np.abs(x).sum())
     # the same sum written with scipy's chirp-z transform
     pre = np.exp(-1j * np.arange(n) * du * v[0])
-    want = czt(n, m=m, w=np.exp(-1j * du * 0.5), a=1.0 + 0.0j)(x * pre)
+    want = czt(n, m=m, w=np.exp(-1j * du * (v[1] - v[0])), a=1.0 + 0.0j)(x * pre)
     want *= 0.3 * np.exp(-1j * u0 * v)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(x).sum())
 
