@@ -43,23 +43,25 @@ def test_fast_len_matches_scipy_next_fast_len():
     assert [_fast_len(t) for t in targets] == [next_fast_len(t) for t in targets]
 
 
-@pytest.mark.parametrize(
-    "n, m",
-    # one block while n >= m; from (1, 1000) on, m >> n takes many blocks of
-    # B = nfft - n + 1 outputs, m not a multiple of B but for n = 1 (B = 1)
-    [(1, 2), (7, 3), (500, 1000), (1000, 7), (4096, 300),
-     (1, 1000), (2, 4097), (101, 2000), (1000, 10000)],
-)
-def test_chirp_sum_matches_the_direct_sum_and_scipy_czt(n, m):
+# one block while n >= m, but (500, 1000) takes two at phases of ~2000 rad;
+# from (1, 1000) on, m >> n takes many blocks of B = nfft - n + 1 outputs, m
+# not a multiple of B but for n = 1 (B = 1), with v spanning ~10: at dv = 0.5
+# those shapes reach v of 2000-5000, where the direct sum itself rounds its
+# phases by ~3e-13 and stops being an oracle to 1e-14
+CHIRP_CASES = [
+    (1, 2, 0.5), (7, 3, 0.5), (500, 1000, 0.5), (1000, 7, 0.5), (4096, 300, 0.5),
+    (1, 1000, 0.01), (2, 4097, 0.0025), (101, 2000, 0.005), (1000, 10000, 0.001),
+]
+
+
+@pytest.mark.parametrize("n, m, dv", CHIRP_CASES, ids=[f"{n}-{m}" for n, m, _ in CHIRP_CASES])
+def test_chirp_sum_matches_the_direct_sum_and_scipy_czt(n, m, dv):
     # scipy's CZT builds its chirp as a power w**(k**2/2), whose modulus drifts
     # from 1, so ChirpSum agrees with it to a tolerance, not bit for bit
     czt = pytest.importorskip("scipy.signal").CZT
     rng = np.random.default_rng(n + m)
     u0, du = -3.7, 7.5e-4
-    # v spans 10 at every m: the phases v*u and h*k**2 stay below ~40 rad, so
-    # their rounding leaves the direct sum an oracle to 1e-14 (at v up to 5000
-    # the oracle itself rounds its phases by ~3e-13)
-    v = np.linspace(0.25, 10.25, m)
+    v = 0.25 + dv * np.arange(m)
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
     got = ChirpSum(n, u0, du, v, scale=0.3)(x)
     direct = 0.3 * np.exp(-1j * np.outer(v, u0 + du * np.arange(n))) @ x
