@@ -16,8 +16,9 @@ g_k = sqrt(z_k * S_beta(omega_k)) reproduce C(t) on the fitted window as
 C(t) ~ sum_k g_k^2 exp(-i*omega_k_rad*t).
 
 The sample matrix is never stored: ``FdrOperator`` builds columns on
-demand and applies its transpose by chirp-z transforms.  ``assemble_fdr``
-builds the dense matrix for tests and small studies.
+demand and applies its transpose by chirp-z transforms, on only the band
+of columns the ID at ``tol`` can select.  ``assemble_fdr`` builds the
+dense matrix for tests and small studies.
 """
 
 from __future__ import annotations
@@ -70,6 +71,11 @@ def _check_window(t_max_fs: float, omega_max_cm1: float, n_freq: int = 2):
     if not np.isfinite(t_max_fs) or t_max_fs < 0:
         raise ValidationError(f"t_max_fs must be >= 0, got {t_max_fs}")
     check_midpoints(omega_max_cm1, n_freq)
+
+
+def _check_tol(tol: float):
+    if not (0.0 < tol < 1.0):
+        raise ValidationError(f"tol must be in (0, 1), got {tol}")
 
 
 @dataclass(frozen=True)
@@ -200,30 +206,49 @@ class FdrOperator:
 
     Column j is S_j * [cos(omega_j t); -sin(omega_j t)] over the grid
     times.  This is the column operator ``column_id`` reads: ``norms2``
-    (m * S_j^2), ``columns(idx)`` (built on demand, bit-equal to the same
-    columns of ``assemble_fdr``) and ``rmatvec(q)``, which gives q^T F as
-    S * Re(sum_i (a_i + i b_i) exp(i omega_j t_i)) for q = [a; b] by one
-    chirp-z transform.  The constructor raises ValidationError, before
-    any sine or cosine is taken, unless the phases omega*t, S and m * S^2
-    are all finite.
+    (m * S_j^2), ``columns(idx)`` (built on demand, bit-equal to the
+    columns of ``assemble_fdr`` at ``freqs[idx]``) and ``rmatvec(q)``,
+    which gives q^T F as S * Re(sum_i (a_i + i b_i) exp(i omega_j t_i))
+    for q = [a; b] by one chirp-z transform.  The constructor raises
+    ValidationError, before any sine or cosine is taken, unless the phases
+    omega*t, S and m * S^2 are all finite on the whole grid.
+
+    Given ``tol`` in (0, 1), the operator holds only the band of grid
+    columns that ``column_id`` at that tol can select: the contiguous run
+    from the first to the last column whose m * S_j^2 is at least
+    (1 - 1e-6) * tol^2 times the largest (every column for identically zero
+    noise, and without ``tol``).  Residual norms only fall and the first
+    pivot is the largest column, so no column with ||f_j|| <= tol * max ||f||
+    is accepted; the 1e-6 margin is far above the roundoff of a computed
+    norm.  Operator column j is the grid column at ``freqs[j]``.  The ID's
+    accepted pivots and their norms are those of the full grid; only the
+    terminal ``pivot_norms`` entry may differ, being the largest residual
+    left in the band.
     """
 
-    def __init__(self, kernel: NoiseKernel, grid: FdrGrid):
+    def __init__(self, kernel: NoiseKernel, grid: FdrGrid, tol: float | None = None):
         m = grid.n_time
-        self.shape = (2 * m, grid.n_freq)
         self.times = grid.times
-        self.w_rad = grid.freqs * RAD_PER_FS_PER_CM1
+        w_rad = grid.freqs * RAD_PER_FS_PER_CM1
         # a plain float product overflows to inf without a numpy warning
-        if not math.isfinite(float(np.max(np.abs(self.w_rad))) * grid.t_max_fs):
+        if not math.isfinite(float(np.max(np.abs(w_rad))) * grid.t_max_fs):
             raise ValidationError(
                 f"phases omega*t overflow on the grid (omega_max {grid.omega_max_cm1} cm^-1, "
                 f"t_max {grid.t_max_fs} fs)"
             )
         with np.errstate(over="ignore", invalid="ignore"):
-            self.s = kernel.evaluate(grid.freqs)
-            self.norms2 = m * self.s * self.s
-        if not (np.all(np.isfinite(self.s)) and np.all(np.isfinite(self.norms2))):
+            s = kernel.evaluate(grid.freqs)
+            norms2 = m * s * s
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(norms2))):
             raise ValidationError("the quantum noise is not finite (or overflows) on the grid")
+        band = slice(None)
+        if tol is not None:
+            _check_tol(tol)
+            keep = np.flatnonzero(norms2 >= (1.0 - 1e-6) * tol * tol * np.max(norms2))
+            band = slice(keep[0], keep[-1] + 1)
+        self.freqs, self.w_rad = grid.freqs[band], w_rad[band]
+        self.s, self.norms2 = s[band], norms2[band]
+        self.shape = (2 * m, self.freqs.size)
         # sum_i c_i exp(-i*(-t_i)*omega_j): the time axis runs backwards from
         # t = 0 in steps dt (any step will do for a single time)
         dt = grid.t_max_fs / (m - 1) if m > 1 else 0.0
@@ -279,17 +304,18 @@ def discretize_bath(
     """Run the full compression pipeline and return the mode set.
 
     Steps: select frequency columns of the kernel samples by
-    interpolative decomposition at ``tol`` (through ``FdrOperator``, so
-    only the r selected columns are ever built), fit nonnegative weights
+    interpolative decomposition at ``tol`` (through ``FdrOperator`` on the
+    band tol can select, so only the r selected columns are ever built and
+    they are those of the full grid), fit nonnegative weights
     against the refined quadrature reference on the grid times, prune zero
     weights, build couplings, and attach reconstruction diagnostics.
     Deterministic for fixed inputs; modes come out sorted by ascending
     frequency.  Before any work, the worst-case working set of the column
     ID, 8 * (min(2m, n) * (2m + n) + 3 * 2m * min(n, 256)) + 192 * n bytes,
-    is checked against ``memory_cap_bytes`` (ResourceLimitError above it).
+    is checked against ``memory_cap_bytes`` (ResourceLimitError above it);
+    it counts all n grid columns, not the band.
     """
-    if not (0.0 < tol < 1.0):
-        raise ValidationError(f"tol must be in (0, 1), got {tol}")
+    _check_tol(tol)
     # Q (r x 2m) and R (r x n) at r = min(2m, n), three 2m x RECOMPUTE_CHUNK blocks of
     # recomputed residuals, and up to ~160 bytes per column measured for S, the norms,
     # the chirp-z kernel's blocks and one call's FFT buffers
@@ -297,7 +323,7 @@ def discretize_bath(
     nbytes = 8 * (min(m2, n) * (m2 + n) + 3 * m2 * min(n, RECOMPUTE_CHUNK)) + 192 * n
     what = f"the column ID on the {grid.n_time} x {n} grid; use a coarser grid or a higher cap"
     check_memory(nbytes, memory_cap_bytes, what)
-    samples = FdrOperator(kernel, grid)
+    samples = FdrOperator(kernel, grid, tol)
     id_res = column_id(samples, tol=tol)
     if id_res.rank == 0:
         raise ValidationError(
@@ -326,7 +352,7 @@ def discretize_bath(
             f"nonnegative fit did not converge in {fit.iterations} iterations", diagnostics=record
         )
 
-    omegas = grid.freqs[id_res.selected][active]
+    omegas = samples.freqs[id_res.selected][active]
     z = fit.z[active]
     s_at_modes = kernel.evaluate(omegas)
     if np.any(s_at_modes < 0.0):

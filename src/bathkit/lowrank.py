@@ -14,8 +14,9 @@ Two primitives live here:
 * ``nnls`` -- the Lawson-Hanson active-set method for min ||A z - b|| with
   z >= 0.  [A | b] is triangularized once, giving R of A = QR and Q^T b
   without forming Q, and the active-set loop runs on the small triangle R
-  and Q^T b.  Inactive coordinates are exact zeros (never small
-  negatives), which downstream code relies on when pruning.
+  and Q^T b, solving each passive set by a QR of its columns of R.
+  Inactive coordinates are exact zeros (never small negatives), which
+  downstream code relies on when pruning.
 
 Both are pure functions of their inputs; pivot and index ties break toward
 the lowest index, so results are reproducible bit for bit.
@@ -184,8 +185,10 @@ def nnls(a, b) -> NnlsResult:
     min(m, n) x n) and the top min(m, n) entries of its last column are
     Q^T b.  The loop runs on R and Q^T b alone: A[:, P] = Q R[:, P], so
     each passive-set least-squares problem min ||R[:, P] x - Q^T b|| has
-    the same (minimum norm) solution as on A, and the duals are
-    w = R^T (Q^T b - R z).
+    the same solution as on A, and the duals are w = R^T (Q^T b - R z).
+    Lawson-Hanson passive columns are linearly independent (Lawson & Hanson
+    1974, ch. 23), so that problem is solved by a QR of R[:, P] and a
+    square solve, with no SVD.
     Terminates when every inactive dual w_i is below
     10 * ||A||_inf * ||b||_2 * eps, or after ``NNLS_ITERATIONS_PER_COLUMN``
     * n outer iterations (the constant is read at call time), in which case
@@ -227,7 +230,8 @@ def nnls(a, b) -> NnlsResult:
             if cols.size == 0:
                 z = np.zeros(n)
                 break
-            sol = np.linalg.lstsq(r[:, cols], qtb, rcond=None)[0]
+            q_p, r_p = np.linalg.qr(r[:, cols])
+            sol = np.linalg.solve(r_p, q_p.T @ qtb)
             if np.min(sol) > 0.0:
                 z = np.zeros(n)
                 z[cols] = sol

@@ -87,7 +87,8 @@ def fourier_midpoint_sum(weights, omega_max_cm1: float, times_fs) -> np.ndarray:
 class ChirpSum:
     """The map x -> scale * sum_j x_j * exp(-i*(u0 + j*du)*v_k), j < n.
 
-    ``v`` must be uniformly spaced with two or more points.  Each call is
+    ``v`` must be uniformly spaced; a single point has no spacing, and is
+    taken with dv = 0 (any dv gives the same sum).  Each call is
     one chirp-z transform by Bluestein's algorithm (Rabiner, Schafer &
     Rader 1969) on ``numpy.fft``: with h = du*dv/2 and 2jk = j**2 + k**2 -
     (k-j)**2, the sum is a convolution with exp(i*h*l**2) between chirps
@@ -106,7 +107,7 @@ class ChirpSum:
 
     def __init__(self, n: int, u0: float, du: float, v, scale: float = 1.0):
         m = v.size
-        h = du * ((v[-1] - v[0]) / (m - 1)) / 2.0
+        h = du * ((v[-1] - v[0]) / (m - 1) if m > 1 else 0.0) / 2.0
         nfft = _fast_len(n + min(n, m) - 1)
         block = nfft - n + 1
         j, k = np.arange(n), np.arange(m)

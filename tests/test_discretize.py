@@ -258,10 +258,11 @@ OPERATOR_CASES = [
 
 
 class DenseSamples:
-    """The dense oracle matrix behind the column-operator interface."""
+    """The dense oracle matrix behind the column-operator interface, on every grid column."""
 
-    def __init__(self, realified):
+    def __init__(self, realified, freqs):
         self.f = realified
+        self.freqs = freqs
         self.shape = realified.shape
         self.norms2 = np.einsum("ij,ij->j", realified, realified)
 
@@ -297,15 +298,75 @@ def test_operator_id_and_bath_json_match_dense_oracle(kernel_name, grid_name, to
     by_operator = column_id(FdrOperator(kernel, grid), tol=tol)
     by_matrix = column_id(dense, tol=tol)
     np.testing.assert_array_equal(by_operator.selected, by_matrix.selected)
+    band = FdrOperator(kernel, grid, tol)
+    by_band = column_id(band, tol=tol)
+    np.testing.assert_array_equal(band.freqs[by_band.selected], grid.freqs[by_matrix.selected])
 
-    def bath_json():
-        buf = io.StringIO()
-        save_bath_model(discretize_bath(kernel, grid, tol), buf)
-        return buf.getvalue()
+    matrix_free = bath_json(kernel, grid, tol)
+    monkeypatch.setattr(
+        disc, "FdrOperator", lambda kernel, grid, tol: DenseSamples(dense, grid.freqs)
+    )
+    assert bath_json(kernel, grid, tol) == matrix_free
 
-    matrix_free = bath_json()
-    monkeypatch.setattr(disc, "FdrOperator", lambda kernel, grid: DenseSamples(dense))
-    assert bath_json() == matrix_free
+
+def bath_json(kernel, grid, tol):
+    buf = io.StringIO()
+    save_bath_model(discretize_bath(kernel, grid, tol), buf)
+    return buf.getvalue()
+
+
+DEFAULT_GRID = FdrGrid(t_max_fs=1000.0, omega_max_cm1=600.0)
+
+
+@pytest.mark.parametrize("tol", [1e-1, 1e-2, 1e-3])
+@pytest.mark.parametrize("kelvin", [0.0, 4.3, 77.0, 291.7, 300.0])
+def test_band_id_and_bath_json_match_the_full_grid(kelvin, tol, monkeypatch):
+    # discretize_bath builds the operator on the band tol can select; on the
+    # default grid that is 31-72 % of the columns here.  The accepted pivots,
+    # their norms and the bath JSON are those of the full-grid operator; the
+    # terminal pivot_norms entry is the band's largest residual and may differ
+    temperature = Temperature.zero() if kelvin == 0.0 else Temperature.finite(kelvin)
+    kernel = NoiseKernel(SURROGATE, temperature)
+    full, band = FdrOperator(kernel, DEFAULT_GRID), FdrOperator(kernel, DEFAULT_GRID, tol)
+    assert band.shape[1] < full.shape[1]
+    by_full, by_band = column_id(full, tol=tol), column_id(band, tol=tol)
+    assert by_band.rank == by_full.rank > 0
+    assert band.freqs[by_band.selected].tobytes() == full.freqs[by_full.selected].tobytes()
+    assert by_band.pivot_norms[:-1].tobytes() == by_full.pivot_norms[:-1].tobytes()
+
+    banded = bath_json(kernel, DEFAULT_GRID, tol)
+    monkeypatch.setattr(disc, "FdrOperator", lambda kernel, grid, tol: full)
+    assert bath_json(kernel, DEFAULT_GRID, tol) == banded
+
+
+@pytest.mark.parametrize("n_time", [1, 2, 5])
+def test_a_band_of_one_column_gives_the_full_grid_bath(n_time, monkeypatch):
+    # at zero temperature S is 0 at omega < 0, so on two frequencies the band
+    # is the one column at +omega_max/2; its chirp-z sum has a single output
+    grid = FdrGrid(t_max_fs=10.0 * (n_time - 1), omega_max_cm1=600.0, n_time=n_time, n_freq=2)
+    band = FdrOperator(DEBYE_0K, grid, 1e-2)
+    assert band.shape == (2 * n_time, 1)
+    q = np.ones(2 * n_time)
+    np.testing.assert_allclose(band.rmatvec(q), q @ band.columns([0]), rtol=1e-14)
+    banded = bath_json(DEBYE_0K, grid, 1e-2)
+    monkeypatch.setattr(disc, "FdrOperator", lambda kernel, grid, tol: FdrOperator(kernel, grid))
+    assert bath_json(DEBYE_0K, grid, 1e-2) == banded
+    model = load_bath_model(io.StringIO(banded))
+    assert model.omegas.tolist() == [300.0]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, 2.0, -1e-2, np.nan])
+def test_operator_rejects_a_tol_outside_the_unit_interval(tol):
+    with pytest.raises(ValidationError, match=r"tol must be in \(0, 1\)"):
+        FdrOperator(DEBYE_300K, SMALL_GRID, tol)
+
+
+def test_identically_zero_noise_keeps_every_column():
+    zero = load_tabulated(io.StringIO("1.0,0.0\n600.0,0.0\n"))
+    kernel = NoiseKernel(zero, Temperature.finite(300.0))
+    assert FdrOperator(kernel, SMALL_GRID, 1e-2).shape[1] == SMALL_GRID.n_freq
+    with pytest.raises(ValidationError, match="identically zero"):
+        discretize_bath(kernel, SMALL_GRID, 1e-2)
 
 
 def test_operator_rejects_non_finite_noise_before_sampling(monkeypatch):
@@ -322,6 +383,8 @@ def test_operator_rejects_non_finite_noise_before_sampling(monkeypatch):
     with pytest.raises(ValidationError, match="not finite"):
         FdrOperator(kernel, SMALL_GRID)
     with pytest.raises(ValidationError, match="not finite"):
+        FdrOperator(kernel, SMALL_GRID, 1e-2)
+    with pytest.raises(ValidationError, match="not finite"):
         discretize_bath(kernel, SMALL_GRID, 1e-2)
 
 
@@ -329,6 +392,8 @@ def test_operator_rejects_overflowing_phases():
     grid = FdrGrid(t_max_fs=1e10, omega_max_cm1=1e306, n_time=3, n_freq=4)
     with pytest.raises(ValidationError, match="phases"):
         FdrOperator(DEBYE_300K, grid)
+    with pytest.raises(ValidationError, match="phases"):
+        FdrOperator(DEBYE_300K, grid, 1e-2)
 
 
 def test_discretize_memory_cap_is_the_id_working_set(monkeypatch):

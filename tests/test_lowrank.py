@@ -293,7 +293,7 @@ def test_nnls_matches_brute_force_20x6():
     [pytest.param(seed, "tall", id=str(seed)) for seed in range(30)]
     + [
         pytest.param(seed, kind, id=f"{kind}-{seed}")
-        for kind in ("duplicate-column", "zero-column", "wide")
+        for kind in ("duplicate-column", "near-duplicate-column", "zero-column", "wide")
         for seed in range(5)
     ],
 )
@@ -307,6 +307,10 @@ def test_nnls_brute_force_sweep_small(seed, kind):
     b = rng.standard_normal(m)
     if kind == "duplicate-column":
         a = np.column_stack((a, a[:, int(rng.integers(n))]))
+    elif kind == "near-duplicate-column":
+        # a twin off by 1e-10: the passive-set solves must not break on it
+        twin = a[:, int(rng.integers(n))] * (1.0 + 1e-10 * rng.standard_normal(m))
+        a = np.column_stack((a, twin))
     elif kind == "zero-column":
         a = np.insert(a, int(rng.integers(n + 1)), 0.0, axis=1)
     res = nnls(a, b)
@@ -446,18 +450,23 @@ def test_nnls_matches_scipy_on_default_grid_bases(kelvin, tol):
 def test_nnls_matches_the_explicit_q_formula_on_default_grid_bases(kelvin, tol, monkeypatch):
     # nnls reads R and Q^T b off one triangle of [A | b]; feeding its loop the
     # explicit-Q formula instead, R from qr(A) and q.T @ b, must give the same
-    # active set and iteration count and z to roundoff
+    # active set and iteration count and z to roundoff.  Only that one
+    # mode="r" triangularization is replaced: the passive-set QRs pass through
     a, b = default_grid_fit_problem(kelvin, tol)
     res = nnls(a, b)
     qr = np.linalg.qr
+    replaced = []
 
-    def explicit_q(ab, mode):
-        assert mode == "r"
+    def explicit_q(ab, mode="reduced"):
+        if mode != "r":
+            return qr(ab, mode)
+        replaced.append(ab.shape)
         q, r = qr(ab[:, :-1])
         return np.column_stack((r, q.T @ ab[:, -1]))
 
     monkeypatch.setattr(np.linalg, "qr", explicit_q)
     ref = nnls(a, b)
+    assert replaced == [(a.shape[0], a.shape[1] + 1)]
     assert res.converged and ref.converged
     assert res.iterations == ref.iterations
     np.testing.assert_array_equal(res.z > 0.0, ref.z > 0.0)
@@ -465,19 +474,26 @@ def test_nnls_matches_the_explicit_q_formula_on_default_grid_bases(kelvin, tol, 
 
 
 def test_nnls_subproblems_stay_in_the_small_factor(monkeypatch):
-    # every passive-set solve is on the min(m, n) x n triangle, never on A
+    # every passive-set solve is on the min(m, n) x n triangle, never on A:
+    # the QR of the passive columns and the square solve see at most n rows
     a, b = default_grid_fit_problem(300.0, 1e-2)
     m, n = a.shape
     assert m > n
-    rows = []
-    lstsq = np.linalg.lstsq
+    factored, solved = [], []
+    qr, solve = np.linalg.qr, np.linalg.solve
 
-    def spy(mat, rhs, *args, **kwargs):
-        rows.append(np.shape(mat)[0])
-        return lstsq(mat, rhs, *args, **kwargs)
+    def spy_qr(mat, mode="reduced"):
+        if mode != "r":
+            factored.append(np.shape(mat)[0])
+        return qr(mat, mode)
 
-    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    def spy_solve(mat, rhs):
+        solved.append(np.shape(mat)[0])
+        return solve(mat, rhs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy_qr)
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
     res = nnls(a, b)
     assert res.converged
-    assert len(rows) >= res.iterations > 0
-    assert max(rows) <= n
+    assert len(solved) == len(factored) >= res.iterations > 0
+    assert max(factored) <= n and max(solved) <= n
