@@ -268,6 +268,17 @@ class FdrOperator:
         m = self.times.size
         return self.s * self._transform(q[:m] + 1j * q[m:]).real
 
+    @cached_property
+    def _gram_table(self) -> np.ndarray:
+        # K[d] = sum_i cos(d * domega * t_i) = Re sum_i exp(i * (omega_d - omega_0) * t_i),
+        # laid out as K[n-1], ..., K[1], K[0], K[1], ..., K[n-1]
+        k = self._transform(np.exp(-1j * (self.w_rad[0] * self.times))).real
+        return np.concatenate((k[:0:-1], k))
+
+    def gram_row(self, j) -> np.ndarray:
+        n = self.s.size
+        return self.s[j] * (self.s * self._gram_table[n - 1 - j : 2 * n - 1 - j])
+
 
 def check_memory(nbytes: int, cap: int, what: str):
     """Raise ResourceLimitError if ``what`` ("<name>; <remedy>") needs over ``cap`` bytes."""

@@ -38,6 +38,9 @@ __all__ = ["IdResult", "NnlsResult", "column_id", "nnls"]
 _RECOMPUTE_RATIO = np.sqrt(np.finfo(float).eps)
 # columns built at once when recomputing residual norms
 RECOMPUTE_CHUNK = 256
+# column_id takes rows of R from Gram rows at this tol and above, from
+# products q^T f below it (a Gram row errs by about eps/tol of the first pivot)
+GRAM_ROW_MIN_TOL = 1e-6
 # nnls gives up after this many outer iterations per column of A
 NNLS_ITERATIONS_PER_COLUMN = 3
 
@@ -107,6 +110,9 @@ class _Dense:
     def rmatvec(self, q):
         return q @ self.f
 
+    def gram_row(self, j):
+        return self.f[:, j] @ self.f
+
 
 def column_id(f, tol: float) -> IdResult:
     """Interpolative decomposition by left-looking pivoted Gram-Schmidt.
@@ -138,6 +144,7 @@ def column_id(f, tol: float) -> IdResult:
     if norms2.shape != (n,) or not np.all(np.isfinite(norms2)):
         raise ValidationError("column_id: column norms must be finite")
 
+    gram = tol >= GRAM_ROW_MIN_TOL
     kmax = min(m, n)
     exact = norms2.copy()  # each norm^2 at its last exact evaluation
     free = np.ones(n, dtype=bool)  # not selected yet
@@ -152,14 +159,17 @@ def column_id(f, tol: float) -> IdResult:
             break
         j = int(np.argmax(np.where(candidates, norms2, -1.0)))  # ties: lowest index
         w = op.columns([j])[:, 0]
+        c = np.zeros(k)  # f_j = Q^T c + w: the two passes' coefficients
         for _ in range(2):
-            w = w - q[:k].T @ (q[:k] @ w)
+            coef = q[:k] @ w
+            w = w - q[:k].T @ coef
+            c += coef
         pivnorm = float(np.linalg.norm(w))
         pivot_norms.append(pivnorm)
         if k == kmax or pivnorm <= tol * pivot_norms[0]:
             break
         q[k] = w / pivnorm
-        r[k] = op.rmatvec(q[k])
+        r[k] = (op.gram_row(j) - c @ r[:k]) / pivnorm if gram else op.rmatvec(q[k])
         selected.append(j)
         free[j] = False
         norms2 -= r[k] * r[k]

@@ -272,6 +272,9 @@ class DenseSamples:
     def rmatvec(self, q):
         return q @ self.f
 
+    def gram_row(self, j):
+        return self.f[:, j] @ self.f
+
 
 @pytest.mark.parametrize("grid_name", OPERATOR_GRIDS)
 @pytest.mark.parametrize("kernel_name", OPERATOR_KERNELS)

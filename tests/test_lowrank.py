@@ -170,6 +170,9 @@ class CountingColumns:
     def rmatvec(self, q):
         return self.op.rmatvec(q)
 
+    def gram_row(self, j):
+        return self.op.gram_row(j)
+
 
 @pytest.mark.parametrize("seed", range(8))
 def test_id_pivots_match_geqp3_with_graded_column_norms(seed):
