@@ -72,16 +72,30 @@ def fourier_midpoint_sum(weights, omega_max_cm1: float, times_fs) -> np.ndarray:
 
     ``weights`` has one entry per midpoint of [-omega_max, omega_max];
     phases use omega in rad/fs.  Returns a complex array over ``times_fs``.
+
+    Real weights on uniform times t_k = k * dt are folded onto the n/2
+    positive midpoints: with x_p = w(omega_p) + i w(-omega_p) and G the sum
+    of x over those midpoints, one chirp-z transform gives G at the 2m - 1
+    times -t_{m-1} ... t_{m-1}, and with A = G(t_k), B = conj(G(-t_k)) the
+    sum is (A + B)/2 + (i/2) conj(A - B).  Other uniform times take the
+    transform over all n midpoints, and other times the direct sum.
     """
-    x = np.asarray(weights, dtype=complex)
+    x = np.asarray(weights)
     times = np.asarray(times_fs, dtype=float)
     n = x.size
     h = 2.0 * omega_max_cm1 / n
     freqs = midpoint_frequencies(omega_max_cm1, n)
     if times.size >= 2 and _is_uniform(times):
-        u0, du = freqs[0] * RAD_PER_FS_PER_CM1, h * RAD_PER_FS_PER_CM1
-        return ChirpSum(n, u0, du, times, scale=h)(x)
-    return direct_sum(x, freqs, h, times)
+        du = h * RAD_PER_FS_PER_CM1
+        if np.isrealobj(x) and times[0] == 0.0:
+            half, m = n // 2, times.size
+            folded = x[half:] + 1j * x[half - 1 :: -1]
+            both = np.concatenate((-times[:0:-1], times))
+            g = ChirpSum(half, freqs[half] * RAD_PER_FS_PER_CM1, du, both, scale=h)(folded)
+            a, b = g[m - 1 :], np.conj(g[m - 1 :: -1])
+            return 0.5 * (a + b) + 0.5j * np.conj(a - b)
+        return ChirpSum(n, freqs[0] * RAD_PER_FS_PER_CM1, du, times, scale=h)(x)
+    return direct_sum(x.astype(complex), freqs, h, times)
 
 
 class ChirpSum:
