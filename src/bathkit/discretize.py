@@ -16,8 +16,10 @@ g_k = sqrt(z_k * S_beta(omega_k)) reproduce C(t) on the fitted window as
 C(t) ~ sum_k g_k^2 exp(-i*omega_k_rad*t).
 
 The sample matrix is never stored: ``FdrOperator`` builds columns on
-demand and applies its transpose by chirp-z transforms, on only the band
-of columns the ID at ``tol`` can select.  ``assemble_fdr`` builds the
+demand, on only the band of columns the ID at ``tol`` can select, and
+gives the ID its Gram rows from one Toeplitz table that a single chirp-z
+transform builds (its transpose products, by chirp-z transforms, serve
+tols below ``lowrank.GRAM_ROW_MIN_TOL``).  ``assemble_fdr`` builds the
 dense matrix for tests and small studies.
 """
 
@@ -188,7 +190,9 @@ def reference_bcf(kernel: NoiseKernel, times_fs, omega_max_cm1: float) -> np.nda
 
     Integrates S_beta(omega)*exp(-i*omega_rad*t) over [-omega_max,
     omega_max] on midpoint-offset points, refined by ``refine_midpoint``.
-    Negative times are filled in through C(-t) = conj(C(t)).
+    Negative times are filled in through C(-t) = conj(C(t)).  On grid times
+    each level is one chirp-z transform over the positive half of the band
+    (``fourier_midpoint_sum`` folds the real S_beta).
     """
     times = np.atleast_1d(np.asarray(times_fs, dtype=float))
     tabs = np.abs(times)
@@ -207,9 +211,14 @@ class FdrOperator:
     Column j is S_j * [cos(omega_j t); -sin(omega_j t)] over the grid
     times.  This is the column operator ``column_id`` reads: ``norms2``
     (m * S_j^2), ``columns(idx)`` (built on demand, bit-equal to the
-    columns of ``assemble_fdr`` at ``freqs[idx]``) and ``rmatvec(q)``,
-    which gives q^T F as S * Re(sum_i (a_i + i b_i) exp(i omega_j t_i))
-    for q = [a; b] by one chirp-z transform.  The constructor raises
+    columns of ``assemble_fdr`` at ``freqs[idx]``), ``gram_row(j)`` and
+    ``rmatvec(q)``.  On the uniform band cos a cos b + sin a sin b =
+    cos(a - b) makes the Gram matrix D_S K D_S with K Toeplitz, K[d] =
+    sum_i cos(d * domega * t_i), so ``gram_row(j)`` is S_j * S times a
+    slice of one table of the 2n - 1 values K[|d|], built on the first call
+    by one chirp-z transform, Re sum_i exp(-i omega_0 t_i) exp(i omega_d t_i).
+    ``rmatvec(q)`` gives q^T F as S * Re(sum_i (a_i + i b_i) exp(i omega_j
+    t_i)) for q = [a; b] by one chirp-z transform.  The constructor raises
     ValidationError, before any sine or cosine is taken, unless the phases
     omega*t, S and m * S^2 are all finite on the whole grid.
 
@@ -324,12 +333,15 @@ def discretize_bath(
     frequency.  Before any work, the worst-case working set of the column
     ID, 8 * (min(2m, n) * (2m + n) + 3 * 2m * min(n, 256)) + 192 * n bytes,
     is checked against ``memory_cap_bytes`` (ResourceLimitError above it);
-    it counts all n grid columns, not the band.
+    it counts all n grid columns, not the band, and its 192 bytes a column
+    cover the operator's per-column arrays, its Gram table and one chirp-z
+    call's buffers.
     """
     _check_tol(tol)
     # Q (r x 2m) and R (r x n) at r = min(2m, n), three 2m x RECOMPUTE_CHUNK blocks of
-    # recomputed residuals, and up to ~160 bytes per column measured for S, the norms,
-    # the chirp-z kernel's blocks and one call's FFT buffers
+    # recomputed residuals, and up to ~150 bytes per band column (~95 per grid column)
+    # measured for S, the norms, the Gram table, the chirp-z kernel's blocks and one
+    # call's FFT buffers
     m2, n = 2 * grid.n_time, grid.n_freq
     nbytes = 8 * (min(m2, n) * (m2 + n) + 3 * m2 * min(n, RECOMPUTE_CHUNK)) + 192 * n
     what = f"the column ID on the {grid.n_time} x {n} grid; use a coarser grid or a higher cap"

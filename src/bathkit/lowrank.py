@@ -7,9 +7,9 @@ Two primitives live here:
   columns of f, and P carries an exact r x r identity on the selected
   columns.  The factorization stops as soon as the next pivot norm falls
   below ``tol`` times the first one.  It only reads f, through its column
-  norms, chosen columns and products q^T f, so a structured matrix can
-  supply those without ever being stored; a stale residual norm is rebuilt
-  only when it could be the next pivot.
+  norms, chosen columns, Gram rows f_j^T f and products q^T f, so a
+  structured matrix can supply those without ever being stored; a stale
+  residual norm is rebuilt only when it could be the next pivot.
 
 * ``nnls`` -- the Lawson-Hanson active-set method for min ||A z - b|| with
   z >= 0.  [A | b] is triangularized once, giving R of A = QR and Q^T b
@@ -51,7 +51,10 @@ class IdResult:
 
     ``selected`` lists r column indices in pivot order; ``r_rows`` holds
     the r x n rows q_k^T f of the Gram-Schmidt factor R in original column
-    order.  ``interp`` is the r x n coefficient matrix P, so
+    order.  At tol >= ``GRAM_ROW_MIN_TOL`` they come from Gram rows and
+    carry an error of about eps/tol times the first pivot norm (at most
+    3 eps/tol measured on the surrogate's sample matrix); below it they are
+    the products q_k^T f, accurate to a few eps.  ``interp`` is the r x n coefficient matrix P, so
     f ~ f[:, selected] @ interp; it is computed from ``r_rows`` on first
     read and cached.  ``pivot_norms`` holds the r + 1 residual norms of the
     pivot candidates: the r accepted pivots and the one that ended the
@@ -119,11 +122,19 @@ def column_id(f, tol: float) -> IdResult:
 
     ``f`` is a dense m x n array or a column operator: an object with
     ``shape``, ``norms2`` (the n squared column norms), ``columns(idx)``
-    (the m x len(idx) block f[:, idx]) and ``rmatvec(q)`` (q^T f).
+    (the m x len(idx) block f[:, idx]), ``gram_row(j)`` (f_j^T f) and
+    ``rmatvec(q)`` (q^T f).
 
     Each step pivots on the largest residual column norm, orthogonalizes
-    that column twice against the previous pivots (CGS2) and appends the
-    row q^T f of R.  Residual norms are downdated by that row; one that has
+    that column twice against the previous pivots (CGS2), f_j = Q^T c + w,
+    and appends the row q^T f of R, q = w / ||w||.  At tol >=
+    ``GRAM_ROW_MIN_TOL`` (read at call time) that row is the left-looking
+    pivoted Cholesky update (f_j^T f - c^T R) / ||w|| (Higham 1990), whose
+    error relative to the first pivot norm is about eps/tol; below it, where
+    that error would approach the size of the pivot decisions, it is
+    ``rmatvec(q)``.  Pivot columns, their norms and the stop test are always
+    computed from explicit columns, so the two give the same pivots unless
+    roundoff in R breaks a near tie.  Residual norms are downdated by that row; one that has
     fallen to sqrt(eps) of its last exact value is stale, and is computed
     afresh, as ||f_j - Q^T R_j||^2, once it plus sqrt(eps) of that value
     reaches the largest fresh norm.  A downdate errs by a few k*eps of that

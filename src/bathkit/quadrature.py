@@ -10,7 +10,9 @@ chirp-z transform by Bluestein's algorithm on ``numpy.fft``, each chirp
 exp of a real phase so that its modulus stays 1 at any length, and the
 convolution sectioned into blocks of outputs when there are more times than
 frequencies (one block otherwise); on other times it is a chunked direct
-sum.  Both are deterministic and agree to roundoff.
+sum.  Real weights on uniform times from 0 are folded onto the positive
+half of the band, which halves the transform's length.  All are
+deterministic and agree to roundoff.
 ``refine_midpoint`` doubles the midpoints of a quadrature until it settles.
 """
 

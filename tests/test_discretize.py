@@ -292,6 +292,15 @@ def test_operator_matches_dense_samples(kernel_name, grid_name):
     q = np.random.default_rng(1).standard_normal(2 * grid.n_time)
     scale = np.linalg.norm(q) * np.sqrt(grid.n_time) * np.max(np.abs(op.s))
     np.testing.assert_allclose(op.rmatvec(q), q @ dense, rtol=0, atol=1e-11 * scale)
+    # Gram rows f_j^T F from the Toeplitz table, on the full grid and on a band
+    band = FdrOperator(kernel, grid, 0.3)
+    first = int(np.searchsorted(grid.freqs, band.freqs[0]))
+    for sub, cols in ((op, dense), (band, dense[:, first : first + band.shape[1]])):
+        n = sub.shape[1]
+        for j in sorted({0, n // 2, n - 1}):
+            scale = grid.n_time * abs(sub.s[j]) * np.max(np.abs(sub.s))
+            want = cols.T @ cols[:, j]
+            np.testing.assert_allclose(sub.gram_row(j), want, rtol=0, atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize(("kernel_name", "grid_name", "tol"), OPERATOR_CASES)
@@ -351,6 +360,8 @@ def test_a_band_of_one_column_gives_the_full_grid_bath(n_time, monkeypatch):
     assert band.shape == (2 * n_time, 1)
     q = np.ones(2 * n_time)
     np.testing.assert_allclose(band.rmatvec(q), q @ band.columns([0]), rtol=1e-14)
+    column = band.columns([0])[:, 0]
+    np.testing.assert_allclose(band.gram_row(0), [column @ column], rtol=1e-14)
     banded = bath_json(DEBYE_0K, grid, 1e-2)
     monkeypatch.setattr(disc, "FdrOperator", lambda kernel, grid, tol: FdrOperator(kernel, grid))
     assert bath_json(DEBYE_0K, grid, 1e-2) == banded

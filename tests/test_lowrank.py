@@ -415,6 +415,48 @@ def test_id_builds_only_its_pivot_candidates_on_the_default_grid():
     assert op.built == res.rank + 1
 
 
+@pytest.mark.parametrize("tol", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("kelvin", [0.0, 77.0, 300.0])
+def test_gram_rows_select_the_pivots_of_transform_rows(kelvin, tol, monkeypatch):
+    # rows of R from the band's Toeplitz Gram move R by roundoff only; pivot
+    # columns and their norms are computed from explicit columns, so the
+    # selection and the accepted pivot norms are those of rows q^T F
+    kernel, grid, _ = default_grid_samples(kelvin)
+    op = FdrOperator(kernel, grid, tol)
+    assert tol >= lowrank.GRAM_ROW_MIN_TOL
+    by_gram = column_id(op, tol=tol)
+    monkeypatch.setattr(lowrank, "GRAM_ROW_MIN_TOL", 1.0)
+    by_transform = column_id(op, tol=tol)
+    assert by_gram.rank == by_transform.rank > 0
+    assert by_gram.selected.tobytes() == by_transform.selected.tobytes()
+    assert by_gram.pivot_norms[:-1].tobytes() == by_transform.pivot_norms[:-1].tobytes()
+    # a Gram row errs by about eps/tol of the first pivot norm
+    err = np.max(np.abs(by_gram.r_rows - by_transform.r_rows)) / by_gram.pivot_norms[0]
+    assert err <= 10 * np.finfo(float).eps / tol
+
+
+@pytest.mark.parametrize("kelvin", [0.0, 300.0])
+def test_below_the_floor_every_row_is_a_transform(kelvin, monkeypatch):
+    # below GRAM_ROW_MIN_TOL a Gram row's error would reach the size of the
+    # pivot decisions, so the ID never asks for one
+    temperature = Temperature.zero() if kelvin == 0.0 else Temperature.finite(kelvin)
+    kernel = NoiseKernel(surrogate_sd(), temperature)
+    grid = FdrGrid(t_max_fs=1000.0, omega_max_cm1=SURROGATE_OMEGA_MAX, n_time=100, n_freq=2000)
+    tol = lowrank.GRAM_ROW_MIN_TOL / 10
+    op = CountingColumns(FdrOperator(kernel, grid, tol))
+
+    def no_gram(j):
+        raise AssertionError("gram_row called below the floor")
+
+    monkeypatch.setattr(op, "gram_row", no_gram)
+    below = column_id(op, tol=tol)
+    monkeypatch.setattr(lowrank, "GRAM_ROW_MIN_TOL", 1.0)
+    transform_only = column_id(op, tol=tol)
+    assert below.rank > 40
+    for name in ("selected", "r_rows", "pivot_norms"):
+        assert getattr(below, name).tobytes() == getattr(transform_only, name).tobytes()
+
+
 @functools.lru_cache(maxsize=None)
 def small_grid_geqp3(kelvin):
     """The sample operator on a 100 x 2,000 grid and LAPACK's pivots on its 200 x 2,000 matrix."""

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bathkit.quadrature as quadrature
 from bathkit.quadrature import (
     ChirpSum,
     _fast_len,
@@ -87,3 +88,33 @@ def test_only_uniform_times_take_the_chirp_sum():
     x = rng.standard_normal(4096) + 0j
     direct = direct_sum(x, midpoint_frequencies(600.0, x.size), 1200.0 / x.size, jittered)
     assert fourier_midpoint_sum(x, 600.0, jittered).tobytes() == direct.tobytes()
+
+
+# (2, m): one positive midpoint; (n, 2): two times, three after the fold
+FOLD_CASES = [(2, 2), (2, 9), (8, 2), (4096, 2), (16384, 1000)]
+
+
+@pytest.mark.parametrize("n, m", FOLD_CASES, ids=[f"{n}-{m}" for n, m in FOLD_CASES])
+def test_real_weights_fold_onto_the_positive_half_band(n, m, monkeypatch):
+    # real weights on times k * dt take one transform over the n/2 positive
+    # midpoints at the 2m - 1 times -t_{m-1} ... t_{m-1}; complex weights and
+    # times that do not start at 0 keep the transform over all n midpoints
+    shapes = []
+
+    class Recording(ChirpSum):
+        def __init__(self, n_in, u0, du, v, scale=1.0):
+            shapes.append((n_in, v.size))
+            super().__init__(n_in, u0, du, v, scale)
+
+    monkeypatch.setattr(quadrature, "ChirpSum", Recording)
+    rng = np.random.default_rng(n + m)
+    w = rng.standard_normal(n)
+    times = np.linspace(0.0, 0.9 * (m - 1), m)
+    freqs, h = midpoint_frequencies(600.0, n), 1200.0 / n
+    for t in (times, times + 37.5):
+        direct = direct_sum(w + 0j, freqs, h, t)
+        atol = 1e-13 * np.abs(w).sum() * h
+        for x in (w, w + 0j):
+            got = fourier_midpoint_sum(x, 600.0, t)
+            np.testing.assert_allclose(got, direct, rtol=0, atol=atol)
+    assert shapes == [(n // 2, 2 * m - 1), (n, m), (n, m), (n, m)]
