@@ -190,9 +190,7 @@ def reference_bcf(kernel: NoiseKernel, times_fs, omega_max_cm1: float) -> np.nda
 
     Integrates S_beta(omega)*exp(-i*omega_rad*t) over [-omega_max,
     omega_max] on midpoint-offset points, refined by ``refine_midpoint``.
-    Negative times are filled in through C(-t) = conj(C(t)).  On grid times
-    each level is one chirp-z transform over the positive half of the band
-    (``fourier_midpoint_sum`` folds the real S_beta).
+    Negative times are filled in through C(-t) = conj(C(t)).
     """
     times = np.atleast_1d(np.asarray(times_fs, dtype=float))
     tabs = np.abs(times)
@@ -333,9 +331,7 @@ def discretize_bath(
     frequency.  Before any work, the worst-case working set of the column
     ID, 8 * (min(2m, n) * (2m + n) + 3 * 2m * min(n, 256)) + 192 * n bytes,
     is checked against ``memory_cap_bytes`` (ResourceLimitError above it);
-    it counts all n grid columns, not the band, and its 192 bytes a column
-    cover the operator's per-column arrays, its Gram table and one chirp-z
-    call's buffers.
+    it counts all n grid columns, not the band.
     """
     _check_tol(tol)
     # Q (r x 2m) and R (r x n) at r = min(2m, n), three 2m x RECOMPUTE_CHUNK blocks of

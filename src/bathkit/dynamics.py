@@ -201,15 +201,6 @@ class _KrylovSteps:
         return (self.coeffs[i] @ self.basis).reshape(shape)
 
 
-def _scale_into(dst, src, factor):
-    """dst = src * factor for complex vectors, as one real multiply over both parts.
-
-    numpy divides a complex by a real as (a + b*0) * (1/beta) (Smith's method),
-    so src * (1/beta) equals src / beta except for the sign of an exact zero.
-    """
-    np.multiply(src.view(float), factor, out=dst.view(float))
-
-
 def _lanczos_expm_apply(apply_h, psi, dt_rad, krylov_dim, tol, max_steps, halvings):
     """exp(-i*m*dt_rad*H) psi for m = 1, 2, ... from one Lanczos projection.
 
@@ -223,10 +214,13 @@ def _lanczos_expm_apply(apply_h, psi, dt_rad, krylov_dim, tol, max_steps, halvin
     evaluated at dt_rad/2, dt_rad/4, ..., at most ``halvings`` times, and
     the one state at the largest step that passes is returned.
     """
-    flat = np.ascontiguousarray(psi, dtype=complex).reshape(-1)
+    flat = psi.reshape(-1)
     nrm = np.linalg.norm(flat)
     basis = np.empty((krylov_dim, flat.size), dtype=complex)
-    _scale_into(basis[0], flat, 1.0 / nrm)
+    # each vector is normalized by one real multiply of both parts by 1/norm: numpy
+    # divides a complex by a real as (a + b*0) * (1/norm), so only an exact zero's
+    # sign can differ from the division
+    np.multiply(flat.view(float), 1.0 / nrm, out=basis[0].view(float))
     t = np.zeros((krylov_dim, krylov_dim))  # the projection T, filled as the basis grows
 
     def estimate(tau, n):
@@ -251,7 +245,7 @@ def _lanczos_expm_apply(apply_h, psi, dt_rad, krylov_dim, tol, max_steps, halvin
         if j + 1 == krylov_dim or estimate(max_steps * dt_rad, 1)[1][0] <= tol:
             break
         t[j, j + 1] = t[j + 1, j] = beta
-        _scale_into(basis[j + 1], w, 1.0 / beta)
+        np.multiply(w.view(float), 1.0 / beta, out=basis[j + 1].view(float))
 
     for split in range(halvings + 1):
         ys, errs = estimate(dt_rad / 2**split, 1 if split else max_steps)

@@ -51,10 +51,10 @@ class IdResult:
 
     ``selected`` lists r column indices in pivot order; ``r_rows`` holds
     the r x n rows q_k^T f of the Gram-Schmidt factor R in original column
-    order.  At tol >= ``GRAM_ROW_MIN_TOL`` they come from Gram rows and
-    carry an error of about eps/tol times the first pivot norm (at most
-    3 eps/tol measured on the surrogate's sample matrix); below it they are
-    the products q_k^T f, accurate to a few eps.  ``interp`` is the r x n coefficient matrix P, so
+    order.  At tol >= ``GRAM_ROW_MIN_TOL`` they come from Gram rows and err
+    by about eps/tol times the first pivot norm (at most 3 eps/tol measured
+    on the surrogate's sample matrix); below it they are the products
+    q_k^T f.  ``interp`` is the r x n coefficient matrix P, so
     f ~ f[:, selected] @ interp; it is computed from ``r_rows`` on first
     read and cached.  ``pivot_norms`` holds the r + 1 residual norms of the
     pivot candidates: the r accepted pivots and the one that ended the
@@ -129,23 +129,24 @@ def column_id(f, tol: float) -> IdResult:
     that column twice against the previous pivots (CGS2), f_j = Q^T c + w,
     and appends the row q^T f of R, q = w / ||w||.  At tol >=
     ``GRAM_ROW_MIN_TOL`` (read at call time) that row is the left-looking
-    pivoted Cholesky update (f_j^T f - c^T R) / ||w|| (Higham 1990), whose
-    error relative to the first pivot norm is about eps/tol; below it, where
+    pivoted Cholesky update (f_j^T f - c^T R) / ||w|| (Higham 1990), which
+    errs by about eps/tol of the first pivot norm; below the floor, where
     that error would approach the size of the pivot decisions, it is
-    ``rmatvec(q)``.  Pivot columns, their norms and the stop test are always
-    computed from explicit columns, so the two give the same pivots unless
-    roundoff in R breaks a near tie.  Residual norms are downdated by that row; one that has
-    fallen to sqrt(eps) of its last exact value is stale, and is computed
-    afresh, as ||f_j - Q^T R_j||^2, once it plus sqrt(eps) of that value
-    reaches the largest fresh norm.  A downdate errs by a few k*eps of that
-    value, so a stale norm left below the bound cannot be the next pivot and
-    the pivots are those of recomputing every stale norm at once.  Columns
-    that are exactly zero are never pivots.
+    ``rmatvec(q)``.  Pivot columns, their norms and the stop test always
+    come from explicit columns, so both give the same pivots unless
+    roundoff in R breaks a near tie.  Residual norms are downdated by that
+    row; one that has fallen to sqrt(eps) of its last exact value is stale,
+    and is computed afresh, as ||f_j - Q^T R_j||^2, once it plus sqrt(eps)
+    of that value reaches the largest fresh norm.  A downdate errs by a few
+    k*eps of that value, so a stale norm left below the bound cannot be the
+    next pivot and the pivots are those of recomputing every stale norm at
+    once.  Columns that are exactly zero are never pivots.
 
     The rank is the smallest k for which the (k+1)-th pivot norm satisfies
-    ||residual|| <= tol * (first pivot norm).  The pivots do not depend on
-    ``tol``, so the selection at a looser tol is a prefix of the one at a
-    tighter tol.  A zero matrix yields rank 0 with an empty selection.
+    ||residual|| <= tol * (first pivot norm).  The pivots depend on ``tol``
+    only through the floor's choice of rows, so on one side of the floor
+    the selection at a looser tol is a prefix of the one at a tighter tol.
+    A zero matrix yields rank 0 with an empty selection.
     """
     op = f if hasattr(f, "rmatvec") else _Dense(f)
     if not (tol > 0 and np.isfinite(tol)):
