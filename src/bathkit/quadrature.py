@@ -97,7 +97,7 @@ def fourier_midpoint_sum(weights, omega_max_cm1: float, times_fs) -> np.ndarray:
             a, b = g[m - 1 :], np.conj(g[m - 1 :: -1])
             return 0.5 * (a + b) + 0.5j * np.conj(a - b)
         return ChirpSum(n, freqs[0] * RAD_PER_FS_PER_CM1, du, times, scale=h)(x)
-    return direct_sum(x.astype(complex), freqs, h, times)
+    return direct_sum(x, freqs, h, times)
 
 
 class ChirpSum:
