@@ -4,7 +4,10 @@
 a truncated number-state space with Lanczos exponentials, never
 materializing the Hamiltonian: each mode's ladder operators act on the
 flattened state as two contiguous products shifted by that mode's stride,
-and the system operators as one matmul.  One Lanczos basis serves as
+and the system operators as one matmul.  The products run over one block
+of ``ACTION_BLOCK`` to 2 * ``ACTION_BLOCK`` entries at a time (the whole
+state when it is smaller), so each block of the output takes all of them
+while it stays in cache.  One Lanczos basis serves as
 many uniform output steps as its a-posteriori error estimate allows, and
 grows only until that estimate passes at the last step it is asked for.  The
 bath always starts in its vacuum; at finite temperature the thermal
@@ -58,6 +61,9 @@ MAX_FOCK_CAP = 10
 # a sweep passes while each observable distance is at most (1 + SWEEP_SLACK)
 # times the one before it
 SWEEP_SLACK = 0.2
+# entries per block of the flat state in the Hamiltonian action (256 KiB of
+# complex); read at call time
+ACTION_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -99,9 +105,10 @@ class PropagationResult:
     max_step_error: float  # largest accepted a-posteriori error estimate
 
 
-def _offdiagonal_is_zero(matrix) -> bool:
-    """True if every off-diagonal entry is exactly zero (no tolerance)."""
-    return not np.any(matrix[~np.eye(matrix.shape[0], dtype=bool)])
+def _is_real_diagonal(matrix) -> bool:
+    """True if every off-diagonal entry and every imaginary part is exactly zero."""
+    off = matrix[~np.eye(matrix.shape[0], dtype=bool)]
+    return not (np.any(off) or np.any(matrix.diagonal().imag))
 
 
 class _HamiltonianAction:
@@ -109,18 +116,26 @@ class _HamiltonianAction:
 
     Each mode's ladder operators act on the flattened state as two
     contiguous products shifted by the mode's stride s: a moves level n+1
-    onto level n through ``out[:-s] += c * psi[s:]`` and a^dag moves level
-    n onto n+1 through ``out[s:] += c * psi[:-s]``.  The float64
-    coefficient c of length D - s holds g * sqrt(n+1) on each level n below
-    the cap and 0 on the cap, so no product crosses into the next block.
+    onto level n through ``out[i] += c[i] * psi[i + s]`` and a^dag moves
+    level n onto n+1 through ``out[i] += c[i - s] * psi[i - s]``.  The
+    float64 coefficient c of length D - s holds g * sqrt(n+1) on each level
+    n below the cap and 0 on the cap, so no product crosses into the next
+    block of that axis.
 
-    Exactly diagonal operators take fast paths: a diagonal H_S is folded
-    into the oscillator diagonal, and a coupling V that is diagonal with an
-    exactly real diagonal is folded into c as g * sqrt(n+1) * v_s.  The test
-    is for exact zeros, so any nonzero off-diagonal or imaginary entry,
-    however small, keeps the general path (``h_s`` and the mode's ``v``
-    set), which applies the system operator as one matmul on the
-    (d_s, D/d_s) view.
+    The flat state is cut into max(1, D // ``ACTION_BLOCK``) near-equal
+    blocks.  After the one matmul of a non-diagonal H_S, each block of the
+    output takes the diagonal and every ladder product in turn while it
+    stays in cache; an output entry gets the same operations in the same
+    order whatever the blocks, so the result does not depend on them.
+
+    Exactly diagonal operators take fast paths: an H_S, or a coupling V,
+    that is diagonal with an exactly real diagonal is folded into the
+    float64 diagonal or into c as g * sqrt(n+1) * v_s.  The test is for
+    exact zeros, so any nonzero off-diagonal or imaginary entry, however
+    small, keeps the general path (``h_s`` and the mode's ``v`` set), which
+    applies the system operator as one matmul on the (d_s, D/d_s) view.
+    V @ psi is formed once per run of modes with the same V, into one kept
+    buffer, and the blocks take that run's products before the next.
     """
 
     def __init__(self, model: DiscreteModel, trunc: FockTruncation):
@@ -132,25 +147,20 @@ class _HamiltonianAction:
         self.caps = trunc.caps
         self.shape = (model.system.dim,) + tuple(c + 1 for c in self.caps)
         ndim = len(self.shape)
-        # total oscillator-energy diagonal, broadcast over the full tensor
-        diag = np.zeros(self.shape[1:])
+        # total oscillator energy, plus a folded H_S, as one flat float64 array
+        diag = np.zeros((1,) + self.shape[1:])
         for k, omega in enumerate(model.mode_omegas):
             occ = np.arange(self.caps[k] + 1, dtype=float)
-            diag = diag + omega * occ.reshape((1,) * k + (-1,) + (1,) * (n_modes - k - 1))
-        diag = diag[np.newaxis, ...]
+            diag = diag + omega * occ.reshape((1,) * (k + 1) + (-1,) + (1,) * (n_modes - k - 1))
         h_s = model.system.h_s
-        if _offdiagonal_is_zero(h_s):
-            self.h_s = None
-            diag = diag + h_s.diagonal().reshape((-1,) + (1,) * (ndim - 1))
-        else:
-            self.h_s = h_s
-        self.diag = diag
+        self.h_s = None if _is_real_diagonal(h_s) else h_s
+        if self.h_s is None:
+            diag = diag + h_s.diagonal().real.reshape((-1,) + (1,) * (ndim - 1))
+        self.diag = np.broadcast_to(diag, self.shape).reshape(-1)
 
         # per mode with g != 0: its stride, the coefficient of g (a + a^dag)
-        # and V (None when folded into the coefficient); the products go
-        # through one shared scratch buffer, and each V @ psi into another
+        # and V (None when folded into the coefficient)
         d_s = self.shape[0]
-        self.scratch = np.empty(math.prod(self.shape), dtype=complex)
         self.ladder = []
         for k, (g, ci) in enumerate(zip(model.mode_g, model.mode_coupling)):
             if g == 0.0:
@@ -161,29 +171,81 @@ class _HamiltonianAction:
             coef = np.empty((d_s, math.prod(self.shape[1 : 1 + k]), levels.size, stride))
             coef[...] = levels[:, np.newaxis]
             v = model.system.couplings[ci][1]
-            if _offdiagonal_is_zero(v) and not np.any(v.diagonal().imag):
+            if _is_real_diagonal(v):
                 coef *= v.diagonal().real.reshape(-1, 1, 1, 1)
                 v = None
             self.ladder.append((stride, coef.reshape(-1)[:-stride], v))
-        general = any(v is not None for _, _, v in self.ladder)
-        self.v_psi = np.empty((d_s, self.scratch.size // d_s), dtype=complex) if general else None
+        # the ladder in passes over the blocks, one per run of modes with the
+        # same V (modes are contiguous per coupling); the first pass, empty
+        # without modes, also applies the diagonal
+        self.passes = []
+        for s, coef, v in self.ladder:
+            if not self.passes or v is not self.passes[-1][0]:
+                self.passes.append((v, []))
+            self.passes[-1][1].append((s, coef))
+        self.passes = self.passes or [(None, [])]
+        general = any(v is not None for v, _ in self.passes)
+        self.v_psi = np.empty((d_s, self.diag.size // d_s), dtype=complex) if general else None
+        self._plan = (None, [])
+
+    def _block_plan(self):
+        """Per block: its slice, diagonal, scratch and each pass's products.
+
+        A product is one of a mode's two shifts clipped to the block, as
+        (coefficient, source slice, output slice, scratch); the plan is
+        built once per value of ``ACTION_BLOCK``.
+        """
+        if self._plan[0] != ACTION_BLOCK:
+            size = self.diag.size
+            n_blocks = max(1, size // ACTION_BLOCK)
+            edges = [size * i // n_blocks for i in range(n_blocks + 1)]
+            scratch = np.empty(-(-size // n_blocks), dtype=complex)
+            plan = []
+            for a, b in zip(edges, edges[1:]):
+                per_pass = []
+                for _, terms in self.passes:
+                    products = []
+                    for s, coef in terms:
+                        hi = min(b, size - s)  # annihilation onto out[a:hi]
+                        if a < hi:
+                            products.append(
+                                (coef[a:hi], slice(a + s, hi + s), slice(a, hi), scratch[: hi - a])
+                            )
+                        lo = max(a, s)  # creation onto out[lo:b]
+                        if lo < b:
+                            products.append(
+                                (coef[lo - s : b - s], slice(lo - s, b - s), slice(lo, b),
+                                 scratch[: b - lo])
+                            )
+                    per_pass.append(products)
+                plan.append((slice(a, b), self.diag[a:b], scratch[: b - a], per_pass))
+            self._plan = (ACTION_BLOCK, plan)
+        return self._plan[1]
 
     def __call__(self, psi):
         d_s = self.shape[0]
         if self.h_s is None:
-            out = self.diag * psi
+            out = np.empty(self.shape, dtype=complex)
         else:
             out = (self.h_s @ psi.reshape(d_s, -1)).reshape(self.shape)
-            out += self.diag * psi
-        flat = out.reshape(-1)
-        for s, coef, v in self.ladder:
-            src = psi if v is None else np.matmul(v, psi.reshape(d_s, -1), out=self.v_psi)
-            src = src.reshape(-1)
-            tmp = self.scratch[: coef.size]
-            np.multiply(coef, src[s:], out=tmp)
-            flat[:-s] += tmp  # annihilation: sqrt(n+1) from level n+1
-            np.multiply(coef, src[:-s], out=tmp)
-            flat[s:] += tmp  # creation: sqrt(n) from level n-1
+        flat, flat_psi = out.reshape(-1), psi.reshape(-1)
+        plan = self._block_plan()
+        for p, (v, _) in enumerate(self.passes):
+            if v is None:
+                src = flat_psi
+            else:
+                src = np.matmul(v, psi.reshape(d_s, -1), out=self.v_psi).reshape(-1)
+            for block, diag, scratch, per_pass in plan:
+                if p == 0 and self.h_s is None:
+                    np.multiply(diag, flat_psi[block], out=flat[block])
+                elif p == 0:
+                    np.multiply(diag, flat_psi[block], out=scratch)
+                    dest = flat[block]
+                    np.add(dest, scratch, out=dest)
+                for coef, src_slice, out_slice, tmp in per_pass[p]:
+                    np.multiply(coef, src[src_slice], out=tmp)
+                    dest = flat[out_slice]
+                    np.add(dest, tmp, out=dest)
         return out
 
 
@@ -292,7 +354,9 @@ def propagate(
     Before the Hamiltonian action is built, (krylov_dim + 8) * 16 * D +
     8 * M * D + (n_steps + 1) * (8 * d_s + 40) bytes, D =
     ``trunc.dimension(d_s)`` and M = ``model.total_mode_count``, are checked
-    against ``memory_cap_bytes`` (``ResourceLimitError`` above it).
+    against ``memory_cap_bytes`` (``ResourceLimitError`` above it).  Besides
+    the basis, that covers the action's float64 diagonal and coefficients,
+    its output, at most one V @ psi and its scratch of one block.
     """
     d_s = model.system.dim
     psi0_system = np.asarray(psi0_system, dtype=complex)
@@ -310,7 +374,7 @@ def propagate(
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     n_steps = max(1, int(math.ceil(t_max_fs / dt_fs - 1e-9)))
     # basis and work states, the action's float64 ladder coefficients (one per
-    # mode; measured peaks: krylov_dim + 7.5 to 8.5 states at 4 modes), then the record
+    # mode; measured peaks: krylov_dim + 6 to 8 states at 4 modes), then the record
     per_state = (int(krylov_dim) + 8) * 16 + 8 * model.total_mode_count
     nbytes = per_state * trunc.dimension(d_s) + (n_steps + 1) * (8 * d_s + 40)
     check_memory(nbytes, memory_cap_bytes, "the Krylov basis and output steps; use fewer modes")

@@ -95,15 +95,24 @@ def test_materialized_matches_explicit_construction():
     np.testing.assert_allclose(h, h_expl, atol=1e-12)
 
 
+# ACTION_BLOCK at 1, 5 and its default: block edges fall inside strides, on
+# cap levels and past the largest stride
+ACTION_BLOCKS = pytest.mark.parametrize(
+    "block", [1, 5, dynamics.ACTION_BLOCK], ids=["block-1", "block-5", "default"]
+)
+
+
 def with_offdiagonal(matrix, eps):
     m = np.array(matrix, dtype=complex)
     m[0, 1] = m[1, 0] = eps
     return m
 
 
-def test_diagonal_fast_paths_match_general_path():
+@ACTION_BLOCKS
+def test_diagonal_fast_paths_match_general_path(block, monkeypatch):
     # diagonal H_S, two diagonal couplings and a g = 0 mode take the fast
     # paths; an off-diagonal 1e-300 forces the general path for the same H
+    monkeypatch.setattr(dynamics, "ACTION_BLOCK", block)
     h_s = np.diag([50.0, -30.0])
     v2 = np.diag([0.3, -0.7])
     baths = [
@@ -127,10 +136,21 @@ def test_diagonal_fast_paths_match_general_path():
     h_fast, h_general = materialize(fast), materialize(general)
     np.testing.assert_allclose(h_fast, h_general, rtol=0.0, atol=1e-12)
     assert np.max(np.abs(h_fast - h_fast.conj().T)) == 0.0
+    # the Hermiticity check lets an imaginary 1e-12 through on the diagonal;
+    # H_S then takes the matmul, since the folded diagonal is real
+    imag_part = np.kron(np.diag([1e-12j, 0.0]), np.eye(h_fast.shape[0] // 2))
+    imag_sys = SystemSpec(h_s=h_s + np.diag([1e-12j, 0.0]), couplings=fast_sys.couplings)
+    imag = _HamiltonianAction(build_model(imag_sys, baths), trunc)
+    assert imag.h_s is not None and imag.diag.dtype == np.float64
+    h_imag = materialize(imag)
+    np.testing.assert_allclose(h_imag, h_fast + imag_part, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(h_imag.imag, imag_part.imag)
 
 
-def test_mixed_paths_match_kronecker_construction():
+@ACTION_BLOCKS
+def test_mixed_paths_match_kronecker_construction(block, monkeypatch):
     # diagonal H_S folded, sigma_x coupling on the general path
+    monkeypatch.setattr(dynamics, "ACTION_BLOCK", block)
     n = 4
     model = build_model(
         SystemSpec(h_s=np.diag([40.0, -20.0]), couplings=(("b", SIGMA_X),)),
@@ -147,10 +167,12 @@ def test_mixed_paths_match_kronecker_construction():
     np.testing.assert_allclose(materialize(action), h_expl, atol=1e-12)
 
 
-def test_stride_shifted_ladders_match_kronecker_construction():
+@ACTION_BLOCKS
+def test_stride_shifted_ladders_match_kronecker_construction(block, monkeypatch):
     # four modes with unequal caps, cap 1 on the innermost axis and a g = 0
     # mode; sigma_z folds into the coefficients, sigma_x and H_S take matmuls.
     # A product leaking from a cap level into the next block shows up here.
+    monkeypatch.setattr(dynamics, "ACTION_BLOCK", block)
     h_s = np.array([[40.0, 15.0], [15.0, -20.0]])
     omegas, gs, caps = [120.0, -80.0, 60.0, 95.0], [25.0, 0.0, 15.0, 10.0], (3, 2, 4, 1)
     couplings = [SIGMA_Z] * 3 + [SIGMA_X]
@@ -175,6 +197,31 @@ def test_stride_shifted_ladders_match_kronecker_construction():
         h_expl = h_expl + omegas[k] * embed(np.eye(2), k, np.diag(np.arange(c + 1.0)))
         h_expl = h_expl + gs[k] * embed(couplings[k], k, a + a.T)
     np.testing.assert_allclose(materialize(action), h_expl, rtol=0.0, atol=1e-12)
+
+
+def test_blocked_action_is_bit_equal_to_one_block(monkeypatch):
+    # off-diagonal H_S, a folded sigma_z bath and two sigma_x baths, so three
+    # passes over the blocks; every entry gets the same operations in the
+    # same order, whatever the blocks
+    omegas, gs = [120.0, -80.0, 60.0, 95.0, 30.0], [25.0, 12.0, 15.0, 10.0, 7.0]
+    caps = (3, 2, 4, 1, 2)
+    model = build_model(
+        SystemSpec(
+            h_s=[[40.0, 15.0], [15.0, -20.0]],
+            couplings=(("b", SIGMA_Z), ("c", SIGMA_X), ("d", SIGMA_X)),
+        ),
+        [("b", synthetic_bath(omegas[:2], gs[:2])), ("c", synthetic_bath(omegas[2:4], gs[2:4])),
+         ("d", synthetic_bath(omegas[4:], gs[4:]))],
+    )
+    action = _HamiltonianAction(model, FockTruncation(caps=caps))
+    assert [v is None for v, _ in action.passes] == [True, False, False]
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal(action.shape) + 1j * rng.standard_normal(action.shape)
+    monkeypatch.setattr(dynamics, "ACTION_BLOCK", psi.size)
+    whole = action(psi)
+    for block in (1, 5, 7, 64, psi.size // 2):
+        monkeypatch.setattr(dynamics, "ACTION_BLOCK", block)
+        assert np.array_equal(action(psi), whole), block
 
 
 # --- propagate ---------------------------------------------------------------
@@ -827,18 +874,30 @@ def test_convergence_study_propagation_path():
 
 
 @pytest.mark.parametrize(
-    "h_s, v",
-    [([[50.0, 0.0], [0.0, -50.0]], SIGMA_Z), ([[50.0, 40.0], [40.0, -50.0]], SIGMA_Z),
-     ([[50.0, 0.0], [0.0, -50.0]], SIGMA_X)],
-    ids=["diagonal", "offdiagonal-h_s", "offdiagonal-v"],
+    "h_s, vs, block",
+    [([[50.0, 0.0], [0.0, -50.0]], (SIGMA_Z,), None),
+     ([[50.0, 40.0], [40.0, -50.0]], (SIGMA_Z,), None),
+     ([[50.0, 0.0], [0.0, -50.0]], (SIGMA_X,), None),
+     ([[50.0, 0.0], [0.0, -50.0]], (SIGMA_X, SIGMA_X), 4096)],
+    ids=["diagonal", "offdiagonal-h_s", "offdiagonal-v", "two-sigma_x-baths-in-blocks"],
 )
-def test_propagation_peak_allocation_stays_within_the_checked_bytes(h_s, v):
+def test_propagation_peak_allocation_stays_within_the_checked_bytes(h_s, vs, block, monkeypatch):
     # D = 2 * 10**4; 20 steps take several bases, and only one may be alive.
-    # tracemalloc peaks 7.46, 7.70 and 8.45 states above the basis (diagonal,
-    # off-diagonal H_S, sigma_x, whose V @ psi has its own kept buffer)
-    system = SystemSpec(h_s=h_s, couplings=(("b", v),))
-    bath = synthetic_bath([120.0, -80.0, 200.0, 45.0], [20.0, 10.0, 15.0, 8.0])
-    model = build_model(system, [("b", bath)])
+    # tracemalloc peaks 6.97, 6.96 and 7.96 states above the basis in one
+    # block (diagonal, off-diagonal H_S, sigma_x, whose V @ psi has its own
+    # kept buffer) and 7.08 for two sigma_x baths in 4,096-entry blocks, which
+    # share that buffer (6.08, 6.08, 7.08 for the others at that block)
+    if block is not None:
+        monkeypatch.setattr(dynamics, "ACTION_BLOCK", block)
+    omegas, gs = [120.0, -80.0, 200.0, 45.0], [20.0, 10.0, 15.0, 8.0]
+    labels = "bc"[: len(vs)]
+    per = 4 // len(vs)
+    system = SystemSpec(h_s=h_s, couplings=tuple(zip(labels, vs)))
+    baths = [
+        (label, synthetic_bath(omegas[i * per : (i + 1) * per], gs[i * per : (i + 1) * per]))
+        for i, label in enumerate(labels)
+    ]
+    model = build_model(system, baths)
     trunc = FockTruncation(caps=(9,) * 4)
     need = (14 + 8) * 16 * 20_000 + 8 * 4 * 20_000 + 21 * (8 * 2 + 40)
     tracemalloc.start()
