@@ -54,6 +54,7 @@ __all__ = [
     "BcfErrorStats",
     "reference_bcf",
     "check_memory",
+    "check_tol",
     "assemble_fdr",
     "discretize_bath",
     "reconstruct_bcf",
@@ -73,11 +74,6 @@ def _check_window(t_max_fs: float, omega_max_cm1: float, n_freq: int = 2):
     if not np.isfinite(t_max_fs) or t_max_fs < 0:
         raise ValidationError(f"t_max_fs must be >= 0, got {t_max_fs}")
     check_midpoints(omega_max_cm1, n_freq)
-
-
-def _check_tol(tol: float):
-    if not (0.0 < tol < 1.0):
-        raise ValidationError(f"tol must be in (0, 1), got {tol}")
 
 
 @dataclass(frozen=True)
@@ -173,8 +169,7 @@ class BathModel:
         if np.any(self.g < 0.0):
             raise ValidationError("bath model couplings must be nonnegative")
         _check_window(self.t_max_fs, self.omega_max_cm1)
-        if not (0.0 < self.tol < 1.0):
-            raise ValidationError(f"bath model tol must be in (0, 1), got {self.tol}")
+        check_tol(self.tol)
 
     @property
     def mode_count(self) -> int:
@@ -250,7 +245,7 @@ class FdrOperator:
             raise ValidationError("the quantum noise is not finite (or overflows) on the grid")
         band = slice(None)
         if tol is not None:
-            _check_tol(tol)
+            check_tol(tol)
             keep = np.flatnonzero(norms2 >= (1.0 - 1e-6) * tol * tol * np.max(norms2))
             band = slice(keep[0], keep[-1] + 1)
         self.freqs, self.w_rad = grid.freqs[band], w_rad[band]
@@ -295,6 +290,12 @@ def check_memory(nbytes: int, cap: int, what: str):
         raise ResourceLimitError(f"{need:g} GiB is needed, above the {limit:g} GiB cap, for {what}")
 
 
+def check_tol(tol: float):
+    """Raise ValidationError unless ``tol`` lies in (0, 1); NaN does not."""
+    if not (0.0 < tol < 1.0):
+        raise ValidationError(f"tol must be in (0, 1), got {tol}")
+
+
 def assemble_fdr(kernel: NoiseKernel, grid: FdrGrid) -> np.ndarray:
     """Sample the kernel on the grid and stack Re/Im into a 2m x n matrix.
 
@@ -333,7 +334,7 @@ def discretize_bath(
     is checked against ``memory_cap_bytes`` (ResourceLimitError above it);
     it counts all n grid columns, not the band.
     """
-    _check_tol(tol)
+    check_tol(tol)
     # Q (r x 2m) and R (r x n) at r = min(2m, n), three 2m x RECOMPUTE_CHUNK blocks of
     # recomputed residuals, and up to ~150 bytes per band column (~95 per grid column)
     # measured for S, the norms, the Gram table, the chirp-z kernel's blocks and one

@@ -6,13 +6,13 @@ materializing the Hamiltonian: each mode's ladder operators act on the
 flattened state as two contiguous products shifted by that mode's stride,
 and the system operators as one matmul.  The products run over one block
 of ``ACTION_BLOCK`` to 2 * ``ACTION_BLOCK`` entries at a time (the whole
-state when it is smaller), so each block of the output takes all of them
-while it stays in cache.  One Lanczos basis serves as
-many uniform output steps as its a-posteriori error estimate allows, and
-grows only until that estimate passes at the last step it is asked for.  The
-bath always starts in its vacuum; at finite temperature the thermal
-occupation is already baked into the couplings and signed frequencies of
-the bath model.
+state when it is smaller; the constant is read when an action is built),
+so each block of the output takes all of them while it stays in cache.
+One Lanczos basis serves as many uniform output steps as its a-posteriori
+error estimate allows, and grows only until that estimate passes at the
+last step it is asked for.  The bath always starts in its vacuum; at finite
+temperature the thermal occupation is already baked into the couplings and
+signed frequencies of the bath model.
 
 ``dephasing_gamma`` is the closed-form decoherence exponent of a qubit
 with diagonal (sigma_z) coupling and vacuum bath,
@@ -35,7 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._schema import is_integer
-from .discretize import DEFAULT_MEMORY_CAP_BYTES, FdrGrid, check_memory, discretize_bath
+from .discretize import (
+    DEFAULT_MEMORY_CAP_BYTES,
+    FdrGrid,
+    check_memory,
+    check_tol,
+    discretize_bath,
+)
 from .errors import ConvergenceError, ValidationError
 from .hamiltonian import DiscreteModel, SystemSpec, build_model
 from .quadrature import fourier_midpoint_sum, midpoint_frequencies, refine_midpoint
@@ -62,7 +68,7 @@ MAX_FOCK_CAP = 10
 # times the one before it
 SWEEP_SLACK = 0.2
 # entries per block of the flat state in the Hamiltonian action (256 KiB of
-# complex); read at call time
+# complex); read when an action is built
 ACTION_BLOCK = 16384
 
 
@@ -82,7 +88,8 @@ class FockTruncation:
         """Displaced-oscillator heuristic: cap ~ 8 (g/omega)^2 + 3, at most MAX_FOCK_CAP."""
         caps = []
         for omega, g in zip(model.mode_omegas.tolist(), model.mode_g.tolist()):
-            ratio = abs(g / omega) if omega != 0.0 else 0.0
+            # a coupled omega = 0 mode is displaced without bound: saturated
+            ratio = abs(g / omega) if omega != 0.0 else float(g != 0.0)
             # past |g/omega| = 1 the cap is saturated; clipping there keeps the square finite
             caps.append(min(MAX_FOCK_CAP, int(math.ceil(8.0 * min(ratio, 1.0) ** 2)) + 3))
         return cls(caps=tuple(caps))
@@ -123,7 +130,8 @@ class _HamiltonianAction:
     block of that axis.
 
     The flat state is cut into max(1, D // ``ACTION_BLOCK``) near-equal
-    blocks.  After the one matmul of a non-diagonal H_S, each block of the
+    blocks, planned when the action is built, which is when ``ACTION_BLOCK``
+    is read.  After the one matmul of a non-diagonal H_S, each block of the
     output takes the diagonal and every ladder product in turn while it
     stays in cache; an output entry gets the same operations in the same
     order whatever the blocks, so the result does not depend on them.
@@ -132,7 +140,7 @@ class _HamiltonianAction:
     that is diagonal with an exactly real diagonal is folded into the
     float64 diagonal or into c as g * sqrt(n+1) * v_s.  The test is for
     exact zeros, so any nonzero off-diagonal or imaginary entry, however
-    small, keeps the general path (``h_s`` and the mode's ``v`` set), which
+    small, keeps the general path (``h_s`` or the pass's V set), which
     applies the system operator as one matmul on the (d_s, D/d_s) view.
     V @ psi is formed once per run of modes with the same V, into one kept
     buffer, and the blocks take that run's products before the next.
@@ -158,10 +166,12 @@ class _HamiltonianAction:
             diag = diag + h_s.diagonal().real.reshape((-1,) + (1,) * (ndim - 1))
         self.diag = np.broadcast_to(diag, self.shape).reshape(-1)
 
-        # per mode with g != 0: its stride, the coefficient of g (a + a^dag)
-        # and V (None when folded into the coefficient)
+        # passes over the blocks, one per run of modes with g != 0 and the same
+        # V (modes are contiguous per coupling), each (V or None when folded,
+        # [(stride, coefficient of g (a + a^dag)), ...]); the first pass, empty
+        # without modes, also applies the diagonal
         d_s = self.shape[0]
-        self.ladder = []
+        self.passes = []
         for k, (g, ci) in enumerate(zip(model.mode_g, model.mode_coupling)):
             if g == 0.0:
                 continue
@@ -174,53 +184,38 @@ class _HamiltonianAction:
             if _is_real_diagonal(v):
                 coef *= v.diagonal().real.reshape(-1, 1, 1, 1)
                 v = None
-            self.ladder.append((stride, coef.reshape(-1)[:-stride], v))
-        # the ladder in passes over the blocks, one per run of modes with the
-        # same V (modes are contiguous per coupling); the first pass, empty
-        # without modes, also applies the diagonal
-        self.passes = []
-        for s, coef, v in self.ladder:
             if not self.passes or v is not self.passes[-1][0]:
                 self.passes.append((v, []))
-            self.passes[-1][1].append((s, coef))
+            self.passes[-1][1].append((stride, coef.reshape(-1)[:-stride]))
         self.passes = self.passes or [(None, [])]
         general = any(v is not None for v, _ in self.passes)
         self.v_psi = np.empty((d_s, self.diag.size // d_s), dtype=complex) if general else None
-        self._plan = (None, [])
 
-    def _block_plan(self):
-        """Per block: its slice, diagonal, scratch and each pass's products.
-
-        A product is one of a mode's two shifts clipped to the block, as
-        (coefficient, source slice, output slice, scratch); the plan is
-        built once per value of ``ACTION_BLOCK``.
-        """
-        if self._plan[0] != ACTION_BLOCK:
-            size = self.diag.size
-            n_blocks = max(1, size // ACTION_BLOCK)
-            edges = [size * i // n_blocks for i in range(n_blocks + 1)]
-            scratch = np.empty(-(-size // n_blocks), dtype=complex)
-            plan = []
-            for a, b in zip(edges, edges[1:]):
-                per_pass = []
-                for _, terms in self.passes:
-                    products = []
-                    for s, coef in terms:
-                        hi = min(b, size - s)  # annihilation onto out[a:hi]
-                        if a < hi:
-                            products.append(
-                                (coef[a:hi], slice(a + s, hi + s), slice(a, hi), scratch[: hi - a])
-                            )
-                        lo = max(a, s)  # creation onto out[lo:b]
-                        if lo < b:
-                            products.append(
-                                (coef[lo - s : b - s], slice(lo - s, b - s), slice(lo, b),
-                                 scratch[: b - lo])
-                            )
-                    per_pass.append(products)
-                plan.append((slice(a, b), self.diag[a:b], scratch[: b - a], per_pass))
-            self._plan = (ACTION_BLOCK, plan)
-        return self._plan[1]
+        # per block: its slice, diagonal, scratch and each pass's products, one
+        # per shift clipped to the block: (coefficient, source, output, scratch)
+        size = self.diag.size
+        n_blocks = max(1, size // ACTION_BLOCK)
+        edges = [size * i // n_blocks for i in range(n_blocks + 1)]
+        scratch = np.empty(-(-size // n_blocks), dtype=complex)
+        self.blocks = []
+        for a, b in zip(edges, edges[1:]):
+            per_pass = []
+            for _, terms in self.passes:
+                products = []
+                for s, coef in terms:
+                    hi = min(b, size - s)  # annihilation onto out[a:hi]
+                    if a < hi:
+                        products.append(
+                            (coef[a:hi], slice(a + s, hi + s), slice(a, hi), scratch[: hi - a])
+                        )
+                    lo = max(a, s)  # creation onto out[lo:b]
+                    if lo < b:
+                        products.append(
+                            (coef[lo - s : b - s], slice(lo - s, b - s), slice(lo, b),
+                             scratch[: b - lo])
+                        )
+                per_pass.append(products)
+            self.blocks.append((slice(a, b), self.diag[a:b], scratch[: b - a], per_pass))
 
     def __call__(self, psi):
         d_s = self.shape[0]
@@ -229,13 +224,12 @@ class _HamiltonianAction:
         else:
             out = (self.h_s @ psi.reshape(d_s, -1)).reshape(self.shape)
         flat, flat_psi = out.reshape(-1), psi.reshape(-1)
-        plan = self._block_plan()
         for p, (v, _) in enumerate(self.passes):
             if v is None:
                 src = flat_psi
             else:
                 src = np.matmul(v, psi.reshape(d_s, -1), out=self.v_psi).reshape(-1)
-            for block, diag, scratch, per_pass in plan:
+            for block, diag, scratch, per_pass in self.blocks:
                 if p == 0 and self.h_s is None:
                     np.multiply(diag, flat_psi[block], out=flat[block])
                 elif p == 0:
@@ -533,8 +527,7 @@ def convergence_study(
     if not tols:
         raise ValidationError("tolerance sweep must not be empty")
     for tol in tols:
-        if not (0.0 < tol < 1.0):
-            raise ValidationError(f"tol must be in (0, 1), got {tol}")
+        check_tol(tol)
 
     labels = sorted({label for label, _ in system.couplings})
     dephasing = _pure_dephasing_violation(system) is None

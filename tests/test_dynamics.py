@@ -130,9 +130,11 @@ def test_diagonal_fast_paths_match_general_path(block, monkeypatch):
     assert _pure_dephasing_violation(SystemSpec(h_s=tiny_h_s, couplings=(("b", tiny_z),))) is None
     fast = _HamiltonianAction(build_model(fast_sys, baths), trunc)
     general = _HamiltonianAction(build_model(general_sys, baths), trunc)
-    assert fast.h_s is None and all(v is None for _, _, v in fast.ladder)
-    assert general.h_s is not None and all(v is not None for _, _, v in general.ladder)
-    assert len(fast.ladder) == 3  # the g = 0 mode is skipped
+    assert fast.h_s is None and all(v is None for v, terms in fast.passes for _ in terms)
+    assert general.h_s is not None and all(
+        v is not None for v, terms in general.passes for _ in terms
+    )
+    assert sum(len(t) for _, t in fast.passes) == 3  # the g = 0 mode is skipped
     h_fast, h_general = materialize(fast), materialize(general)
     np.testing.assert_allclose(h_fast, h_general, rtol=0.0, atol=1e-12)
     assert np.max(np.abs(h_fast - h_fast.conj().T)) == 0.0
@@ -157,7 +159,7 @@ def test_mixed_paths_match_kronecker_construction(block, monkeypatch):
         [("b", synthetic_bath([-70.0], [18.0]))],
     )
     action = _HamiltonianAction(model, FockTruncation(caps=(n - 1,)))
-    assert action.h_s is None and action.ladder[0][2] is not None
+    assert action.h_s is None and action.passes[0][0] is not None
     a = np.diag(np.sqrt(np.arange(1.0, n)), k=1)
     h_expl = (
         np.kron(np.diag([40.0, -20.0]), np.eye(n))
@@ -181,7 +183,7 @@ def test_stride_shifted_ladders_match_kronecker_construction(block, monkeypatch)
         [("b", synthetic_bath(omegas[:3], gs[:3])), ("c", synthetic_bath(omegas[3:], gs[3:]))],
     )
     action = _HamiltonianAction(model, FockTruncation(caps=caps))
-    assert [v is None for _, _, v in action.ladder] == [True, True, False]
+    assert [v is None for v, terms in action.passes for _ in terms] == [True, True, False]
 
     def embed(system_op, mode, mode_op):
         factors = [np.asarray(system_op)] + [np.eye(c + 1) for c in caps]
@@ -213,15 +215,17 @@ def test_blocked_action_is_bit_equal_to_one_block(monkeypatch):
         [("b", synthetic_bath(omegas[:2], gs[:2])), ("c", synthetic_bath(omegas[2:4], gs[2:4])),
          ("d", synthetic_bath(omegas[4:], gs[4:]))],
     )
-    action = _HamiltonianAction(model, FockTruncation(caps=caps))
+    trunc = FockTruncation(caps=caps)
+    action = _HamiltonianAction(model, trunc)
     assert [v is None for v, _ in action.passes] == [True, False, False]
     rng = np.random.default_rng(3)
     psi = rng.standard_normal(action.shape) + 1j * rng.standard_normal(action.shape)
     monkeypatch.setattr(dynamics, "ACTION_BLOCK", psi.size)
-    whole = action(psi)
+    whole = _HamiltonianAction(model, trunc)(psi)
     for block in (1, 5, 7, 64, psi.size // 2):
+        # the block size is read when an action is built
         monkeypatch.setattr(dynamics, "ACTION_BLOCK", block)
-        assert np.array_equal(action(psi), whole), block
+        assert np.array_equal(_HamiltonianAction(model, trunc)(psi), whole), block
 
 
 # --- propagate ---------------------------------------------------------------
@@ -296,12 +300,16 @@ def test_energy_offset_is_only_a_global_phase(v):
 
 
 @pytest.mark.parametrize(
-    "omega, g", [(1e-200, 1.0), (-1e-200, 1.0), (1e-300, 1e10)],
-    ids=["square-overflows", "negative-omega", "ratio-overflows"],
+    "omega, g", [(1e-200, 1.0), (-1e-200, 1.0), (1e-300, 1e10), (0.0, 1.0)],
+    ids=["square-overflows", "negative-omega", "ratio-overflows", "zero-omega"],
 )
 def test_fock_caps_saturate_without_overflow(omega, g):
     model = dephasing_model([omega, 100.0, 100.0, 100.0], [g, 0.0, 10.0, 50.0])
     assert FockTruncation.for_model(model).caps == (dynamics.MAX_FOCK_CAP, 3, 4, 5)
+
+
+def test_uncoupled_zero_frequency_mode_keeps_the_smallest_cap():
+    assert FockTruncation.for_model(dephasing_model([0.0, 0.0], [0.0, 1.0])).caps == (3, 10)
 
 
 @pytest.mark.parametrize("cap", [2.7, "3", True, 3.0, None])

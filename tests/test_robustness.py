@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import bathkit.quadrature as quadrature
+from bathkit._schema import read_json
 from bathkit.discretize import BathModel, load_bath_model, save_bath_model
 from bathkit.dynamics import dephasing_gamma_continuum
 from bathkit.errors import ConvergenceError, SchemaError, ValidationError
@@ -85,6 +86,26 @@ def test_bath_json_top_level_must_be_an_object():
         load_bath_model(io.StringIO("[1, 2]"))
 
 
+def test_invalid_json_on_an_unnamed_stream_names_the_stream():
+    with pytest.raises(ValidationError, match=r"^<stream>: invalid JSON: "):
+        read_json(io.StringIO("{"))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("diagnostics", [], "expected an object, got list"),
+     ("modes", {}, "expected an array, got dict")],
+    ids=["diagnostics", "modes"],
+)
+def test_bath_json_member_of_the_wrong_kind_points_at_it(bath_doc, key, value, message):
+    doc = json.loads(json.dumps(bath_doc))
+    doc[key] = value
+    with pytest.raises(SchemaError) as err:
+        load_bath_model(io.StringIO(json.dumps(doc)))
+    assert err.value.pointer == f"/{key}"
+    assert str(err.value) == f"/{key}: {message}"
+
+
 @pytest.mark.parametrize("field", ["omegas", "z", "g"])
 def test_bath_model_rejects_non_finite_arrays(bath_doc, field):
     model = load_bath_model(io.StringIO(json.dumps(bath_doc)))
@@ -118,7 +139,7 @@ def test_bath_model_rejects_unequal_arrays_and_negative_couplings(bath_doc, arra
 def test_bath_model_rejects_a_tol_the_loader_rejects(bath_doc, tol):
     # load_bath_model refuses these, so save_bath_model must never write one
     model = load_bath_model(io.StringIO(json.dumps(bath_doc)))
-    with pytest.raises(ValidationError, match="tol"):
+    with pytest.raises(ValidationError, match=r"tol must be in \(0, 1\)"):
         dataclasses.replace(model, tol=tol)
 
 
