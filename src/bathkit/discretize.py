@@ -336,9 +336,9 @@ def discretize_bath(
     """
     check_tol(tol)
     # Q (r x 2m) and R (r x n) at r = min(2m, n), three 2m x RECOMPUTE_CHUNK blocks of
-    # recomputed residuals, and up to ~150 bytes per band column (~95 per grid column)
-    # measured for S, the norms, the Gram table, the chirp-z kernel's blocks and one
-    # call's FFT buffers
+    # recomputed residuals, and up to ~120 bytes per band column (~77 per grid column)
+    # measured for S, the norms, the Gram table, the chirp-z kernel and one call's FFT
+    # buffers
     m2, n = 2 * grid.n_time, grid.n_freq
     nbytes = 8 * (min(m2, n) * (m2 + n) + 3 * m2 * min(n, RECOMPUTE_CHUNK)) + 192 * n
     what = f"the column ID on the {grid.n_time} x {n} grid; use a coarser grid or a higher cap"

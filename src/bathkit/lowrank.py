@@ -194,6 +194,7 @@ def column_id(f, tol: float) -> IdResult:
             cols = stale[start : start + RECOMPUTE_CHUNK]
             res = op.columns(cols) - q[: k + 1].T @ r[: k + 1, cols]
             exact[cols] = norms2[cols] = np.einsum("ij,ij->j", res, res)
+            del res  # free this chunk before the next one's columns are built
 
     rank = len(selected)
     return IdResult(rank, np.array(selected, dtype=int), r[:rank], np.array(pivot_norms))

@@ -7,12 +7,10 @@ The workhorse is the band-limited transform
 with omega_j the midpoints of a uniform subdivision of [-omega_max,
 omega_max] and h the subdivision width.  On uniform times this is a
 chirp-z transform by Bluestein's algorithm on ``numpy.fft``, each chirp
-exp of a real phase so that its modulus stays 1 at any length, and the
-convolution sectioned into blocks of outputs when there are more times than
-frequencies (one block otherwise); on other times it is a chunked direct
-sum.  Real weights on uniform times from 0 are folded onto the positive
-half of the band, which halves the transform's length.  All are
-deterministic and agree to roundoff.
+exp of a real phase so that its modulus stays 1 at any length; on other
+times it is a chunked direct sum.  Real weights on uniform times from 0
+are folded onto the positive half of the band, which halves the
+transform's length.  All are deterministic and agree to roundoff.
 ``refine_midpoint`` doubles the midpoints of a quadrature until it settles.
 """
 
@@ -112,30 +110,26 @@ class ChirpSum:
     so its modulus is 1 to roundoff; a power w**(k**2/2) of a rounded w
     would scale w's ulp error by k**2/2.
 
-    The convolution is sectioned (overlap-save, Stockham 1966): an FFT
-    length nfft >= n + min(n, m) - 1 yields B = nfft - n + 1 outputs per
-    block, and block b convolves with exp(i*h*l**2) for l = b*B - n + 1 ...
-    b*B + B - 1.  When n >= m one block covers every output.  The factors
-    and the kernel's FFT, one row per block, are built once, so a call is
-    one FFT of the input, one product with every kernel row, one inverse
-    FFT per row and one multiply.
+    The convolution has length nfft = _fast_len(n + m - 1), with the kernel
+    exp(i*h*l**2) at l = 1 - n ... nfft - n.  The factors and the kernel's
+    FFT are built once, so a call is one FFT of the input, one product with
+    the kernel, one inverse FFT and one multiply.
     """
 
     def __init__(self, n: int, u0: float, du: float, v, scale: float = 1.0):
         m = v.size
         h = du * ((v[-1] - v[0]) / (m - 1) if m > 1 else 0.0) / 2.0
-        nfft = _fast_len(n + min(n, m) - 1)
-        block = nfft - n + 1
-        j, k = np.arange(n), np.arange(m)
-        ell = np.arange(1 - n, block) + block * np.arange(-(-m // block))[:, None]
+        nfft = _fast_len(n + m - 1)
+        j, k, ell = np.arange(n), np.arange(m), np.arange(1 - n, nfft - n + 1)
         self._n, self._m, self._nfft = n, m, nfft
         self._pre = np.exp(-1j * (j * du * v[0] + h * j**2))
-        self._kernel = np.fft.fft(np.exp(1j * (h * ell**2)), axis=1)
+        # one row of a 2-D FFT: numpy's 1-D FFT rounds differently at some lengths
+        self._kernel = np.fft.fft(np.exp(1j * (h * ell**2))[None, :], axis=1)
         self._post = scale * np.exp(-1j * (u0 * v + h * k**2))
 
     def __call__(self, x) -> np.ndarray:
         y = np.fft.ifft(self._kernel * np.fft.fft(x * self._pre, self._nfft), axis=1)
-        return y[:, self._n - 1 :].reshape(-1)[: self._m] * self._post
+        return y[0, self._n - 1 : self._n - 1 + self._m] * self._post
 
 
 def _fast_len(target: int) -> int:

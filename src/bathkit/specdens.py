@@ -242,20 +242,23 @@ def load_tabulated(source) -> Tabulated:
     ``source`` is a path (``str`` or ``os.PathLike``) or a text stream; a
     string is always a file name, never CSV text.  Cells must be finite
     numbers in plain decimal notation (no inf, nan, hex or underscores).
-    A first line that holds no number at all is skipped as a header.
+    The first line that is neither blank nor a ``#`` comment is skipped as
+    a header if it holds no number at all.
     Errors carry the line number.
     """
     omegas, values = [], []
+    first = True
     for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        header, first = first, False
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise ValidationError(f"line {lineno}: expected 2 columns, got {len(parts)}")
         w, j = map(_decimal, parts)
         if w is None or j is None:
-            if lineno == 1 and not any(map(_loose_number, parts)):
+            if header and not any(map(_loose_number, parts)):
                 continue  # header row
             raise ValidationError(
                 f"line {lineno}: expected two finite decimal numbers, got '{line}'"

@@ -433,20 +433,23 @@ def test_discretize_memory_cap_is_the_id_working_set(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n_time, n_freq, kelvin",
+    "n_time, n_freq, kelvin, tol",
     [
-        (2, 1 << 18, 300.0),
-        (4, 1 << 17, 300.0),
-        (64, 1 << 17, 300.0),
-        (5, 1 << 18, 300.0),
-        (1000, 10000, 300.0),
-        (1000, 10000, 0.0),
+        (2, 1 << 18, 300.0, 1e-2),
+        (4, 1 << 17, 300.0, 1e-2),
+        (64, 1 << 17, 300.0, 1e-2),
+        (5, 1 << 18, 300.0, 1e-2),
+        (1000, 10000, 300.0, 1e-2),
+        (1000, 10000, 0.0, 1e-2),
+        (1000, 10000, 300.0, 1e-6),
+        (1000, 10000, 300.0, 1e-8),
     ],
 )
-def test_discretize_peak_allocation_stays_within_the_checked_bytes(n_time, n_freq, kelvin):
+def test_discretize_peak_allocation_stays_within_the_checked_bytes(n_time, n_freq, kelvin, tol):
     # a wide grid is dominated by the per-column arrays, among them the chirp-z
-    # kernel's blocks (about 2 n_freq complex values when n_freq >> n_time), the
-    # default grid at 0 K by the blocks of recomputed residual norms
+    # kernel's one row (about n_freq complex values when n_freq >> n_time), the
+    # default grid at 0 K by the blocks of recomputed residual norms, and tight
+    # tols by Q, R and those blocks, each freed before the next is built
     temperature = Temperature.finite(kelvin) if kelvin else Temperature.zero()
     kernel = NoiseKernel(SURROGATE, temperature)
     grid = FdrGrid(t_max_fs=1000.0, omega_max_cm1=600.0, n_time=n_time, n_freq=n_freq)
@@ -454,7 +457,7 @@ def test_discretize_peak_allocation_stays_within_the_checked_bytes(n_time, n_fre
     need += 192 * n_freq
     tracemalloc.start()
     try:
-        discretize_bath(kernel, grid, 1e-2, memory_cap_bytes=need)
+        discretize_bath(kernel, grid, tol, memory_cap_bytes=need)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

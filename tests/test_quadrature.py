@@ -44,11 +44,10 @@ def test_fast_len_matches_scipy_next_fast_len():
     assert [_fast_len(t) for t in targets] == [next_fast_len(t) for t in targets]
 
 
-# one block while n >= m, but (500, 1000) takes two at phases of ~2000 rad;
-# from (1, 1000) on, m >> n takes many blocks of B = nfft - n + 1 outputs, m
-# not a multiple of B but for n = 1 (B = 1), with v spanning ~10: at dv = 0.5
-# those shapes reach v of 2000-5000, where the direct sum itself rounds its
-# phases by ~3e-13 and stops being an oracle to 1e-14
+# every case is one convolution of length _fast_len(n + m - 1); (500, 1000)
+# reaches phases of ~2000 rad, and from (1, 1000) on m >> n, with v spanning
+# ~10: at dv = 0.5 those shapes reach v of 2000-5000, where the direct sum
+# itself rounds its phases by ~3e-13 and stops being an oracle to 1e-14
 CHIRP_CASES = [
     (1, 2, 0.5), (7, 3, 0.5), (500, 1000, 0.5), (1000, 7, 0.5), (4096, 300, 0.5),
     (1, 1000, 0.01), (2, 4097, 0.0025), (101, 2000, 0.005), (1000, 10000, 0.001),

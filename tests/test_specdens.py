@@ -110,6 +110,13 @@ def test_load_tabulated_roundtrip_and_errors():
 
     sd = load_tabulated(io.StringIO("omega_cm1,J_cm1\n# comment\n10,1.0\n20,2.0\n"))
     assert sd.omega.tolist() == [10.0, 20.0]
+    # the header is the first line that is neither blank nor a comment
+    sd = load_tabulated(io.StringIO("# my table\nomega,J\n1,2\n3,4"))
+    assert sd.omega.tolist() == [1.0, 3.0]
+    sd = load_tabulated(io.StringIO("\n# my table\n\nomega,J\n1,2\n3,4"))
+    assert sd.omega.tolist() == [1.0, 3.0]
+    with pytest.raises(ValidationError, match="line 3"):
+        load_tabulated(io.StringIO("# my table\nomega,J\nomega,J\n1,2\n3,4"))
 
     with pytest.raises(ValidationError, match="increasing"):
         load_tabulated(io.StringIO("20,2.0\n10,1.0"))
