@@ -355,7 +355,7 @@ def discretize_bath(
     target = np.concatenate((c_ref.real, c_ref.imag))
 
     basis = samples.columns(id_res.selected)
-    fit = nnls(basis, target)
+    fit = nnls(basis, target, (id_res.triangle, id_res.q))
     duals = basis.T @ (target - basis @ fit.z)
     active = fit.z > 0.0
     # the fit record: a nonconverged fit's partial diagnostics, part of every BathDiagnostics

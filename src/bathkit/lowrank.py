@@ -9,14 +9,17 @@ Two primitives live here:
   below ``tol`` times the first one.  It only reads f, through its column
   norms, chosen columns, Gram rows f_j^T f and products q^T f, so a
   structured matrix can supply those without ever being stored; a stale
-  residual norm is rebuilt only when it could be the next pivot.
+  residual norm is rebuilt only when it could be the next pivot.  It also
+  returns the QR factor of the selected columns, f[:, selected] = Q^T T.
 
 * ``nnls`` -- the Lawson-Hanson active-set method for min ||A z - b|| with
-  z >= 0.  [A | b] is triangularized once, giving R of A = QR and Q^T b
-  without forming Q, and the active-set loop runs on the small triangle R
-  and Q^T b, solving each passive set by a QR of its columns of R.
-  Inactive coordinates are exact zeros (never small negatives), which
-  downstream code relies on when pruning.
+  z >= 0.  The active-set loop runs on a small triangle R of A = QR and
+  on Q^T b, solving each passive set by a QR of its columns of R.  Given
+  the ID's factor of A, it takes R = T and warm-starts from the
+  least-squares solution on T; otherwise it triangularizes [A | b] once,
+  without forming Q, and starts from z = 0.  Inactive coordinates are
+  exact zeros (never small negatives), which downstream code relies on
+  when pruning.
 
 Both are pure functions of their inputs; pivot and index ties break toward
 the lowest index, so results are reproducible bit for bit.
@@ -54,22 +57,27 @@ class IdResult:
     order.  At tol >= ``GRAM_ROW_MIN_TOL`` they come from Gram rows and err
     by about eps/tol times the first pivot norm (at most 3 eps/tol measured
     on the surrogate's sample matrix); below it they are the products
-    q_k^T f.  ``interp`` is the r x n coefficient matrix P, so
-    f ~ f[:, selected] @ interp; it is computed from ``r_rows`` on first
-    read and cached.  ``pivot_norms`` holds the r + 1 residual norms of the
-    pivot candidates: the r accepted pivots and the one that ended the
-    factorization (0.0 when no column with a nonzero residual was left).
+    q_k^T f.  ``triangle`` is the r x r upper triangle T whose column k
+    holds pivot k's Gram-Schmidt coefficients and, on the diagonal, its
+    pivot norm, and ``q`` the r x m orthonormal rows q_k, so that
+    f[:, selected] = q.T @ triangle to roundoff.  ``interp`` is the r x n
+    coefficient matrix P = T^-1 R, so f ~ f[:, selected] @ interp; it is
+    computed on first read and cached.  ``pivot_norms`` holds the r + 1
+    residual norms of the pivot candidates: the r accepted pivots and the
+    one that ended the factorization (0.0 when no column with a nonzero
+    residual was left).
     """
 
     rank: int
     selected: np.ndarray
     r_rows: np.ndarray
     pivot_norms: np.ndarray
+    triangle: np.ndarray
+    q: np.ndarray
 
     @cached_property
     def interp(self) -> np.ndarray:
-        # R[:, selected] is triangular up to roundoff below the diagonal; drop that
-        interp = np.linalg.solve(np.triu(self.r_rows[:, self.selected]), self.r_rows)
+        interp = np.linalg.solve(self.triangle, self.r_rows)
         interp[:, self.selected] = np.eye(self.rank)
         return interp
 
@@ -80,7 +88,9 @@ class NnlsResult:
 
     On convergence every inactive dual that ``nnls`` stopped on (computed
     on R) is at or below ``dual_tolerance``; duals recomputed on A agree
-    with those only to roundoff, a few times the tolerance.
+    with those only to roundoff, a few times the tolerance.  ``iterations``
+    counts outer iterations, each adding one column to the passive set;
+    with a factor they are those after the warm start, often none.
     """
 
     z: np.ndarray
@@ -142,6 +152,11 @@ def column_id(f, tol: float) -> IdResult:
     next pivot and the pivots are those of recomputing every stale norm at
     once.  Columns that are exactly zero are never pivots.
 
+    Pivot k's coefficients c and pivot norm ||w|| form column k of the
+    returned ``triangle`` T, and q_k = w / ||w|| row k of ``q``, so T and
+    the rows q are the QR factor of f[:, selected] in pivot order.  T is
+    nonsingular: its diagonal holds the accepted pivot norms.
+
     The rank is the smallest k for which the (k+1)-th pivot norm satisfies
     ||residual|| <= tol * (first pivot norm).  The pivots depend on ``tol``
     only through the floor's choice of rows, so on one side of the floor
@@ -163,7 +178,7 @@ def column_id(f, tol: float) -> IdResult:
     # sized for the worst-case rank; only the rows reached are ever written
     q = np.empty((kmax, m))
     r = np.empty((kmax, n))
-    selected, pivot_norms = [], []
+    selected, pivot_norms, coefs = [], [], []
     for k in range(kmax + 1):
         candidates = free & (exact > 0.0)  # a zero residual is never a pivot
         if not candidates.any():
@@ -183,6 +198,7 @@ def column_id(f, tol: float) -> IdResult:
         q[k] = w / pivnorm
         r[k] = (op.gram_row(j) - c @ r[:k]) / pivnorm if gram else op.rmatvec(q[k])
         selected.append(j)
+        coefs.append(c)
         free[j] = False
         norms2 -= r[k] * r[k]
         np.maximum(norms2, 0.0, out=norms2)  # roundoff must not drive a residual negative
@@ -197,21 +213,36 @@ def column_id(f, tol: float) -> IdResult:
             del res  # free this chunk before the next one's columns are built
 
     rank = len(selected)
-    return IdResult(rank, np.array(selected, dtype=int), r[:rank], np.array(pivot_norms))
+    triangle = np.zeros((rank, rank))
+    for k, c in enumerate(coefs):
+        triangle[:k, k] = c
+        triangle[k, k] = pivot_norms[k]
+    # a copy, so the worst-case buffer q is freed with this call
+    rows = q[:rank].copy()
+    selected = np.array(selected, dtype=int)
+    return IdResult(rank, selected, r[:rank], np.array(pivot_norms), triangle, rows)
 
 
-def nnls(a, b) -> NnlsResult:
+def nnls(a, b, factor=None) -> NnlsResult:
     """Lawson-Hanson active-set solver for min ||A z - b||, z >= 0.
 
-    [A | b] is triangularized once by Householder QR, with no Q formed: the
-    first n columns of its triangle are R of A = QR (Q orthonormal, R
-    min(m, n) x n) and the top min(m, n) entries of its last column are
-    Q^T b.  The loop runs on R and Q^T b alone: A[:, P] = Q R[:, P], so
-    each passive-set least-squares problem min ||R[:, P] x - Q^T b|| has
-    the same solution as on A, and the duals are w = R^T (Q^T b - R z).
-    Lawson-Hanson passive columns are linearly independent (Lawson & Hanson
-    1974, ch. 23), so that problem is solved by a QR of R[:, P] and a
-    square solve, with no SVD.
+    The loop runs on a triangle R of A = QR (Q orthonormal) and on Q^T b
+    alone: A[:, P] = Q R[:, P], so each passive-set least-squares problem
+    min ||R[:, P] x - Q^T b|| has the same solution as on A, and the duals
+    are w = R^T (Q^T b - R z).  Lawson-Hanson passive columns are linearly
+    independent (Lawson & Hanson 1974, ch. 23), so that problem is solved
+    by a QR of R[:, P] and a square solve, with no SVD.
+
+    Without ``factor``, [A | b] is triangularized once by Householder QR,
+    with no Q formed: the first n columns of its triangle are R (min(m, n)
+    x n) and the top min(m, n) entries of its last column are Q^T b; the
+    loop starts from z = 0, and A may be wide or rank-deficient.  With
+    ``factor = (T, Q)``, an n x n nonsingular upper triangle and n x m
+    orthonormal rows with A = Q^T T (``column_id``'s ``triangle`` and
+    ``q``), R is T and Q^T b is Q @ b, and the loop is warm-started (Bro &
+    De Jong 1997): solve T z = Q^T b and, while an entry is <= 0, drop
+    those columns and solve again; the loop starts from that feasible z.
+
     Terminates when every inactive dual w_i is below
     10 * ||A||_inf * ||b||_2 * eps, or after ``NNLS_ITERATIONS_PER_COLUMN``
     * n outer iterations (the constant is read at call time), in which case
@@ -228,12 +259,25 @@ def nnls(a, b) -> NnlsResult:
     max_iter = NNLS_ITERATIONS_PER_COLUMN * n
 
     dual_tol = 10.0 * np.linalg.norm(a, np.inf) * np.linalg.norm(b) * np.finfo(float).eps
-    k = min(m, n)
-    rb = np.linalg.qr(np.column_stack((a, b)), mode="r")
-    r, qtb = rb[:k, :n], rb[:k, n]
-
     z = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
+    if factor is None:
+        k = min(m, n)
+        rb = np.linalg.qr(np.column_stack((a, b)), mode="r")
+        r, qtb = rb[:k, :n], rb[:k, n]
+        passive = np.zeros(n, dtype=bool)
+    else:
+        r, q = (np.asarray(x, dtype=float) for x in factor)
+        if r.shape != (n, n) or q.shape != (n, m):
+            raise ValidationError(f"factor of a {m} x {n} A must be {n} x {n} and {n} x {m}")
+        qtb = q @ b
+        cols = np.arange(n)
+        sol = np.linalg.solve(r, qtb)
+        while cols.size and np.min(sol) <= 0.0:
+            cols = cols[sol > 0.0]
+            sol = _passive_solve(r, qtb, cols)
+        z[cols] = sol
+        passive = z > 0.0
+
     iterations = 0
     converged = False
     while True:
@@ -253,8 +297,7 @@ def nnls(a, b) -> NnlsResult:
             if cols.size == 0:
                 z = np.zeros(n)
                 break
-            q_p, r_p = np.linalg.qr(r[:, cols])
-            sol = np.linalg.solve(r_p, q_p.T @ qtb)
+            sol = _passive_solve(r, qtb, cols)
             if np.min(sol) > 0.0:
                 z = np.zeros(n)
                 z[cols] = sol
@@ -273,3 +316,9 @@ def nnls(a, b) -> NnlsResult:
 
     residual = float(np.linalg.norm(a @ z - b))
     return NnlsResult(z, residual, iterations, converged, float(dual_tol))
+
+
+def _passive_solve(r, qtb, cols) -> np.ndarray:
+    """Least-squares solution of min ||R[:, cols] x - Q^T b|| on independent columns."""
+    q_p, r_p = np.linalg.qr(r[:, cols])
+    return np.linalg.solve(r_p, q_p.T @ qtb)

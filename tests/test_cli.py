@@ -536,7 +536,7 @@ def test_validate_nnls_nonconvergence_exit_3(
     import bathkit.discretize as disc
     from bathkit.lowrank import NnlsResult
 
-    def no_convergence(a, b):
+    def no_convergence(a, b, factor=None):
         return NnlsResult(np.zeros(a.shape[1]), float(np.linalg.norm(b)), 0, False, 1e-12)
 
     monkeypatch.setattr(disc, "nnls", no_convergence)

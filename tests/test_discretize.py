@@ -30,7 +30,7 @@ from bathkit.errors import (
     SchemaError,
     ValidationError,
 )
-from bathkit.lowrank import column_id
+from bathkit.lowrank import column_id, nnls
 from bathkit.quadrature import fourier_midpoint_sum, midpoint_frequencies, refine_midpoint
 from bathkit.specdens import Debye, LorentzianSum, NoiseKernel, Temperature, load_tabulated
 from bathkit.units import RAD_PER_FS_PER_CM1
@@ -552,11 +552,28 @@ def test_compression_monotonicity_statistical():
     assert np.median(m_short) < np.median(m_long)
 
 
+def test_discretize_fits_on_the_id_factor(monkeypatch):
+    # the fit reuses the column ID's QR of the selected columns and warm-starts
+    # from it, instead of triangularizing the basis again
+    seen = []
+
+    def spy(a, b, factor=None):
+        seen.append((a, factor))
+        return nnls(a, b, factor)
+
+    monkeypatch.setattr(disc, "nnls", spy)
+    model = discretize_bath(DEBYE_300K, SMALL_GRID, 1e-2)
+    ((a, (t, q)),) = seen
+    assert t.shape == (a.shape[1], a.shape[1]) == (model.diagnostics.id_rank,) * 2
+    assert np.max(np.abs(q.T @ t - a)) <= 1e-13 * np.max(np.abs(a))
+    assert model.diagnostics.nnls_converged
+
+
 def test_nnls_nonconvergence_carries_partial_diagnostics(monkeypatch):
     import bathkit.discretize as disc
     from bathkit.lowrank import NnlsResult
 
-    def fake_nnls(a, b, max_iter=None):
+    def fake_nnls(a, b, factor=None):
         return NnlsResult(
             z=np.zeros(a.shape[1]),
             residual_norm=float(np.linalg.norm(b)),

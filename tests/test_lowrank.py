@@ -212,10 +212,29 @@ def test_id_interp_is_built_on_first_read():
     assert "interp" not in vars(res)
     interp = res.interp
     assert res.interp is interp
-    # the eager formula: P = triu(R[:, selected])^-1 R, exact identity on selected
-    eager = np.linalg.solve(np.triu(res.r_rows[:, res.selected]), res.r_rows)
+    # the eager formula: P = T^-1 R on the ID's triangle, exact identity on selected
+    eager = np.linalg.solve(res.triangle, res.r_rows)
     eager[:, res.selected] = np.eye(res.rank)
     np.testing.assert_array_equal(interp, eager)
+
+
+def assert_qr_factor_of_selected(res, f_selected):
+    """f[:, selected] = q.T @ triangle, T upper with the pivot norms on its diagonal, q orthonormal."""
+    t, q = res.triangle, res.q
+    assert t.shape == (res.rank, res.rank) and q.shape == (res.rank, f_selected.shape[0])
+    np.testing.assert_array_equal(np.tril(t, -1), 0.0)
+    np.testing.assert_array_equal(np.diag(t), res.pivot_norms[: res.rank])
+    assert np.max(np.abs(q.T @ t - f_selected)) <= 1e-13 * res.pivot_norms[0]
+    assert np.max(np.abs(q @ q.T - np.eye(res.rank))) <= 1e-13
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-8])
+def test_id_keeps_the_qr_factor_of_its_columns_on_a_dense_matrix(tol):
+    rng = np.random.default_rng(3)
+    f = matrix_with_spectrum(60, 90, 0.7 ** np.arange(60.0), rng)
+    res = column_id(f, tol=tol)
+    assert res.rank > 10
+    assert_qr_factor_of_selected(res, f[:, res.selected])
 
 
 def test_id_operator_and_dense_matrix_agree():
@@ -405,6 +424,17 @@ def test_id_tolerances_select_pivot_prefixes_on_the_operator(kelvin):
         np.testing.assert_array_equal(loose.pivot_norms, tight.pivot_norms[: loose.rank + 1])
 
 
+@pytest.mark.parametrize("tol", [1e-2, 1e-8])
+def test_id_keeps_the_qr_factor_of_its_columns_on_the_operator(tol):
+    # both sides of the Gram-row floor: T and q come from the pivots' own
+    # Gram-Schmidt passes, whichever rows of R the ID takes
+    kernel, grid, _ = default_grid_samples(300.0)
+    op = FdrOperator(kernel, grid, tol)
+    res = column_id(op, tol=tol)
+    assert res.rank > 40
+    assert_qr_factor_of_selected(res, op.columns(res.selected))
+
+
 def test_id_builds_only_its_pivot_candidates_on_the_default_grid():
     # no stale residual norm comes within its error bound of the next pivot,
     # so no column is built beyond the r + 1 candidates (rebuilding every
@@ -542,3 +572,42 @@ def test_nnls_subproblems_stay_in_the_small_factor(monkeypatch):
     assert res.converged
     assert len(solved) == len(factored) >= res.iterations > 0
     assert max(factored) <= n and max(solved) <= n
+
+
+@pytest.mark.parametrize("kelvin", [0.0, 77.0, 300.0])
+@pytest.mark.parametrize("tol", [1e-2, 1e-3])
+def test_nnls_on_the_id_factor_matches_the_cold_start_on_default_grid_bases(kelvin, tol):
+    # the warm start on the ID's triangle reaches the cold start's active set;
+    # at 1e-3 the nonnegativity clip binds, so the start must drop columns
+    a, b = default_grid_fit_problem(kelvin, tol)
+    res_id = default_grid_id(kelvin, tol)
+    warm = nnls(a, b, (res_id.triangle, res_id.q))
+    cold = nnls(a, b)
+    assert warm.converged and cold.converged
+    np.testing.assert_array_equal(warm.z > 0.0, cold.z > 0.0)
+    dropped = a.shape[1] - np.count_nonzero(warm.z)
+    assert (dropped == 0) if tol == 1e-2 else (1 <= dropped <= 2)
+    assert np.linalg.norm(warm.z - cold.z) <= 1e-12 * np.linalg.norm(cold.z)
+    assert warm.residual_norm <= cold.residual_norm * (1.0 + 1e-12)
+    assert warm.dual_tolerance == cold.dual_tolerance
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nnls_warm_start_never_leaves_a_larger_residual(seed):
+    # right-hand sides with mixed signs against the columns, so the least-
+    # squares start has many nonpositive entries to drop and re-add
+    rng = np.random.default_rng(seed)
+    f = matrix_with_spectrum(40, 60, 0.8 ** np.arange(40.0), rng)
+    res = column_id(f, tol=1e-4)
+    a = f[:, res.selected]
+    b = a @ rng.standard_normal(res.rank) + 0.1 * rng.standard_normal(40)
+    warm = nnls(a, b, (res.triangle, res.q))
+    cold = nnls(a, b)
+    assert warm.converged and cold.converged
+    assert np.min(warm.z) == 0.0  # the clip binds
+    assert warm.residual_norm <= cold.residual_norm * (1.0 + 1e-12)
+
+
+def test_nnls_rejects_a_factor_of_the_wrong_shape():
+    with pytest.raises(ValidationError):
+        nnls(np.eye(3), np.ones(3), (np.eye(2), np.eye(2, 3)))
