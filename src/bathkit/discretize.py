@@ -322,12 +322,13 @@ def discretize_bath(
 ) -> BathModel:
     """Run the full compression pipeline and return the mode set.
 
-    Steps: select frequency columns of the kernel samples by
-    interpolative decomposition at ``tol`` (through ``FdrOperator`` on the
-    band tol can select, so only the r selected columns are ever built and
-    they are those of the full grid), fit nonnegative weights
-    against the refined quadrature reference on the grid times, prune zero
-    weights, build couplings, and attach reconstruction diagnostics.
+    Steps: select frequency columns of the kernel samples by interpolative
+    decomposition at ``tol`` (through ``FdrOperator`` on the band tol can
+    select, so only the r selected columns are ever built and they are those
+    of the full grid), fit nonnegative weights against the refined quadrature
+    reference on the grid times, prune zero weights, build couplings, and
+    attach diagnostics, whose BCF errors are those of A z, the fitted columns'
+    C(t) on the grid times (``reconstruct_bcf`` evaluates a saved model).
     Deterministic for fixed inputs; modes come out sorted by ascending
     frequency.  Before any work, the worst-case working set of the column
     ID, 8 * (min(2m, n) * (2m + n) + 3 * 2m * min(n, 256)) + 192 * n bytes,
@@ -356,7 +357,8 @@ def discretize_bath(
 
     basis = samples.columns(id_res.selected)
     fit = nnls(basis, target, (id_res.triangle, id_res.q))
-    duals = basis.T @ (target - basis @ fit.z)
+    fitted = basis @ fit.z  # sum_k g_k^2 e^{-i omega_k t} on the grid times, Re then Im
+    duals = basis.T @ (target - fitted)
     active = fit.z > 0.0
     # the fit record: a nonconverged fit's partial diagnostics, part of every BathDiagnostics
     record = {
@@ -386,11 +388,10 @@ def discretize_bath(
     order = np.argsort(omegas)
     omegas, z, g = omegas[order], z[order], g[order]
 
-    c_model = direct_sum(g * g, omegas, 1.0, grid.times)
     diagnostics = BathDiagnostics(
         **record,
         mode_count=len(omegas),
-        **asdict(bcf_error_stats(c_model, c_ref)),
+        **asdict(bcf_error_stats(fitted[: grid.n_time] + 1j * fitted[grid.n_time :], c_ref)),
         nnls_converged=fit.converged,
         nnls_max_abs_dual_active=float(np.max(np.abs(duals[active]), initial=0.0)),
     )

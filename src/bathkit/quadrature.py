@@ -169,7 +169,7 @@ def refine_midpoint(level, what: str) -> np.ndarray:
     finer level is returned.  Reaching ``MAX_QUAD_POINTS`` first raises a
     ConvergenceError that names the quantity as ``what``; a level with a
     non-finite value raises a ValidationError.  The three constants are
-    read at call time.
+    read at call time; a level with no values settles on the first doubling.
     """
 
     def checked(n_points):
@@ -186,8 +186,8 @@ def refine_midpoint(level, what: str) -> np.ndarray:
     achieved = np.inf
     while 2 * n <= MAX_QUAD_POINTS:
         finer = checked(2 * n)
-        scale = float(np.max(np.abs(finer)))
-        achieved = float(np.max(np.abs(finer - current))) / max(scale, 1e-300)
+        scale = float(np.max(np.abs(finer), initial=0.0))
+        achieved = float(np.max(np.abs(finer - current), initial=0.0)) / max(scale, 1e-300)
         current = finer
         n *= 2
         if achieved < QUAD_REL_TOL:

@@ -521,6 +521,32 @@ def test_discretize_rel_error_within_tol():
     assert stats.rel_error == pytest.approx(model.diagnostics.rel_error, rel=1e-9)
 
 
+def test_discretize_takes_its_bcf_errors_from_the_fit(monkeypatch):
+    # the fitted columns' A z is the modes' C(t) on the grid times: no second mode sum
+    def no_mode_sum(*args, **kwargs):
+        raise AssertionError("direct_sum called")
+
+    monkeypatch.setattr(disc, "direct_sum", no_mode_sum)
+    assert discretize_bath(DEBYE_300K, SMALL_GRID, 1e-2).diagnostics.rel_error <= 1e-2
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-8])
+@pytest.mark.parametrize("kelvin", [0.0, 300.0])
+def test_fit_bcf_errors_match_the_mode_sum_of_the_model(kelvin, tol):
+    # absolute bounds: at tol 1e-8 the error itself is ~4e-8 of the peak, so
+    # roundoff of the peak's size is a large fraction of it
+    temperature = Temperature.finite(kelvin) if kelvin else Temperature.zero()
+    kernel = NoiseKernel(SURROGATE, temperature)
+    grid = FdrGrid(t_max_fs=1000.0, omega_max_cm1=600.0)
+    model = discretize_bath(kernel, grid, tol)
+    c_ref = reference_bcf(kernel, grid.times, grid.omega_max_cm1)
+    stats = bcf_error_stats(reconstruct_bcf(model, grid.times), c_ref)
+    diag, peak = model.diagnostics, np.max(np.abs(c_ref))
+    assert abs(diag.max_abs_error - stats.max_abs_error) <= 1e-12 * peak
+    assert abs(diag.mean_abs_error - stats.mean_abs_error) <= 1e-12 * peak
+    assert abs(diag.rel_error - stats.rel_error) <= 1e-12
+
+
 def test_window_monotonicity_small():
     short = FdrGrid(t_max_fs=150.0, omega_max_cm1=1200.0, n_time=120, n_freq=2400)
     long = FdrGrid(t_max_fs=500.0, omega_max_cm1=1200.0, n_time=250, n_freq=2400)

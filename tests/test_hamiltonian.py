@@ -235,6 +235,12 @@ def test_bath_for_unknown_label_raises(bath):
         model.bath_for("c")
 
 
+def test_build_model_rejects_a_coupling_to_an_unknown_bath_label(bath):
+    system = SystemSpec(h_s=[[0.0]], couplings=(("c", [[1.0]]),))
+    with pytest.raises(ValidationError, match="coupling 0 references unknown bath label 'c'"):
+        build_model(system, [("b", bath)])
+
+
 def test_import_rejects_duplicate_bath_labels(bath):
     system = SystemSpec(h_s=[[0.0]], couplings=(("b", [[1.0]]),))
     doc = model_to_dict(build_model(system, [("b", bath)]))

@@ -17,7 +17,7 @@ import pytest
 
 import bathkit.quadrature as quadrature
 from bathkit._schema import read_json
-from bathkit.discretize import BathModel, load_bath_model, save_bath_model
+from bathkit.discretize import BathModel, load_bath_model, reference_bcf, save_bath_model
 from bathkit.dynamics import dephasing_gamma_continuum
 from bathkit.errors import ConvergenceError, SchemaError, ValidationError
 from bathkit.hamiltonian import SystemSpec, system_from_dict
@@ -655,3 +655,11 @@ def test_dephasing_gamma_continuum_refinement_cap_errors(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_QUAD_POINTS", 1 << 15)
     with pytest.raises(ConvergenceError, match="dephasing quadrature.*relative change"):
         dephasing_gamma_continuum(KERNEL, np.linspace(0.0, 500.0, 20), 1000.0)
+
+
+def test_continuum_series_at_no_times_are_empty():
+    # as reconstruct_bcf and dephasing_gamma give for a model: no times, no values
+    c = reference_bcf(KERNEL, [], 1000.0)
+    gamma = dephasing_gamma_continuum(KERNEL, [], 1000.0)
+    assert (c.shape, c.dtype) == ((0,), np.complex128)
+    assert (gamma.shape, gamma.dtype) == ((0,), np.float64)
