@@ -6,8 +6,8 @@ reference correlation series), ``validate`` (convergence study across a
 tolerance sweep) and ``build-model`` (assemble a system-bath model JSON).
 
 Data goes to stdout or --out; diagnostics go to stderr.  Every artifact
-embeds a metadata block (tool version, full effective config, input
-hashes) and contains no timestamps, so repeated runs are byte-identical.
+embeds a metadata block (tool version, every parsed flag with its default,
+input hashes) and contains no timestamps, so repeated runs are byte-identical.
 
 Exit codes: 0 success, 2 config/parse error (also non-finite flags and
 unreadable or undecodable files), 3 solver non-convergence, 4 resource
@@ -21,7 +21,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -62,10 +61,13 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _metadata(command: str, config: dict, input_paths) -> dict:
+def _metadata(args, input_paths) -> dict:
+    """The artifact's metadata block: its config is every parsed flag of the
+    subcommand under its argparse name, defaults included, as given."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     return {
         "tool": f"bathkit {__version__}",
-        "command": command,
+        "command": args.command,
         "config": config,
         "inputs": {p: _sha256(p) for p in input_paths},
     }
@@ -145,15 +147,7 @@ def _cmd_eval_sd(args) -> int:
     if not np.all(np.isfinite(table)):
         raise ValidationError("non-finite values on the requested frequency range")
 
-    config = {
-        "sd": args.sd,
-        "temperature_K": kernel.temperature.to_json(),
-        "omega_min": args.omega_min,
-        "omega_max": args.omega_max,
-        "n": args.n,
-        "out": args.out,
-    }
-    meta = _metadata("eval-sd", config, [args.sd])
+    meta = _metadata(args, [args.sd])
     sink = sys.stdout if args.out is None else args.out
     _write_csv(sink, meta, ["omega_cm1", "J_cm1", "S_beta_cm1"], table.T)
     return EXIT_OK
@@ -162,15 +156,7 @@ def _cmd_eval_sd(args) -> int:
 def _cmd_discretize(args) -> int:
     kernel = NoiseKernel(_load_sd(args.sd), _temperature_from_args(args))
     grid, cap = _grid_from_args(args)
-    config = {
-        "sd": args.sd,
-        "temperature_K": kernel.temperature.to_json(),
-        **asdict(grid),
-        "tol": args.tol,
-        "memory_cap_gib": args.memory_cap_gib,
-        "out": args.out,
-    }
-    meta = _metadata("discretize", config, [args.sd])
+    meta = _metadata(args, [args.sd])
     model = discretize_bath(kernel, grid, args.tol, cap)
     save_bath_model(model, args.out, metadata=meta)
     d = model.diagnostics
@@ -190,8 +176,7 @@ def _cmd_reconstruct(args) -> int:
     c_model = reconstruct_bcf(model, times)
     c_ref = reference_bcf(model.kernel, times, model.omega_max_cm1)
 
-    config = {"model": args.model, "n_time": args.n_time, "out": args.out}
-    meta = _metadata("reconstruct", config, [args.model])
+    meta = _metadata(args, [args.model])
     columns = [times, c_model.real, c_model.imag, c_ref.real, c_ref.imag]
     _write_csv(args.out, meta, ["t_fs", "re_C", "im_C", "re_C_ref", "im_C_ref"], columns)
     return EXIT_OK
@@ -206,17 +191,7 @@ def _cmd_validate(args) -> int:
         raise ValidationError(f"--tol-sweep: {exc}") from None
     grid, cap = _grid_from_args(args)
     report = convergence_study(kernel, system, tols, grid, cap)
-    config = {
-        "sd": args.sd,
-        "temperature_K": kernel.temperature.to_json(),
-        "system": args.system,
-        "tol_sweep": report.tols,
-        **asdict(grid),
-        "memory_cap_gib": args.memory_cap_gib,
-        "out": args.out,
-        "series_out": args.series_out,
-    }
-    meta = _metadata("validate", config, [args.sd, args.system])
+    meta = _metadata(args, [args.sd, args.system])
     doc = {
         "metadata": meta,
         "observable": report.observable,
@@ -255,8 +230,7 @@ def _cmd_build_model(args) -> int:
             raise ValidationError(f"--bath expects LABEL=path.json, got {item!r}")
         pairs.append((label, path))
     model = build_model(system, [(label, load_bath_model(path)) for label, path in pairs])
-    config = {"system": args.system, "baths": dict(pairs), "out": args.out}
-    meta = _metadata("build-model", config, [args.system] + [path for _, path in pairs])
+    meta = _metadata(args, [args.system] + [path for _, path in pairs])
     export_model(model, args.out, metadata=meta)
     print(
         f"model with {model.system.dim} system levels, "

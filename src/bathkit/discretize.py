@@ -348,8 +348,8 @@ def discretize_bath(
     id_res = column_id(samples, tol=tol)
     if id_res.rank == 0:
         raise ValidationError(
-            "interpolative decomposition selected no columns: "
-            "the noise is identically zero on the grid"
+            "interpolative decomposition selected no columns: every column's squared norm "
+            "is zero on the grid (the noise is zero, or too small to square in double precision)"
         )
 
     c_ref = reference_bcf(kernel, grid.times, grid.omega_max_cm1)

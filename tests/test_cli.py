@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -406,7 +407,7 @@ def test_discretize_identically_zero_noise_exit_2(tmp_path, capsys):
             "--n-freq", "100", "--omega-max-cm1", "600", "--t-max-fs", "200", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "selected no columns: the noise is identically zero on the grid" in err
+    assert "selected no columns: every column's squared norm is zero on the grid" in err
     assert "tol" not in err
     assert not out.exists()
 
@@ -604,6 +605,65 @@ def test_build_model_bad_bath_flag(qubit_system, tmp_path, capsys):
     )
     assert rc == 2
     assert "LABEL=path" in capsys.readouterr().err
+
+
+# --- metadata -----------------------------------------------------------------
+
+
+def subcommand_dests(name):
+    """The argparse dests of one subcommand, as ``build_parser`` declares them."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[name]._actions if a.dest != "help"}
+
+
+def csv_metadata(path):
+    """The command and config of a CSV artifact's ``#`` metadata lines."""
+    lines = Path(path).read_text().splitlines()
+    command = next(l for l in lines if l.startswith("# command: "))[len("# command: "):]
+    config = next(l for l in lines if l.startswith("# config: "))[len("# config: "):]
+    return {"command": command, "config": json.loads(config)}
+
+
+def test_every_artifact_config_is_the_parsed_flags_of_its_subcommand(
+    debye_sd, qubit_system, tmp_path
+):
+    sd_csv, bath = tmp_path / "sd.csv", tmp_path / "bath.json"
+    bcf, model = tmp_path / "bcf.csv", tmp_path / "model.json"
+    report, series = tmp_path / "report.json", tmp_path / "series.csv"
+    grid = ["--t-max-fs", "300", "--omega-max-cm1", "1000", "--n-time", "20", "--n-freq", "200"]
+    runs = {
+        "eval-sd": ["--sd", debye_sd, "--omega-min", "0", "--omega-max", "10", "--n", "3",
+                    "--out", str(sd_csv)],
+        "discretize": ["--sd", debye_sd, "--temp-k", "300", *grid, "--out", str(bath)],
+        "reconstruct": ["--model", str(bath), "--n-time", "5", "--out", str(bcf)],
+        "validate": ["--sd", debye_sd, "--zero-temp", "--system", qubit_system,
+                     "--tol-sweep", "1e-2, 1e-1", *grid, "--out", str(report),
+                     "--series-out", str(series)],
+        "build-model": ["--system", qubit_system, "--bath", f"main={bath}", "--out", str(model)],
+    }
+    for name, argv in runs.items():
+        assert main([name, *argv]) == 0, name
+
+    metas = {
+        "eval-sd": csv_metadata(sd_csv),
+        "discretize": json.loads(bath.read_text())["metadata"],
+        "reconstruct": csv_metadata(bcf),
+        "validate": json.loads(report.read_text())["metadata"],
+        "build-model": json.loads(model.read_text())["metadata"],
+    }
+    for name, meta in metas.items():
+        assert meta["command"] == name
+        assert set(meta["config"]) == subcommand_dests(name), name
+    # defaults are filled in and every flag is recorded as given
+    assert metas["eval-sd"]["config"]["temp_k"] is None
+    assert metas["discretize"]["config"]["temp_k"] == 300.0
+    assert metas["discretize"]["config"]["tol"] == 1e-2
+    assert metas["validate"]["config"]["zero_temp"] is True
+    assert metas["validate"]["config"]["tol_sweep"] == "1e-2, 1e-1"
+    assert json.loads(report.read_text())["tols"] == [1e-1, 1e-2]
+    assert metas["build-model"]["config"]["bath"] == [f"main={bath}"]
+    # the series CSV carries the report's metadata
+    assert csv_metadata(series) == {"command": "validate", "config": metas["validate"]["config"]}
 
 
 # --- process-level smoke test --------------------------------------------------

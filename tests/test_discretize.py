@@ -379,7 +379,7 @@ def test_identically_zero_noise_keeps_every_column():
     zero = load_tabulated(io.StringIO("1.0,0.0\n600.0,0.0\n"))
     kernel = NoiseKernel(zero, Temperature.finite(300.0))
     assert FdrOperator(kernel, SMALL_GRID, 1e-2).shape[1] == SMALL_GRID.n_freq
-    with pytest.raises(ValidationError, match="identically zero"):
+    with pytest.raises(ValidationError, match="squared norm is zero on the grid"):
         discretize_bath(kernel, SMALL_GRID, 1e-2)
 
 

@@ -379,6 +379,18 @@ def test_nnls_iteration_cap_reports_nonconvergence(monkeypatch):
     assert np.all(res.z == 0.0)
 
 
+def test_nnls_stops_when_the_passive_set_empties(monkeypatch):
+    # a passive solve with no positive entry drops every column: z falls back to 0,
+    # and the loop re-adds the same column until the iteration cap
+    monkeypatch.setattr(lowrank, "_passive_solve", lambda r, qtb, cols: -np.ones(cols.size))
+    b = np.array([1.0, 2.0])
+    res = nnls(np.eye(2), b)
+    assert not res.converged
+    assert res.iterations == lowrank.NNLS_ITERATIONS_PER_COLUMN * 2 == 6
+    np.testing.assert_array_equal(res.z, np.zeros(2))
+    assert res.residual_norm == np.linalg.norm(b)
+
+
 def test_nnls_input_validation():
     with pytest.raises(ValidationError):
         nnls(np.eye(2), np.ones(3))

@@ -17,7 +17,14 @@ import pytest
 
 import bathkit.quadrature as quadrature
 from bathkit._schema import read_json
-from bathkit.discretize import BathModel, load_bath_model, reference_bcf, save_bath_model
+from bathkit.discretize import (
+    BathModel,
+    FdrGrid,
+    FdrOperator,
+    load_bath_model,
+    reference_bcf,
+    save_bath_model,
+)
 from bathkit.dynamics import dephasing_gamma_continuum
 from bathkit.errors import ConvergenceError, SchemaError, ValidationError
 from bathkit.hamiltonian import SystemSpec, system_from_dict
@@ -481,6 +488,25 @@ def test_discretize_extreme_finite_flags_exit_2_without_warnings(
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "RuntimeWarning" not in err
     assert not out.exists()
+
+
+def test_discretize_noise_too_small_to_square_exits_2(exit_code, tmp_path, capsys):
+    # the noise is nonzero on the default grid, but every m * S^2 underflows to 0
+    sd = Path(__file__).resolve().parent.parent / "configs" / "debye_sd.json"
+    out = tmp_path / "x.json"
+    argv = ["discretize", "--sd", str(sd), "--temp-k", "300", "--omega-max-cm1", "1e300",
+            "--out", str(out)]
+    assert run_without_warnings(exit_code, argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: interpolative decomposition selected no columns: every column's squared norm "
+        "is zero on the grid (the noise is zero, or too small to square in double precision)\n"
+    )
+    assert not out.exists()
+    grid = FdrGrid(1000.0, 1e300)
+    kernel = NoiseKernel(sd_from_config(read_json(str(sd))), Temperature.finite(300.0))
+    assert np.count_nonzero(kernel.evaluate(grid.freqs)) > 0
+    assert np.all(FdrOperator(kernel, grid).norms2 == 0.0)
 
 
 def validate_at_tiny_band(exit_code, debye_sd, tmp_path, h_s, omega_max, tols):
