@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         required=True,
         metavar="LABEL=PATH",
-        help="bath model JSON for a label; repeatable",
+        help="bath model JSON under a nonempty LABEL; repeatable",
     )
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_model)

@@ -99,6 +99,9 @@ class DiscreteModel:
 
     def __post_init__(self):
         labels = [label for label, _ in self.baths]
+        for idx, label in enumerate(labels):
+            if not isinstance(label, str) or not label:
+                raise ValidationError(f"bath {idx}: label must be a nonempty string, got {label!r}")
         if len(set(labels)) != len(labels):
             dupes = sorted({x for x in labels if labels.count(x) > 1})
             raise ValidationError(f"duplicate bath labels: {dupes}")

@@ -57,10 +57,10 @@ class IdResult:
     order.  At tol >= ``GRAM_ROW_MIN_TOL`` they come from Gram rows and err
     by about eps/tol times the first pivot norm (at most 3 eps/tol measured
     on the surrogate's sample matrix); below it they are the products
-    q_k^T f.  ``triangle`` is the r x r upper triangle T whose column k
-    holds pivot k's Gram-Schmidt coefficients and, on the diagonal, its
-    pivot norm, and ``q`` the r x m orthonormal rows q_k, so that
-    f[:, selected] = q.T @ triangle to roundoff.  ``interp`` is the r x n
+    q_k^T f.  R's pivot columns hold T above their diagonal: ``triangle``
+    T = ``np.triu(r_rows[:, selected])`` has pivot k's coefficients over
+    its pivot norm in column k, and ``q`` holds the r x m orthonormal rows
+    q_k, so f[:, selected] = q.T @ T to roundoff.  ``interp`` is the r x n
     coefficient matrix P = T^-1 R, so f ~ f[:, selected] @ interp; it is
     computed on first read and cached.  ``pivot_norms`` holds the r + 1
     residual norms of the pivot candidates: the r accepted pivots and the
@@ -150,12 +150,12 @@ def column_id(f, tol: float) -> IdResult:
     of that value reaches the largest fresh norm.  A downdate errs by a few
     k*eps of that value, so a stale norm left below the bound cannot be the
     next pivot and the pivots are those of recomputing every stale norm at
-    once.  Columns that are exactly zero are never pivots.
+    once.  A zero residual, such as a pivot's, never makes a pivot.
 
-    Pivot k's coefficients c and pivot norm ||w|| form column k of the
-    returned ``triangle`` T, and q_k = w / ||w|| row k of ``q``, so T and
-    the rows q are the QR factor of f[:, selected] in pivot order.  T is
-    nonsingular: its diagonal holds the accepted pivot norms.
+    Pivot k's coefficients c and pivot norm ||w|| overwrite rows 0..k of
+    R's column j, so ``triangle`` T = ``np.triu(r_rows[:, selected])`` and
+    the rows q_k = w / ||w|| of ``q`` are the QR factor of f[:, selected];
+    T's diagonal holds the accepted pivot norms, so T is nonsingular.
 
     The rank is the smallest k for which the (k+1)-th pivot norm satisfies
     ||residual|| <= tol * (first pivot norm).  The pivots depend on ``tol``
@@ -173,14 +173,13 @@ def column_id(f, tol: float) -> IdResult:
 
     gram = tol >= GRAM_ROW_MIN_TOL
     kmax = min(m, n)
-    exact = norms2.copy()  # each norm^2 at its last exact evaluation
-    free = np.ones(n, dtype=bool)  # not selected yet
+    exact = norms2.copy()  # each norm^2 at its last exact evaluation; 0.0 once a pivot
     # sized for the worst-case rank; only the rows reached are ever written
     q = np.empty((kmax, m))
     r = np.empty((kmax, n))
-    selected, pivot_norms, coefs = [], [], []
+    selected, pivot_norms = [], []
     for k in range(kmax + 1):
-        candidates = free & (exact > 0.0)  # a zero residual is never a pivot
+        candidates = exact > 0.0  # a zero residual is never a pivot
         if not candidates.any():
             pivot_norms.append(0.0)
             break
@@ -197,12 +196,12 @@ def column_id(f, tol: float) -> IdResult:
             break
         q[k] = w / pivnorm
         r[k] = (op.gram_row(j) - c @ r[:k]) / pivnorm if gram else op.rmatvec(q[k])
+        r[:k, j], r[k, j] = c, pivnorm  # T's column k; later rows fall below its diagonal
         selected.append(j)
-        coefs.append(c)
-        free[j] = False
+        exact[j] = 0.0  # f_j now lies in span(Q): its residual is exactly zero
         norms2 -= r[k] * r[k]
         np.maximum(norms2, 0.0, out=norms2)  # roundoff must not drive a residual negative
-        live = candidates & free
+        live = exact > 0.0
         stale = live & (norms2 <= _RECOMPUTE_RATIO * exact)
         top = np.max(norms2[live & ~stale], initial=0.0)  # the largest fresh norm^2
         stale = np.flatnonzero(stale & (norms2 + _RECOMPUTE_RATIO * exact >= top))
@@ -213,13 +212,10 @@ def column_id(f, tol: float) -> IdResult:
             del res  # free this chunk before the next one's columns are built
 
     rank = len(selected)
-    triangle = np.zeros((rank, rank))
-    for k, c in enumerate(coefs):
-        triangle[:k, k] = c
-        triangle[k, k] = pivot_norms[k]
+    selected = np.array(selected, dtype=int)
     # a copy, so the worst-case buffer q is freed with this call
     rows = q[:rank].copy()
-    selected = np.array(selected, dtype=int)
+    triangle = np.triu(r[:rank, selected])
     return IdResult(rank, selected, r[:rank], np.array(pivot_norms), triangle, rows)
 
 
@@ -243,10 +239,12 @@ def nnls(a, b, factor=None) -> NnlsResult:
     De Jong 1997): solve T z = Q^T b and, while an entry is <= 0, drop
     those columns and solve again; the loop starts from that feasible z.
 
-    Terminates when every inactive dual w_i is below
-    10 * ||A||_inf * ||b||_2 * eps, or after ``NNLS_ITERATIONS_PER_COLUMN``
-    * n outer iterations (the constant is read at call time), in which case
-    ``converged`` is False and the best iterate so far is returned.
+    Converges when every inactive dual w_i is below 10 * ||A||_inf *
+    ||b||_2 * eps, or when R has as many rows as passive columns (the fit on
+    R is then exact, as for a wide A).  A step back drops the index that
+    sets it, so each inner pass shrinks the passive set.  It gives up after
+    ``NNLS_ITERATIONS_PER_COLUMN`` * n outer iterations (the constant is
+    read at call time), with ``converged`` False and the last iterate.
     ``residual_norm`` is ||A z - b|| on A.
     """
     a = _validate_matrix(a, "A")
@@ -264,7 +262,6 @@ def nnls(a, b, factor=None) -> NnlsResult:
         k = min(m, n)
         rb = np.linalg.qr(np.column_stack((a, b)), mode="r")
         r, qtb = rb[:k, :n], rb[:k, n]
-        passive = np.zeros(n, dtype=bool)
     else:
         r, q = (np.asarray(x, dtype=float) for x in factor)
         if r.shape != (n, n) or q.shape != (n, m):
@@ -276,21 +273,20 @@ def nnls(a, b, factor=None) -> NnlsResult:
             cols = cols[sol > 0.0]
             sol = _passive_solve(r, qtb, cols)
         z[cols] = sol
-        passive = z > 0.0
+    passive = z > 0.0
 
     iterations = 0
     converged = False
     while True:
         w = r.T @ (qtb - r @ z)
         inactive = ~passive
-        if not inactive.any() or np.max(w[inactive]) <= dual_tol:
+        if passive.sum() == r.shape[0] or np.max(w[inactive]) <= dual_tol:
             converged = True
             break
         if iterations >= max_iter:
             break
         iterations += 1
-        candidates = np.flatnonzero(inactive)
-        passive[candidates[np.argmax(w[candidates])]] = True
+        passive[np.argmax(np.where(inactive, w, -np.inf))] = True
 
         while True:
             cols = np.flatnonzero(passive)
@@ -305,11 +301,12 @@ def nnls(a, b, factor=None) -> NnlsResult:
             # step back to the feasibility boundary and drop clipped indices
             trial = np.zeros(n)
             trial[cols] = sol
-            blocking = passive & (trial <= 0.0)
+            blocking = np.flatnonzero(passive & (trial <= 0.0))
             denom = z[blocking] - trial[blocking]
             ratios = np.where(denom > 0.0, z[blocking] / np.where(denom > 0, denom, 1.0), 0.0)
-            alpha = np.min(ratios)
-            z = z + alpha * (trial - z)
+            first = np.argmin(ratios)
+            z = z + ratios[first] * (trial - z)
+            z[blocking[first]] = 0.0  # it leaves even if roundoff left it above 0
             newly_active = passive & (z <= 0.0)
             z[newly_active] = 0.0
             passive &= ~newly_active

@@ -607,6 +607,17 @@ def test_build_model_bad_bath_flag(qubit_system, tmp_path, capsys):
     assert "LABEL=path" in capsys.readouterr().err
 
 
+def test_build_model_empty_bath_label_exit_2_no_output(small_model, qubit_system, tmp_path, capsys):
+    out = tmp_path / "m.json"
+    rc = main(
+        ["build-model", "--system", qubit_system, "--bath", f"main={small_model}",
+         "--bath", f"={small_model}", "--out", str(out)]
+    )
+    assert rc == 2
+    assert "label must be a nonempty string" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- metadata -----------------------------------------------------------------
 
 

@@ -99,6 +99,24 @@ def test_duplicate_bath_labels_rejected(bath):
         build_model(system, [("b", bath), ("b", bath)])
 
 
+@pytest.mark.parametrize("label", ["", 7, None, 3.5], ids=["empty", "int", "none", "float"])
+def test_build_model_rejects_a_bath_label_that_is_not_a_nonempty_string(bath, label):
+    system = SystemSpec(h_s=[[0.0]], couplings=(("b", [[1.0]]),))
+    with pytest.raises(ValidationError, match="bath 1: label must be a nonempty string"):
+        build_model(system, [("b", bath), (label, bath)])
+
+
+@pytest.mark.parametrize("label", [["x"], 3.5], ids=["array", "float"])
+def test_import_rejects_a_bath_label_that_is_not_a_nonempty_string(bath, label):
+    # an array label is unhashable: it must not reach the duplicate check
+    system = SystemSpec(h_s=[[0.0]], couplings=(("b", [[1.0]]),))
+    doc = model_to_dict(build_model(system, [("b", bath)]))
+    doc["baths"].append(dict(doc["baths"][0], label=label))
+    with pytest.raises(SchemaError, match="bath 1: label must be a nonempty string") as err:
+        import_model_via_dict(doc)
+    assert err.value.pointer == "/"
+
+
 def test_roundtrip_exact(bath):
     h_s = [[100.0, 20.0 + 3.0j], [20.0 - 3.0j, 0.0]]
     system = SystemSpec(

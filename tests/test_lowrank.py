@@ -391,6 +391,35 @@ def test_nnls_stops_when_the_passive_set_empties(monkeypatch):
     assert res.residual_norm == np.linalg.norm(b)
 
 
+def wide_draw(seed):
+    """A random m x n problem with 1 <= m <= 5 and m < n <= 11."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 6))
+    n = int(rng.integers(m + 1, 12))
+    return rng.standard_normal((m, n)), rng.standard_normal(m)
+
+
+def test_nnls_converges_on_every_wide_draw(monkeypatch):
+    # at seed 171 (4 x 5) a step back left its blocking entry a hair above 0, so
+    # the same passive set was solved forever; at 72, 756, 989 and 1439 the
+    # passive set grew past R's m rows and the square solve raised
+    solve, sizes = lowrank._passive_solve, []
+
+    def bounded(r, qtb, cols):
+        sizes.append(cols.size)
+        assert len(sizes) <= 100, "nnls keeps solving passive sets"  # fail, not hang
+        return solve(r, qtb, cols)
+
+    monkeypatch.setattr(lowrank, "_passive_solve", bounded)
+    for seed in range(2000):
+        a, b = wide_draw(seed)
+        res = nnls(a, b)
+        assert res.converged, seed
+        assert max(sizes, default=0) <= a.shape[0], seed
+        assert res.residual_norm <= scipy.optimize.nnls(a, b)[1] + 1e-12, seed
+        sizes.clear()
+
+
 def test_nnls_input_validation():
     with pytest.raises(ValidationError):
         nnls(np.eye(2), np.ones(3))
@@ -445,6 +474,21 @@ def test_id_keeps_the_qr_factor_of_its_columns_on_the_operator(tol):
     res = column_id(op, tol=tol)
     assert res.rank > 40
     assert_qr_factor_of_selected(res, op.columns(res.selected))
+
+
+@pytest.mark.parametrize("case", ["dense-rank-12", "operator-gram-rows", "operator-transform-rows"])
+def test_id_keeps_its_triangle_in_the_pivot_columns_of_r(case):
+    # R is the one store of the factor: T is R's pivot columns on and above the diagonal
+    if case == "dense-rank-12":
+        rng = np.random.default_rng(12)
+        f, tol = rng.standard_normal((40, 12)) @ rng.standard_normal((12, 70)), 1e-8
+    else:
+        grid = FdrGrid(t_max_fs=1000.0, omega_max_cm1=SURROGATE_OMEGA_MAX, n_time=200, n_freq=2000)
+        tol = 1e-2 if case == "operator-gram-rows" else 1e-8
+        f = FdrOperator(NoiseKernel(surrogate_sd(), Temperature.finite(300.0)), grid, tol)
+    res = column_id(f, tol=tol)
+    assert res.rank >= 12
+    assert np.array_equal(res.triangle, np.triu(res.r_rows[:, res.selected]))
 
 
 def test_id_builds_only_its_pivot_candidates_on_the_default_grid():
