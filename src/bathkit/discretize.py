@@ -69,11 +69,17 @@ DEFAULT_MEMORY_CAP_BYTES = 4 << 30
 
 
 def _check_window(t_max_fs: float, omega_max_cm1: float, n_freq: int = 2):
-    """The window rule of FdrGrid and BathModel: a finite t_max >= 0, and ``n_freq``
-    midpoints of [-omega_max, omega_max] as ``check_midpoints`` accepts them."""
-    if not np.isfinite(t_max_fs) or t_max_fs < 0:
-        raise ValidationError(f"t_max_fs must be >= 0, got {t_max_fs}")
+    """The window rule of FdrGrid and BathModel: a finite t_max > 0, ``n_freq``
+    midpoints of [-omega_max, omega_max] as ``check_midpoints`` accepts them, and a
+    finite largest phase omega_max * t_max."""
+    if not (np.isfinite(t_max_fs) and t_max_fs > 0):
+        raise ValidationError(f"t_max_fs must be finite and > 0, got {t_max_fs}")
     check_midpoints(omega_max_cm1, n_freq)
+    # a plain float product overflows to inf without a numpy warning
+    if not math.isfinite(float(omega_max_cm1) * RAD_PER_FS_PER_CM1 * float(t_max_fs)):
+        raise ValidationError(
+            f"phases omega*t overflow (omega_max {omega_max_cm1} cm^-1, t_max {t_max_fs} fs)"
+        )
 
 
 @dataclass(frozen=True)
@@ -81,7 +87,7 @@ class FdrGrid:
     """Uniform sampling rectangle [0, t_max] x [-omega_max, omega_max].
 
     Frequencies are midpoint-offset so omega = 0 is never sampled
-    (``n_freq`` must be even); times include both endpoints.
+    (``n_freq`` must be even); times include both endpoints (``n_time`` >= 2).
     """
 
     t_max_fs: float
@@ -93,13 +99,9 @@ class FdrGrid:
         for name in ("n_time", "n_freq"):
             if not is_integer(getattr(self, name)):
                 raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.n_time < 2:
+            raise ValidationError(f"the grid needs n_time >= 2, got {self.n_time}")
         _check_window(self.t_max_fs, self.omega_max_cm1, self.n_freq)
-        if self.n_time < 1:
-            raise ValidationError(f"n_time must be >= 1, got {self.n_time}")
-        if self.n_time == 1 and self.t_max_fs != 0.0:
-            raise ValidationError("n_time=1 requires t_max_fs=0")
-        if self.n_time > 1 and self.t_max_fs == 0.0:
-            raise ValidationError("t_max_fs must be positive for n_time > 1")
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -145,7 +147,8 @@ class BathModel:
     strictly positive fitted weights and ``g`` the couplings
     sqrt(z * S_beta(omega)).  The spectral density and frequency window are
     kept so the reference correlation function can be recomputed from the
-    serialized model alone; the window must be one ``FdrGrid`` accepts.
+    serialized model alone; the window must be one ``FdrGrid`` accepts, and
+    every |omega_k| at most omega_max, so every phase omega_k * t on it is finite.
     """
 
     omegas: np.ndarray
@@ -169,6 +172,8 @@ class BathModel:
         if np.any(self.g < 0.0):
             raise ValidationError("bath model couplings must be nonnegative")
         _check_window(self.t_max_fs, self.omega_max_cm1)
+        if np.any(np.abs(self.omegas) > self.omega_max_cm1):
+            raise ValidationError("bath model modes must lie in [-omega_max, omega_max]")
         check_tol(self.tol)
 
     @property
@@ -212,8 +217,8 @@ class FdrOperator:
     by one chirp-z transform, Re sum_i exp(-i omega_0 t_i) exp(i omega_d t_i).
     ``rmatvec(q)`` gives q^T F as S * Re(sum_i (a_i + i b_i) exp(i omega_j
     t_i)) for q = [a; b] by one chirp-z transform.  The constructor raises
-    ValidationError, before any sine or cosine is taken, unless the phases
-    omega*t, S and m * S^2 are all finite on the whole grid.
+    ValidationError, before any sine or cosine is taken, unless S and m * S^2
+    are finite on the whole grid (the grid's window bounds every phase omega*t).
 
     Given ``tol`` in (0, 1), the operator holds only the band of grid
     columns that ``column_id`` at that tol can select: the contiguous run
@@ -232,12 +237,6 @@ class FdrOperator:
         m = grid.n_time
         self.times = grid.times
         w_rad = grid.freqs * RAD_PER_FS_PER_CM1
-        # a plain float product overflows to inf without a numpy warning
-        if not math.isfinite(float(np.max(np.abs(w_rad))) * grid.t_max_fs):
-            raise ValidationError(
-                f"phases omega*t overflow on the grid (omega_max {grid.omega_max_cm1} cm^-1, "
-                f"t_max {grid.t_max_fs} fs)"
-            )
         with np.errstate(over="ignore", invalid="ignore"):
             s = kernel.evaluate(grid.freqs)
             norms2 = m * s * s
@@ -251,10 +250,8 @@ class FdrOperator:
         self.freqs, self.w_rad = grid.freqs[band], w_rad[band]
         self.s, self.norms2 = s[band], norms2[band]
         self.shape = (2 * m, self.freqs.size)
-        # sum_i c_i exp(-i*(-t_i)*omega_j): the time axis runs backwards from
-        # t = 0 in steps dt (any step will do for a single time)
-        dt = grid.t_max_fs / (m - 1) if m > 1 else 0.0
-        self._transform = ChirpSum(m, -self.times[0], -dt, self.w_rad)
+        # sum_i c_i exp(-i*(-t_i)*omega_j): the time axis runs backwards from t = 0
+        self._transform = ChirpSum(m, -self.times[0], -grid.t_max_fs / (m - 1), self.w_rad)
 
     def columns(self, idx) -> np.ndarray:
         m = self.times.size
@@ -409,9 +406,13 @@ def discretize_bath(
 
 
 def reconstruct_bcf(model: BathModel, times_fs) -> np.ndarray:
-    """Correlation function of the discrete modes, C(t) = sum g_k^2 e^{-i w_k t}."""
+    """Correlation function of the discrete modes, C(t) = sum g_k^2 e^{-i w_k t};
+    ValidationError unless every value is finite (g^2 or the sum may overflow)."""
     times = np.atleast_1d(np.asarray(times_fs, dtype=float))
-    c = direct_sum(model.g * model.g, model.omegas, 1.0, np.abs(times))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = direct_sum(model.g * model.g, model.omegas, 1.0, np.abs(times))
+    if not np.all(np.isfinite(c)):
+        raise ValidationError("the modes' C(t) is not finite: g^2 or the sum overflows")
     return np.where(times < 0.0, np.conj(c), c)
 
 

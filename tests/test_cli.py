@@ -197,6 +197,19 @@ def test_discretize_requires_temperature(debye_sd, tmp_path, capsys):
     assert "temp" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("n-time", "1", "n_time >= 2"), ("t-max-fs", "0", "t_max_fs must be finite and > 0")],
+    ids=["one-time", "zero-t-max"],
+)
+def test_discretize_grid_that_is_no_window_exit_2(debye_sd, tmp_path, capsys, flag, value, message):
+    # C(0) alone is no window: the grid holds two times or more, over a t_max > 0
+    out = tmp_path / "bath.json"
+    assert main(discretize_args(debye_sd, out, **{flag: value})) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_discretize_nnls_nonconvergence_exit_3(debye_sd, tmp_path, capsys, monkeypatch):
     import bathkit.cli as cli_mod
     from bathkit.errors import ConvergenceError
@@ -519,7 +532,7 @@ def test_validate_populations_on_a_one_time_grid_exit_2(tmp_path, capsys):
     }))
     rc = main(
         ["validate", "--sd", "configs/surrogate_sd.csv", "--temp-k", "300",
-         "--system", str(system), "--tol-sweep", "0.3,0.2", "--t-max-fs", "0",
+         "--system", str(system), "--tol-sweep", "0.3,0.2", "--t-max-fs", "100",
          "--omega-max-cm1", "600", "--n-time", "1", "--n-freq", "2000",
          "--out", str(tmp_path / "r.json")]
     )

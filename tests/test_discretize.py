@@ -72,12 +72,12 @@ def test_grid_validation():
         FdrGrid(t_max_fs=100.0, omega_max_cm1=-5.0)
     with pytest.raises(ValidationError):
         FdrGrid(t_max_fs=100.0, omega_max_cm1=100.0, n_time=0)
-    # single-time grid only at t_max = 0
-    g = FdrGrid(t_max_fs=0.0, omega_max_cm1=100.0, n_time=1, n_freq=4)
-    assert g.times.tolist() == [0.0]
-    with pytest.raises(ValidationError):
+    # a window holds at least two times, over a positive t_max
+    with pytest.raises(ValidationError, match="n_time >= 2"):
         FdrGrid(t_max_fs=10.0, omega_max_cm1=100.0, n_time=1, n_freq=4)
-    with pytest.raises(ValidationError, match="t_max_fs must be positive for n_time > 1"):
+    with pytest.raises(ValidationError, match="n_time >= 2"):
+        FdrGrid(t_max_fs=0.0, omega_max_cm1=100.0, n_time=1, n_freq=4)
+    with pytest.raises(ValidationError, match="t_max_fs must be finite and > 0"):
         FdrGrid(0.0, 600.0, 5, 10)
 
 
@@ -87,9 +87,8 @@ def test_grid_validation():
     ids=["float-n_freq", "fractional-n_time", "string-n_time", "bool-n_time"],
 )
 def test_grid_counts_must_be_integers(counts):
-    t_max = 0.0 if counts.get("n_time") is True else 100.0
     with pytest.raises(ValidationError, match="integer"):
-        FdrGrid(t_max_fs=t_max, omega_max_cm1=100.0, **counts)
+        FdrGrid(t_max_fs=100.0, omega_max_cm1=100.0, **counts)
     g = FdrGrid(t_max_fs=100.0, omega_max_cm1=100.0, n_time=np.int64(11), n_freq=np.int32(10))
     assert g.times.size == 11 and g.freqs.size == 10
 
@@ -207,15 +206,6 @@ def test_reference_bcf_doubling_is_converged():
 # --- assemble_fdr --------------------------------------------------------------
 
 
-def test_assemble_single_time_row():
-    g = FdrGrid(t_max_fs=0.0, omega_max_cm1=100.0, n_time=1, n_freq=2)
-    fdr = assemble_fdr(DEBYE_300K, g)
-    s = DEBYE_300K.evaluate(g.freqs)
-    assert fdr.shape == (2, 2)
-    np.testing.assert_array_equal(fdr[0], s)
-    np.testing.assert_array_equal(fdr[1], 0.0 * s)
-
-
 def test_assemble_column_norms():
     g = FdrGrid(t_max_fs=300.0, omega_max_cm1=500.0, n_time=40, n_freq=64)
     fdr = assemble_fdr(DEBYE_300K, g)
@@ -247,10 +237,8 @@ OPERATOR_GRIDS = {
     "250x2500": FdrGrid(t_max_fs=300.0, omega_max_cm1=600.0, n_time=250, n_freq=2500),
     "40x64": FdrGrid(t_max_fs=300.0, omega_max_cm1=500.0, n_time=40, n_freq=64),
     "2x8": FdrGrid(t_max_fs=10.0, omega_max_cm1=100.0, n_time=2, n_freq=8),
-    "1x8": FdrGrid(t_max_fs=0.0, omega_max_cm1=100.0, n_time=1, n_freq=8),
 }
 OPERATOR_TOLS = (0.3, 1e-1, 1e-2, 1e-3)
-# 64 cases on the four multi-time grids, 16 more on the single-time grid
 OPERATOR_CASES = [
     pytest.param(k, g, tol, id=f"{k}-{g}-{tol:g}")
     for k, g, tol in itertools.product(OPERATOR_KERNELS, OPERATOR_GRIDS, OPERATOR_TOLS)
@@ -351,7 +339,7 @@ def test_band_id_and_bath_json_match_the_full_grid(kelvin, tol, monkeypatch):
     assert bath_json(kernel, DEFAULT_GRID, tol) == banded
 
 
-@pytest.mark.parametrize("n_time", [1, 2, 5])
+@pytest.mark.parametrize("n_time", [2, 5])
 def test_a_band_of_one_column_gives_the_full_grid_bath(n_time, monkeypatch):
     # at zero temperature S is 0 at omega < 0, so on two frequencies the band
     # is the one column at +omega_max/2; its chirp-z sum has a single output
@@ -402,12 +390,10 @@ def test_operator_rejects_non_finite_noise_before_sampling(monkeypatch):
         discretize_bath(kernel, SMALL_GRID, 1e-2)
 
 
-def test_operator_rejects_overflowing_phases():
-    grid = FdrGrid(t_max_fs=1e10, omega_max_cm1=1e306, n_time=3, n_freq=4)
+def test_grid_rejects_overflowing_phases():
+    # the window rule, shared with BathModel, refuses the grid before any operator
     with pytest.raises(ValidationError, match="phases"):
-        FdrOperator(DEBYE_300K, grid)
-    with pytest.raises(ValidationError, match="phases"):
-        FdrOperator(DEBYE_300K, grid, 1e-2)
+        FdrGrid(t_max_fs=1e10, omega_max_cm1=1e306, n_time=3, n_freq=4)
 
 
 def test_discretize_memory_cap_is_the_id_working_set(monkeypatch):

@@ -940,16 +940,3 @@ def test_convergence_study_passes_its_cap_to_every_call(monkeypatch):
     # a cap below the column ID's working set stops the first discretization
     with pytest.raises(ResourceLimitError, match="column ID"):
         convergence_study(kernel, system, [0.5], grid, memory_cap_bytes=100_000)
-
-
-def test_convergence_study_rejects_a_one_time_grid_before_discretizing(monkeypatch):
-    # populations need two output times; the dephasing branch takes one
-    def no_discretize(*args, **kwargs):
-        raise AssertionError("a bath was discretized")
-
-    monkeypatch.setattr(dynamics, "discretize_bath", no_discretize)
-    kernel = NoiseKernel(Debye(lam=35.0, gamma=106.1), Temperature.finite(300.0))
-    grid = FdrGrid(t_max_fs=0.0, omega_max_cm1=500.0, n_time=1, n_freq=128)
-    system = SystemSpec(h_s=[[100.0, 30.0], [30.0, 0.0]], couplings=(("b", SIGMA_Z),))
-    with pytest.raises(ValidationError, match="n_time"):
-        convergence_study(kernel, system, [0.5, 0.3], grid)

@@ -78,14 +78,32 @@ def test_bath_json_rejects_non_finite_window(bath_doc):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("t_max_fs", -1000.0), ("omega_max_cm1", -600.0), ("omega_max_cm1", 0.0),
-     ("omega_max_cm1", 1e308)],
+    [("t_max_fs", -1000.0), ("t_max_fs", 0.0), ("omega_max_cm1", -600.0),
+     ("omega_max_cm1", 0.0), ("omega_max_cm1", 1e308)],
 )
 def test_bath_json_window_is_one_a_grid_accepts(bath_doc, key, value):
     doc = json.loads(json.dumps(bath_doc))
     doc[key] = value
     with pytest.raises(SchemaError, match=key.rsplit("_", 1)[0]):
         load_bath_model(io.StringIO(json.dumps(doc)))
+
+
+def test_bath_json_window_phases_must_be_finite(bath_doc):
+    # omega_max * t_max overflows although each of them is finite
+    doc = dict(json.loads(json.dumps(bath_doc)), t_max_fs=1e10, omega_max_cm1=1e306)
+    with pytest.raises(SchemaError, match=r"phases omega\*t overflow"):
+        load_bath_model(io.StringIO(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_bath_json_modes_lie_in_the_window(bath_doc, sign):
+    doc = json.loads(json.dumps(bath_doc))
+    doc["modes"][0]["omega_cm1"] = sign * 1e306
+    with pytest.raises(SchemaError, match=r"modes must lie in \[-omega_max, omega_max\]"):
+        load_bath_model(io.StringIO(json.dumps(doc)))
+    # the band edge itself lies in the window
+    doc["modes"][0]["omega_cm1"] = sign * doc["omega_max_cm1"]
+    assert load_bath_model(io.StringIO(json.dumps(doc))).omegas[0] == sign * doc["omega_max_cm1"]
 
 
 def test_bath_json_top_level_must_be_an_object():
@@ -338,7 +356,36 @@ def test_reconstruct_bath_with_a_negative_window_exits_2(exit_code, bath_doc, tm
     out = tmp_path / "bcf.csv"
     assert exit_code(["reconstruct", "--model", str(model), "--n-time", "3", "--out", str(out)]) == 2
     assert not out.exists()
-    assert "t_max_fs must be >= 0" in capsys.readouterr().err
+    assert "t_max_fs must be finite and > 0" in capsys.readouterr().err
+
+
+def test_reconstruct_bath_whose_g_squared_overflows_exits_2(exit_code, bath_doc, tmp_path, capsys):
+    doc = json.loads(json.dumps(bath_doc))
+    doc["modes"][0]["g_cm1"] = 1e300
+    model = tmp_path / "bath.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "bcf.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exit_code(["reconstruct", "--model", str(model), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "C(t) is not finite" in capsys.readouterr().err
+
+
+def test_build_model_bath_with_a_mode_outside_the_window_exits_2(
+    exit_code, bath_doc, tmp_path, capsys
+):
+    doc = json.loads(json.dumps(bath_doc))
+    doc["modes"][0]["omega_cm1"] = 1e306
+    bath = tmp_path / "bath.json"
+    bath.write_text(json.dumps(doc))
+    system = tmp_path / "qubit.json"
+    system.write_text(json.dumps(QUBIT))
+    out = tmp_path / "model.json"
+    argv = ["build-model", "--system", str(system), "--bath", f"main={bath}", "--out", str(out)]
+    assert exit_code(argv) == 2
+    assert not out.exists()
+    assert "modes must lie in" in capsys.readouterr().err
 
 
 def test_build_model_bath_with_a_negative_band_exits_2(exit_code, bath_doc, tmp_path, capsys):
