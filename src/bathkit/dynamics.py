@@ -350,7 +350,10 @@ def propagate(
     ``trunc.dimension(d_s)`` and M = ``model.total_mode_count``, are checked
     against ``memory_cap_bytes`` (``ResourceLimitError`` above it).  Besides
     the basis, that covers the action's float64 diagonal and coefficients,
-    its output, at most one V @ psi and its scratch of one block.
+    its output, at most one V @ psi and its scratch of one block.  Then a
+    bound B = |H_S|_F + sum_k (|omega_k| cap_k + 2 |g_k| sqrt(cap_k) |V_k|_F)
+    on |H| must have a finite square (``ValidationError`` otherwise), so
+    that no Lanczos vector's squared norm overflows.
     """
     d_s = model.system.dim
     psi0_system = np.asarray(psi0_system, dtype=complex)
@@ -372,6 +375,16 @@ def propagate(
     per_state = (int(krylov_dim) + 8) * 16 + 8 * model.total_mode_count
     nbytes = per_state * trunc.dimension(d_s) + (n_steps + 1) * (8 * d_s + 40)
     check_memory(nbytes, memory_cap_bytes, "the Krylov basis and output steps; use fewer modes")
+    # B >= |H|; |g| * |V| comes first so that a zero V never meets an overflowed |g|
+    with np.errstate(over="ignore"):
+        v_norms = [np.linalg.norm(v) for _, v in model.system.couplings]
+        bound = np.linalg.norm(model.system.h_s) + sum(
+            abs(w) * c + abs(g) * v_norms[ci] * 2.0 * math.sqrt(c)
+            for w, g, ci, c in zip(model.mode_omegas, model.mode_g, model.mode_coupling, trunc.caps)
+        )
+        squared = bound * bound
+    if not np.isfinite(squared):
+        raise ValidationError(f"the Hamiltonian's norm bound {bound:.3e} overflows when squared")
 
     action = _HamiltonianAction(model, trunc)
     psi = np.zeros(action.shape, dtype=complex)

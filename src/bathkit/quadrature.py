@@ -5,12 +5,12 @@ The workhorse is the band-limited transform
     F(t_i) = h * sum_j  x_j * exp(-i * omega_j_rad * t_i),
 
 with omega_j the midpoints of a uniform subdivision of [-omega_max,
-omega_max] and h the subdivision width.  On uniform times this is a
+omega_max] and h the subdivision width.  Real weights on uniform times
+from 0 are folded onto the positive half of the band and summed by one
 chirp-z transform by Bluestein's algorithm on ``numpy.fft``, each chirp
-exp of a real phase so that its modulus stays 1 at any length; on other
-times it is a chunked direct sum.  Real weights on uniform times from 0
-are folded onto the positive half of the band, which halves the
-transform's length.  All are deterministic and agree to roundoff.
+exp of a real phase so that its modulus stays 1 at any length; every
+other input takes the chunked direct sum.  Both are deterministic and
+agree to roundoff.
 ``refine_midpoint`` doubles the midpoints of a quadrature until it settles.
 """
 
@@ -59,8 +59,6 @@ def check_midpoints(omega_max_cm1: float, n: int):
 
 
 def _is_uniform(times: np.ndarray) -> bool:
-    if times.size < 3:
-        return times.size == 2
     dt = (times[-1] - times[0]) / (times.size - 1)
     ideal = times[0] + dt * np.arange(times.size)
     scale = max(abs(times[0]), abs(times[-1]), 1e-30)
@@ -73,29 +71,27 @@ def fourier_midpoint_sum(weights, omega_max_cm1: float, times_fs) -> np.ndarray:
     ``weights`` has one entry per midpoint of [-omega_max, omega_max];
     phases use omega in rad/fs.  Returns a complex array over ``times_fs``.
 
-    Real weights on uniform times t_k = k * dt are folded onto the n/2
-    positive midpoints: with x_p = w(omega_p) + i w(-omega_p) and G the sum
-    of x over those midpoints, one chirp-z transform gives G at the 2m - 1
-    times -t_{m-1} ... t_{m-1}, and with A = G(t_k), B = conj(G(-t_k)) the
-    sum is (A + B)/2 + (i/2) conj(A - B).  Other uniform times take the
-    transform over all n midpoints, and other times the direct sum.
+    Real weights on m >= 2 uniform times t_k = k * dt are folded onto the
+    n/2 positive midpoints: with x_p = w(omega_p) + i w(-omega_p) and G the
+    sum of x over those midpoints, one chirp-z transform gives G at the
+    2m - 1 times -t_{m-1} ... t_{m-1}, and with A = G(t_k), B = conj(G(-t_k))
+    the sum is (A + B)/2 + (i/2) conj(A - B).  Every other input takes the
+    direct sum, at O(n * m) cost.
     """
     x = np.asarray(weights)
     times = np.asarray(times_fs, dtype=float)
     n = x.size
     h = 2.0 * omega_max_cm1 / n
     freqs = midpoint_frequencies(omega_max_cm1, n)
-    if times.size >= 2 and _is_uniform(times):
-        du = h * RAD_PER_FS_PER_CM1
-        if np.isrealobj(x) and times[0] == 0.0:
-            half, m = n // 2, times.size
-            folded = x[half:] + 1j * x[half - 1 :: -1]
-            both = np.concatenate((-times[:0:-1], times))
-            g = ChirpSum(half, freqs[half] * RAD_PER_FS_PER_CM1, du, both, scale=h)(folded)
-            a, b = g[m - 1 :], np.conj(g[m - 1 :: -1])
-            return 0.5 * (a + b) + 0.5j * np.conj(a - b)
-        return ChirpSum(n, freqs[0] * RAD_PER_FS_PER_CM1, du, times, scale=h)(x)
-    return direct_sum(x, freqs, h, times)
+    if not (np.isrealobj(x) and times.size >= 2 and times[0] == 0.0 and _is_uniform(times)):
+        return direct_sum(x, freqs, h, times)
+    half, m = n // 2, times.size
+    folded = x[half:] + 1j * x[half - 1 :: -1]
+    both = np.concatenate((-times[:0:-1], times))
+    du = h * RAD_PER_FS_PER_CM1
+    g = ChirpSum(half, freqs[half] * RAD_PER_FS_PER_CM1, du, both, scale=h)(folded)
+    a, b = g[m - 1 :], np.conj(g[m - 1 :: -1])
+    return 0.5 * (a + b) + 0.5j * np.conj(a - b)
 
 
 class ChirpSum:

@@ -138,7 +138,7 @@ def test_fourier_sum_czt_matches_direct(n, omega_max, t_max, n_times):
         -1j * np.outer(jittered, freqs * RAD_PER_FS_PER_CM1)
     ) @ weights.astype(complex)
     np.testing.assert_allclose(slow, direct_j, rtol=1e-12)
-    # uniform times with a nonzero start exercise the phase folding
+    # uniform times with a nonzero start take the direct sum
     shifted = uniform + 37.5
     fast_s = fourier_midpoint_sum(weights, omega_max, shifted)
     direct_s = h * np.exp(

@@ -2,6 +2,7 @@ import inspect
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -386,6 +387,24 @@ def test_output_size_cap_before_hamiltonian_action(t_max_fs, monkeypatch):
     model = dephasing_model([100.0], [10.0])
     with pytest.raises(ResourceLimitError, match="output steps"):
         propagate(model, FockTruncation(caps=(3,)), PLUS, t_max_fs, 1.0)
+
+
+@pytest.mark.parametrize("g", [1e153, 1e154, 1e160, 1e300])
+def test_propagate_rejects_a_hamiltonian_too_large_to_square(g):
+    # one mode at 100 cm^-1 with weight 1 and cap 10: the norm bound
+    # 2 g sqrt(10) |sigma_z|_F squares to 8.0e307 at g = 1e153 and overflows
+    # from 1e154, where the Lanczos vectors' norms overflowed
+    system = SystemSpec(h_s=[[50.0, 0.0], [0.0, -50.0]], couplings=(("b", SIGMA_Z),))
+    bath = replace(synthetic_bath([100.0], [1.0]), g=np.array([g]))
+    model = build_model(system, [("b", bath)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if g < 1e154:
+            res = propagate(model, FockTruncation(caps=(10,)), [1.0, 0.0], 100.0, 1.0)
+            assert np.all(np.isfinite(res.populations)) and np.all(np.isfinite(res.energy))
+        else:
+            with pytest.raises(ValidationError, match="norm bound"):
+                propagate(model, FockTruncation(caps=(10,)), [1.0, 0.0], 100.0, 1.0)
 
 
 def test_action_rejects_a_cap_count_other_than_the_mode_count():

@@ -13,7 +13,11 @@ import numpy as np
 import pytest
 
 import bathkit.quadrature as quadrature
+from bathkit.cli import main
+from bathkit.discretize import FdrGrid, discretize_bath, reference_bcf, save_bath_model
+from bathkit.dynamics import dephasing_gamma_continuum
 from bathkit.quadrature import (
+    DEFAULT_QUAD_POINTS,
     ChirpSum,
     _fast_len,
     _is_uniform,
@@ -21,6 +25,7 @@ from bathkit.quadrature import (
     fourier_midpoint_sum,
     midpoint_frequencies,
 )
+from bathkit.specdens import Debye, NoiseKernel, Temperature
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -79,6 +84,8 @@ def test_only_uniform_times_take_the_chirp_sum():
         start = rng.uniform(-1e3, 1e3) * rng.choice([0.0, 1e-3, 1.0])
         stop = start + 10 ** rng.uniform(-3, 6)
         assert _is_uniform(np.linspace(start, stop, int(rng.integers(3, 5000))))
+    # two times are always uniform, from 0 or not
+    assert _is_uniform(np.array([0.0, 0.9])) and _is_uniform(np.array([37.5, 38.4]))
     # jitter of 5e-10 of the span: the chirp-z sum would take these times as
     # uniform and miss the direct sum by ~1e-7 of its peak
     times = np.linspace(0.0, 1000.0, 1000)
@@ -89,15 +96,9 @@ def test_only_uniform_times_take_the_chirp_sum():
     assert fourier_midpoint_sum(x, 600.0, jittered).tobytes() == direct.tobytes()
 
 
-# (2, m): one positive midpoint; (n, 2): two times, three after the fold
-FOLD_CASES = [(2, 2), (2, 9), (8, 2), (4096, 2), (16384, 1000)]
-
-
-@pytest.mark.parametrize("n, m", FOLD_CASES, ids=[f"{n}-{m}" for n, m in FOLD_CASES])
-def test_real_weights_fold_onto_the_positive_half_band(n, m, monkeypatch):
-    # real weights on times k * dt take one transform over the n/2 positive
-    # midpoints at the 2m - 1 times -t_{m-1} ... t_{m-1}; complex weights and
-    # times that do not start at 0 keep the transform over all n midpoints
+@pytest.fixture
+def chirp_shapes(monkeypatch):
+    """(input length, output count) of each ChirpSum fourier_midpoint_sum builds."""
     shapes = []
 
     class Recording(ChirpSum):
@@ -106,6 +107,18 @@ def test_real_weights_fold_onto_the_positive_half_band(n, m, monkeypatch):
             super().__init__(n_in, u0, du, v, scale)
 
     monkeypatch.setattr(quadrature, "ChirpSum", Recording)
+    return shapes
+
+
+# (2, m): one positive midpoint; (n, 2): two times, three after the fold
+FOLD_CASES = [(2, 2), (2, 9), (8, 2), (4096, 2), (16384, 1000)]
+
+
+@pytest.mark.parametrize("n, m", FOLD_CASES, ids=[f"{n}-{m}" for n, m in FOLD_CASES])
+def test_real_weights_fold_onto_the_positive_half_band(n, m, chirp_shapes):
+    # real weights on times k * dt take one transform over the n/2 positive
+    # midpoints at the 2m - 1 times -t_{m-1} ... t_{m-1}; complex weights and
+    # times that do not start at 0 take the direct sum
     rng = np.random.default_rng(n + m)
     w = rng.standard_normal(n)
     times = np.linspace(0.0, 0.9 * (m - 1), m)
@@ -116,4 +129,37 @@ def test_real_weights_fold_onto_the_positive_half_band(n, m, monkeypatch):
         for x in (w, w + 0j):
             got = fourier_midpoint_sum(x, 600.0, t)
             np.testing.assert_allclose(got, direct, rtol=0, atol=atol)
-    assert shapes == [(n // 2, 2 * m - 1), (n, m), (n, m), (n, m)]
+            if x is not w or t is not times:
+                assert got.tobytes() == direct_sum(x, freqs, h, t).tobytes()
+    assert chirp_shapes == [(n // 2, 2 * m - 1)]
+
+
+def test_every_caller_takes_the_fold(tmp_path, monkeypatch, chirp_shapes):
+    # the fit, the reference quadratures and the CLI's reconstruct all pass
+    # real weights on uniform times from 0: none of them reaches the direct
+    # sum, and every transform is a fold over n/2 midpoints at 2m - 1 times
+    # (FdrOperator and reconstruct_bcf look their names up in discretize)
+    def no_direct_sum(*args):
+        raise AssertionError("the direct sum was reached")
+
+    monkeypatch.setattr(quadrature, "direct_sum", no_direct_sum)
+    kernel = NoiseKernel(Debye(lam=35.0, gamma=106.1), Temperature.finite(300.0))
+    grid = FdrGrid(t_max_fs=100.0, omega_max_cm1=1000.0, n_time=20, n_freq=200)
+
+    def assert_folds(m):
+        # refine_midpoint's levels n = DEFAULT_QUAD_POINTS * 2**k, in order
+        levels = [(DEFAULT_QUAD_POINTS << k >> 1, 2 * m - 1) for k in range(len(chirp_shapes))]
+        assert chirp_shapes and chirp_shapes == levels
+        chirp_shapes.clear()
+
+    model = discretize_bath(kernel, grid, 1e-2)
+    assert_folds(grid.n_time)
+    reference_bcf(kernel, grid.times, grid.omega_max_cm1)
+    assert_folds(grid.n_time)
+    dephasing_gamma_continuum(kernel, grid.times, grid.omega_max_cm1)
+    assert_folds(grid.n_time)
+    bath = tmp_path / "bath.json"
+    save_bath_model(model, bath)
+    argv = ["reconstruct", "--model", str(bath), "--n-time", "7", "--out", str(tmp_path / "c.csv")]
+    assert main(argv) == 0
+    assert_folds(7)

@@ -1,5 +1,6 @@
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bathkit.specdens import (
     load_tabulated,
     sd_from_config,
 )
+from bathkit.surrogate import surrogate_sd
 from bathkit.units import KB_CM1_PER_K
 
 ALL_KINDS = [
@@ -126,6 +128,14 @@ def test_load_tabulated_roundtrip_and_errors():
         load_tabulated(io.StringIO("10,1.0\nbogus,entry\n20,2.0"))
     with pytest.raises(ValidationError, match="2 columns"):
         load_tabulated(io.StringIO("10,1.0,3.0\n20,2.0"))
+
+
+def test_shipped_surrogate_csv_is_the_library_surrogate():
+    # the CLI examples read the CSV; the acceptance tests and the benchmark call the function
+    shipped = load_tabulated(Path(__file__).parent.parent / "configs" / "surrogate_sd.csv")
+    library = surrogate_sd()
+    assert shipped.omega.tobytes() == library.omega.tobytes()
+    assert shipped.values.tobytes() == library.values.tobytes()
 
 
 def test_sd_from_config_all_kinds():
