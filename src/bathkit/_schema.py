@@ -15,14 +15,16 @@ from .errors import SchemaError, ValidationError
 
 
 def read_text(source) -> str:
-    """All text of a stream, or of the UTF-8 file at a path."""
+    """All text of a stream, or of the UTF-8 file at a path, less one leading BOM."""
     try:
         if hasattr(source, "read"):
-            return source.read()
-        with open(source, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = source.read()
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{_name(source)}: not UTF-8 text ({exc.reason})") from None
+    return text.removeprefix("\ufeff")
 
 
 def read_json(source):

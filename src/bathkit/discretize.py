@@ -189,18 +189,16 @@ def reference_bcf(kernel: NoiseKernel, times_fs, omega_max_cm1: float) -> np.nda
     """Band-limited correlation function by refined midpoint quadrature.
 
     Integrates S_beta(omega)*exp(-i*omega_rad*t) over [-omega_max,
-    omega_max] on midpoint-offset points, refined by ``refine_midpoint``.
-    Negative times are filled in through C(-t) = conj(C(t)).
+    omega_max] on midpoint-offset points, refined by ``refine_midpoint``,
+    at any real times: ``fourier_midpoint_sum`` takes them as given.
     """
     times = np.atleast_1d(np.asarray(times_fs, dtype=float))
-    tabs = np.abs(times)
 
     def level(n_points: int) -> np.ndarray:
         weights = kernel.evaluate(midpoint_frequencies(omega_max_cm1, n_points))
-        return fourier_midpoint_sum(weights, omega_max_cm1, tabs)
+        return fourier_midpoint_sum(weights, omega_max_cm1, times)
 
-    c = refine_midpoint(level, "correlation")
-    return np.where(times < 0.0, np.conj(c), c)
+    return refine_midpoint(level, "correlation")
 
 
 class FdrOperator:
@@ -373,7 +371,7 @@ def discretize_bath(
 
     omegas = samples.freqs[id_res.selected][active]
     z = fit.z[active]
-    s_at_modes = kernel.evaluate(omegas)
+    s_at_modes = samples.s[id_res.selected][active]  # the S that weighted the fitted columns
     if np.any(s_at_modes < 0.0):
         bad = omegas[s_at_modes < 0.0]
         raise ValidationError(
@@ -406,14 +404,14 @@ def discretize_bath(
 
 
 def reconstruct_bcf(model: BathModel, times_fs) -> np.ndarray:
-    """Correlation function of the discrete modes, C(t) = sum g_k^2 e^{-i w_k t};
-    ValidationError unless every value is finite (g^2 or the sum may overflow)."""
+    """C(t) = sum g_k^2 e^{-i w_k t} of the discrete modes by ``direct_sum``, at any real
+    times; ValidationError unless every value is finite (g^2 or the sum may overflow)."""
     times = np.atleast_1d(np.asarray(times_fs, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        c = direct_sum(model.g * model.g, model.omegas, 1.0, np.abs(times))
+        c = direct_sum(model.g * model.g, model.omegas, 1.0, times)
     if not np.all(np.isfinite(c)):
         raise ValidationError("the modes' C(t) is not finite: g^2 or the sum overflows")
-    return np.where(times < 0.0, np.conj(c), c)
+    return c
 
 
 def bcf_error_stats(c_model, c_reference) -> BcfErrorStats:

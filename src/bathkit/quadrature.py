@@ -6,11 +6,11 @@ The workhorse is the band-limited transform
 
 with omega_j the midpoints of a uniform subdivision of [-omega_max,
 omega_max] and h the subdivision width.  Real weights on uniform times
-from 0 are folded onto the positive half of the band and summed by one
-chirp-z transform by Bluestein's algorithm on ``numpy.fft``, each chirp
-exp of a real phase so that its modulus stays 1 at any length; every
-other input takes the chunked direct sum.  Both are deterministic and
-agree to roundoff.
+from 0, in either direction, are folded onto the positive half of the
+band and summed by one chirp-z transform by Bluestein's algorithm on
+``numpy.fft``, each chirp exp of a real phase so that its modulus stays 1
+at any length; every other input takes the chunked direct sum.  Both are
+deterministic and agree to roundoff.
 ``refine_midpoint`` doubles the midpoints of a quadrature until it settles.
 """
 
@@ -71,25 +71,25 @@ def fourier_midpoint_sum(weights, omega_max_cm1: float, times_fs) -> np.ndarray:
     ``weights`` has one entry per midpoint of [-omega_max, omega_max];
     phases use omega in rad/fs.  Returns a complex array over ``times_fs``.
 
-    Real weights on m >= 2 uniform times t_k = k * dt are folded onto the
-    n/2 positive midpoints: with x_p = w(omega_p) + i w(-omega_p) and G the
-    sum of x over those midpoints, one chirp-z transform gives G at the
-    2m - 1 times -t_{m-1} ... t_{m-1}, and with A = G(t_k), B = conj(G(-t_k))
-    the sum is (A + B)/2 + (i/2) conj(A - B).  Every other input takes the
-    direct sum, at O(n * m) cost.
+    Real weights on m >= 2 uniform times t_k = k * dt (dt of either sign) are
+    folded onto the n/2 positive midpoints from h/2: with x_p = w(omega_p) +
+    i w(-omega_p) and G the sum of x over those midpoints, one chirp-z transform
+    gives G at the 2m - 1 times -t_{m-1} ... t_{m-1}, and with A = G(t_k),
+    B = conj(G(-t_k)) the sum is (A + B)/2 + (i/2) conj(A - B).  Every other
+    input takes the direct sum over all n midpoints, at O(n * m) cost.
     """
     x = np.asarray(weights)
     times = np.asarray(times_fs, dtype=float)
     n = x.size
+    check_midpoints(omega_max_cm1, n)
     h = 2.0 * omega_max_cm1 / n
-    freqs = midpoint_frequencies(omega_max_cm1, n)
     if not (np.isrealobj(x) and times.size >= 2 and times[0] == 0.0 and _is_uniform(times)):
-        return direct_sum(x, freqs, h, times)
+        return direct_sum(x, midpoint_frequencies(omega_max_cm1, n), h, times)
     half, m = n // 2, times.size
     folded = x[half:] + 1j * x[half - 1 :: -1]
     both = np.concatenate((-times[:0:-1], times))
     du = h * RAD_PER_FS_PER_CM1
-    g = ChirpSum(half, freqs[half] * RAD_PER_FS_PER_CM1, du, both, scale=h)(folded)
+    g = ChirpSum(half, 0.5 * du, du, both, scale=h)(folded)  # from h/2, the first positive midpoint
     a, b = g[m - 1 :], np.conj(g[m - 1 :: -1])
     return 0.5 * (a + b) + 0.5j * np.conj(a - b)
 

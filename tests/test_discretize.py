@@ -31,7 +31,13 @@ from bathkit.errors import (
     ValidationError,
 )
 from bathkit.lowrank import column_id, nnls
-from bathkit.quadrature import fourier_midpoint_sum, midpoint_frequencies, refine_midpoint
+from bathkit.quadrature import (
+    DEFAULT_QUAD_POINTS,
+    direct_sum,
+    fourier_midpoint_sum,
+    midpoint_frequencies,
+    refine_midpoint,
+)
 from bathkit.specdens import Debye, LorentzianSum, NoiseKernel, Temperature, load_tabulated
 from bathkit.units import RAD_PER_FS_PER_CM1
 
@@ -171,6 +177,21 @@ def test_reference_bcf_hermitian_in_time():
     np.testing.assert_array_equal(c[1], np.conj(c[2]))
 
 
+@pytest.mark.parametrize(
+    "times",
+    [np.array([-300.0, -20.0, 20.0, 300.0]), np.linspace(-300.0, 300.0, 41)],
+    ids=["points", "uniform"],
+)
+def test_reference_bcf_takes_mixed_sign_times_as_given(times):
+    # times not uniform from 0: each level is the direct sum at the signed times
+    def level(n):
+        freqs = midpoint_frequencies(2000.0, n)
+        return direct_sum(DEBYE_300K.evaluate(freqs), freqs, 2.0 * 2000.0 / n, times)
+
+    want = refine_midpoint(level, "correlation")
+    assert reference_bcf(DEBYE_300K, times, 2000.0).tobytes() == want.tobytes()
+
+
 def test_reference_bcf_refinement_cap_errors(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_QUAD_POINTS", quadrature.DEFAULT_QUAD_POINTS)
     with pytest.raises(ConvergenceError, match="relative change"):
@@ -248,9 +269,10 @@ OPERATOR_CASES = [
 class DenseSamples:
     """The dense oracle matrix behind the column-operator interface, on every grid column."""
 
-    def __init__(self, realified, freqs):
+    def __init__(self, realified, freqs, s):
         self.f = realified
         self.freqs = freqs
+        self.s = s
         self.shape = realified.shape
         self.norms2 = np.einsum("ij,ij->j", realified, realified)
 
@@ -303,8 +325,9 @@ def test_operator_id_and_bath_json_match_dense_oracle(kernel_name, grid_name, to
     np.testing.assert_array_equal(band.freqs[by_band.selected], grid.freqs[by_matrix.selected])
 
     matrix_free = bath_json(kernel, grid, tol)
+    s = kernel.evaluate(grid.freqs)
     monkeypatch.setattr(
-        disc, "FdrOperator", lambda kernel, grid, tol: DenseSamples(dense, grid.freqs)
+        disc, "FdrOperator", lambda kernel, grid, tol: DenseSamples(dense, grid.freqs, s)
     )
     assert bath_json(kernel, grid, tol) == matrix_free
 
@@ -516,6 +539,22 @@ def test_discretize_takes_its_bcf_errors_from_the_fit(monkeypatch):
     assert discretize_bath(DEBYE_300K, SMALL_GRID, 1e-2).diagnostics.rel_error <= 1e-2
 
 
+def test_discretize_evaluates_s_only_on_the_grid_and_the_quadrature_levels(monkeypatch):
+    # g^2 = z * S reads S at the modes off the operator that weighted the fitted
+    # columns: the kernel sees the grid once, then refine_midpoint's levels in order
+    sizes = []
+    evaluate = NoiseKernel.evaluate
+
+    def recording(self, omega):
+        sizes.append(np.size(omega))
+        return evaluate(self, omega)
+
+    monkeypatch.setattr(NoiseKernel, "evaluate", recording)
+    grid = FdrGrid(t_max_fs=100.0, omega_max_cm1=1000.0, n_time=20, n_freq=200)
+    discretize_bath(DEBYE_300K, grid, 1e-2)
+    assert sizes == [grid.n_freq] + [DEFAULT_QUAD_POINTS << k for k in range(len(sizes) - 1)]
+
+
 @pytest.mark.parametrize("tol", [1e-2, 1e-8])
 @pytest.mark.parametrize("kelvin", [0.0, 300.0])
 def test_fit_bcf_errors_match_the_mode_sum_of_the_model(kelvin, tol):
@@ -653,6 +692,13 @@ def test_reconstruct_hermitian():
     model = discretize_bath(DEBYE_300K, SMALL_GRID, 1e-2)
     c = reconstruct_bcf(model, [-120.0, 120.0])
     np.testing.assert_array_equal(c[0], np.conj(c[1]))
+
+
+def test_reconstruct_takes_mixed_sign_times_as_given():
+    model = discretize_bath(DEBYE_300K, SMALL_GRID, 1e-2)
+    times = np.array([-400.0, -120.0, -0.5, 0.0, 3.0, 120.0, 399.0])
+    want = direct_sum(model.g * model.g, model.omegas, 1.0, times)
+    assert reconstruct_bcf(model, times).tobytes() == want.tobytes()
 
 
 # --- bcf_error_stats ------------------------------------------------------------

@@ -26,6 +26,7 @@ from bathkit.quadrature import (
     midpoint_frequencies,
 )
 from bathkit.specdens import Debye, NoiseKernel, Temperature
+from bathkit.units import RAD_PER_FS_PER_CM1
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -163,3 +164,24 @@ def test_every_caller_takes_the_fold(tmp_path, monkeypatch, chirp_shapes):
     argv = ["reconstruct", "--model", str(bath), "--n-time", "7", "--out", str(tmp_path / "c.csv")]
     assert main(argv) == 0
     assert_folds(7)
+
+
+@pytest.mark.parametrize("m", [2, 64, 200])
+def test_reference_bcf_folds_uniform_times_from_0_in_either_direction(m, chirp_shapes):
+    # -0.0 == 0.0 and a descending grid is uniform, so reference_bcf(k, -t)
+    # takes the fold at every level
+    kernel = NoiseKernel(Debye(lam=35.0, gamma=106.1), Temperature.finite(300.0))
+    times = np.linspace(0.0, 1000.0, m)
+    backward = reference_bcf(kernel, -times, 600.0)
+    levels = [(DEFAULT_QUAD_POINTS << k >> 1, 2 * m - 1) for k in range(len(chirp_shapes))]
+    assert chirp_shapes and chirp_shapes == levels
+    forward = np.conj(reference_bcf(kernel, times, 600.0))
+    np.testing.assert_allclose(backward, forward, rtol=0, atol=1e-14 * np.max(np.abs(forward)))
+
+
+@pytest.mark.parametrize("n", [2, 10000, 16384, 2 * 3**9, 1 << 20])
+@pytest.mark.parametrize("omega_max", [1e-3, 1.0, 600.0, 5000.0, 1e150])
+def test_the_fold_starts_at_the_first_positive_midpoint(omega_max, n):
+    # the fold's u0 = du / 2 is midpoint_frequencies(omega_max, n)[n // 2] in rad/fs
+    du = (2.0 * omega_max / n) * RAD_PER_FS_PER_CM1
+    assert 0.5 * du == midpoint_frequencies(omega_max, n)[n // 2] * RAD_PER_FS_PER_CM1

@@ -5,6 +5,7 @@ and the CLI may only exit with 0 or 2-5 (never a traceback, never NaN
 output with exit 0).
 """
 
+import codecs
 import dataclasses
 import io
 import json
@@ -21,6 +22,7 @@ from bathkit.discretize import (
     BathModel,
     FdrGrid,
     FdrOperator,
+    bath_model_to_dict,
     load_bath_model,
     reference_bcf,
     save_bath_model,
@@ -668,6 +670,61 @@ def test_binary_sd_file_exits_2(exit_code, tmp_path, capsys, name):
     ]
     assert exit_code(argv) == 2
     assert "UTF-8" in capsys.readouterr().err
+
+
+# --- a leading UTF-8 byte-order mark ------------------------------------------------
+
+
+@pytest.fixture
+def plain_inputs(bath_doc):
+    """The text of each kind of input file; the table has no header, so a BOM
+    before it would sit in line 1's first cell."""
+    return {
+        "sd.json": DEBYE_JSON,
+        "system.json": json.dumps(QUBIT),
+        "bath.json": json.dumps(bath_doc),
+        "sd.csv": "10.0,1.0\n20.0,2.0\n",
+    }
+
+
+def _loaded_system(source):
+    spec = system_from_dict(read_json(source))
+    return [spec.h_s.tobytes()] + [(label, v.tobytes()) for label, v in spec.couplings]
+
+
+LOADERS = {
+    "sd.json": lambda src: sd_from_config(read_json(src)).to_config(),
+    "system.json": _loaded_system,
+    "bath.json": lambda src: bath_model_to_dict(load_bath_model(src)),
+    "sd.csv": lambda src: load_tabulated(src).to_config(),
+}
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_a_leading_bom_is_ignored_in_every_input(name, plain_inputs, tmp_path):
+    text, load = plain_inputs[name], LOADERS[name]
+    plain, bom = tmp_path / "plain", tmp_path / "bom"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    assert load(bom) == load(plain)
+    assert load(io.StringIO("\ufeff" + text)) == load(io.StringIO(text))
+
+
+def test_every_subcommand_reads_bom_prefixed_inputs(exit_code, plain_inputs, tmp_path):
+    path = {name: tmp_path / name for name in plain_inputs}
+    for name, text in plain_inputs.items():
+        path[name].write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    sd_range = ["--omega-min", "0", "--omega-max", "20", "--n", "3"]
+    runs = [
+        ["eval-sd", "--sd", str(path["sd.json"]), *sd_range, "--out", str(tmp_path / "a.csv")],
+        ["eval-sd", "--sd", str(path["sd.csv"]), *sd_range, "--out", str(tmp_path / "b.csv")],
+        ["reconstruct", "--model", str(path["bath.json"]), "--out", str(tmp_path / "c.csv")],
+        [
+            "build-model", "--system", str(path["system.json"]),
+            "--bath", f"main={path['bath.json']}", "--out", str(tmp_path / "model.json"),
+        ],
+    ]
+    assert [exit_code(argv) for argv in runs] == [0, 0, 0, 0]
 
 
 # --- a string is always a path ----------------------------------------------------
