@@ -51,7 +51,6 @@ __all__ = [
     "FdrOperator",
     "BathDiagnostics",
     "BathModel",
-    "BcfErrorStats",
     "reference_bcf",
     "check_memory",
     "check_tol",
@@ -88,6 +87,9 @@ class FdrGrid:
 
     Frequencies are midpoint-offset so omega = 0 is never sampled
     (``n_freq`` must be even); times include both endpoints (``n_time`` >= 2).
+    The times must resolve the band: omega_max * dt <= pi in rad, with
+    dt = t_max / (n_time - 1), or the samples cannot pin a C(t) limited to
+    [-omega_max, omega_max] and the fit would only interpolate them.
     """
 
     t_max_fs: float
@@ -102,6 +104,14 @@ class FdrGrid:
         if self.n_time < 2:
             raise ValidationError(f"the grid needs n_time >= 2, got {self.n_time}")
         _check_window(self.t_max_fs, self.omega_max_cm1, self.n_freq)
+        phase = float(self.omega_max_cm1) * RAD_PER_FS_PER_CM1 * float(self.t_max_fs)
+        # a float against an int compares exactly, for an n_time of any size
+        if phase / math.pi > self.n_time - 1:
+            raise ValidationError(
+                f"n_time {self.n_time} does not resolve the band: omega_max * dt = "
+                f"{phase / (self.n_time - 1):.3g} rad exceeds pi; "
+                f"use n_time >= {math.ceil(phase / math.pi) + 1}"
+            )
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -110,15 +120,6 @@ class FdrGrid:
     @cached_property
     def freqs(self) -> np.ndarray:
         return midpoint_frequencies(self.omega_max_cm1, self.n_freq)
-
-
-@dataclass(frozen=True)
-class BcfErrorStats:
-    """Pointwise error summary of a model correlation series vs a reference."""
-
-    max_abs_error: float
-    mean_abs_error: float
-    rel_error: float  # max abs error / peak |reference|
 
 
 @dataclass(frozen=True)
@@ -386,7 +387,7 @@ def discretize_bath(
     diagnostics = BathDiagnostics(
         **record,
         mode_count=len(omegas),
-        **asdict(bcf_error_stats(fitted[: grid.n_time] + 1j * fitted[grid.n_time :], c_ref)),
+        **bcf_error_stats(fitted[: grid.n_time] + 1j * fitted[grid.n_time :], c_ref),
         nnls_converged=fit.converged,
         nnls_max_abs_dual_active=float(np.max(np.abs(duals[active]), initial=0.0)),
     )
@@ -414,16 +415,17 @@ def reconstruct_bcf(model: BathModel, times_fs) -> np.ndarray:
     return c
 
 
-def bcf_error_stats(c_model, c_reference) -> BcfErrorStats:
-    """Max-abs, mean-abs and relative-to-peak distances of two series."""
+def bcf_error_stats(c_model, c_reference) -> dict:
+    """Distances of two series, keyed as in BathDiagnostics: ``max_abs_error``,
+    ``mean_abs_error`` and ``rel_error``, the max abs error / peak |reference|."""
     diff = np.abs(np.asarray(c_model) - np.asarray(c_reference))
     peak = float(np.max(np.abs(c_reference), initial=0.0))
     max_abs = float(np.max(diff, initial=0.0))
-    return BcfErrorStats(
-        max_abs_error=max_abs,
-        mean_abs_error=float(np.mean(diff)) if diff.size else 0.0,
-        rel_error=max_abs / max(peak, 1e-300),
-    )
+    return {
+        "max_abs_error": max_abs,
+        "mean_abs_error": float(np.mean(diff)) if diff.size else 0.0,
+        "rel_error": max_abs / max(peak, 1e-300),
+    }
 
 
 # --- serialization (schema "bathkit-bath/1") ------------------------------

@@ -74,8 +74,9 @@ class SpectralDensity:
 class Debye(SpectralDensity):
     """Overdamped form J(omega) = 2*lam*omega*gamma / (omega^2 + gamma^2).
 
-    ``lam`` is the reorganization energy and ``gamma`` the cutoff, both in
-    cm^-1.  The peak value J(gamma) equals lam.
+    ``lam`` and the cutoff ``gamma`` are in cm^-1, and the peak value J(gamma)
+    equals lam.  C(t) here carries no 1/pi, so the reorganization energy,
+    the integral of J/omega over omega > 0, is pi * lam, not lam.
     """
 
     lam: float
@@ -108,8 +109,10 @@ class Debye(SpectralDensity):
 class OhmicExp(SpectralDensity):
     """Ohmic J(omega) = (pi/2)*alpha*omega*exp(-|omega|/omega_c).
 
-    The pi/2 prefactor makes ``alpha`` the usual dimensionless coupling of
-    the standard spin-boson convention.
+    C(t) here carries no 1/pi, so under V_SB = sigma_z the dimensionless
+    spin-boson coupling of Leggett et al. (Rev. Mod. Phys. 59, 1 (1987)) is
+    pi * alpha, not alpha: at zero temperature a qubit's coherence decays as
+    (1 + (omega_c t)^2)^(-pi * alpha).
     """
 
     alpha: float

@@ -295,10 +295,32 @@ def test_validate_metadata_records_the_memory_cap(qubit_system, tmp_path):
     out = tmp_path / "r.json"
     argv = ["validate", "--sd", "configs/surrogate_sd.csv", "--temp-k", "300",
             "--system", qubit_system, "--tol-sweep", "1e-1", "--omega-max-cm1", "600",
-            "--n-time", "20", "--n-freq", "200", "--memory-cap-gib", "2.5", "--out", str(out)]
+            "--t-max-fs", "100", "--n-time", "20", "--n-freq", "200", "--memory-cap-gib", "2.5",
+            "--out", str(out)]
     assert main(argv) == 0
     config = json.loads(out.read_text())["metadata"]["config"]
     assert config["memory_cap_gib"] == 2.5 and "dim_cap" not in config
+
+
+@pytest.mark.parametrize("t_max_fs, need", [("50000", 1800), ("100000", 3599)])
+def test_discretize_refuses_a_grid_that_does_not_resolve_its_band(
+    debye_sd, tmp_path, capsys, monkeypatch, t_max_fs, need
+):
+    # the default 1000 times alias a 600 cm^-1 band over these windows: the fit would
+    # interpolate its samples and report roundoff as its error, so exit 2 before any work
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the grid check")
+
+    monkeypatch.setattr(cli, "discretize_bath", no_work)
+    monkeypatch.setattr(NoiseKernel, "evaluate", no_work)
+    out = tmp_path / "b.json"
+    argv = ["discretize", "--sd", debye_sd, "--temp-k", "300", "--t-max-fs", t_max_fs,
+            "--omega-max-cm1", "600", "--tol", "1e-2", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_time 1000 does not resolve the band") and err.count("\n") == 1
+    assert err.endswith(f"use n_time >= {need}\n")
+    assert not out.exists()
 
 
 def test_discretize_window_monotonicity_on_surrogate(tmp_path):

@@ -112,6 +112,39 @@ def test_default_grid_shape_is_1000_by_10000():
     assert (g.n_time, g.n_freq) == (1000, 10000)
 
 
+@pytest.mark.parametrize(
+    "t_max_fs, omega_max_cm1",
+    [(30.0, 600.0), (1000.0, 600.0), (50000.0, 600.0), (100000.0, 600.0), (300.0, 1e5)],
+)
+def test_grid_times_must_resolve_the_band(t_max_fs, omega_max_cm1):
+    # omega_max * dt <= pi, and the message names the smallest n_time that passes
+    def phase_step(n_time):
+        return omega_max_cm1 * RAD_PER_FS_PER_CM1 * t_max_fs / (n_time - 1)
+
+    with pytest.raises(ValidationError, match="does not resolve the band") as info:
+        FdrGrid(t_max_fs, omega_max_cm1, n_time=2)
+    need = int(str(info.value).rsplit("use n_time >= ", 1)[1])
+    assert FdrGrid(t_max_fs, omega_max_cm1, n_time=need).n_time == need
+    assert phase_step(need) <= np.pi < phase_step(need - 1)
+    with pytest.raises(ValidationError, match=f"use n_time >= {need}$"):
+        FdrGrid(t_max_fs, omega_max_cm1, n_time=need - 1)
+
+
+def test_default_grid_resolves_600_cm1_up_to_about_28000_fs():
+    # 20,000 fs: omega_max * dt = 2.26 passes; 50,000 fs (5.66) would only interpolate
+    assert FdrGrid(t_max_fs=20000.0, omega_max_cm1=600.0).n_time == 1000
+    with pytest.raises(ValidationError) as info:
+        FdrGrid(t_max_fs=50000.0, omega_max_cm1=600.0)
+    assert str(info.value) == (
+        "n_time 1000 does not resolve the band: omega_max * dt = 5.66 rad exceeds pi; "
+        "use n_time >= 1800"
+    )
+    # the window's own rules speak first, and an n_time of any size is compared exactly
+    with pytest.raises(ValidationError, match="phases omega\\*t overflow"):
+        FdrGrid(t_max_fs=1e10, omega_max_cm1=1e306, n_time=20, n_freq=200)
+    assert FdrGrid(t_max_fs=1000.0, omega_max_cm1=600.0, n_time=10**400, n_freq=10).n_time > 2
+
+
 # --- quadrature helpers -------------------------------------------------------
 
 
@@ -442,26 +475,30 @@ def test_discretize_memory_cap_is_the_id_working_set(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n_time, n_freq, kelvin, tol",
+    "n_time, n_freq, kelvin, tol, t_max_fs",
     [
-        (2, 1 << 18, 300.0, 1e-2),
-        (4, 1 << 17, 300.0, 1e-2),
-        (64, 1 << 17, 300.0, 1e-2),
-        (5, 1 << 18, 300.0, 1e-2),
-        (1000, 10000, 300.0, 1e-2),
-        (1000, 10000, 0.0, 1e-2),
-        (1000, 10000, 300.0, 1e-6),
-        (1000, 10000, 300.0, 1e-8),
+        (2, 1 << 18, 300.0, 1e-2, 25.0),
+        (4, 1 << 17, 300.0, 1e-2, 25.0),
+        (64, 1 << 17, 300.0, 1e-2, 1000.0),
+        (5, 1 << 18, 300.0, 1e-2, 25.0),
+        (1000, 10000, 300.0, 1e-2, 1000.0),
+        (1000, 10000, 0.0, 1e-2, 1000.0),
+        (1000, 10000, 300.0, 1e-6, 1000.0),
+        (1000, 10000, 300.0, 1e-8, 1000.0),
     ],
 )
-def test_discretize_peak_allocation_stays_within_the_checked_bytes(n_time, n_freq, kelvin, tol):
+def test_discretize_peak_allocation_stays_within_the_checked_bytes(
+    n_time, n_freq, kelvin, tol, t_max_fs
+):
     # a wide grid is dominated by the per-column arrays, among them the chirp-z
     # kernel's one row (about n_freq complex values when n_freq >> n_time), the
     # default grid at 0 K by the blocks of recomputed residual norms, and tight
-    # tols by Q, R and those blocks, each freed before the next is built
+    # tols by Q, R and those blocks, each freed before the next is built; the
+    # checked bytes do not depend on t_max, so the shortest grids take a window
+    # their few times resolve
     temperature = Temperature.finite(kelvin) if kelvin else Temperature.zero()
     kernel = NoiseKernel(SURROGATE, temperature)
-    grid = FdrGrid(t_max_fs=1000.0, omega_max_cm1=600.0, n_time=n_time, n_freq=n_freq)
+    grid = FdrGrid(t_max_fs=t_max_fs, omega_max_cm1=600.0, n_time=n_time, n_freq=n_freq)
     need = 8 * (min(2 * n_time, n_freq) * (2 * n_time + n_freq) + 3 * 2 * n_time * 256)
     need += 192 * n_freq
     tracemalloc.start()
@@ -527,7 +564,7 @@ def test_discretize_rel_error_within_tol():
     c_model = reconstruct_bcf(model, times)
     c_ref = reference_bcf(DEBYE_300K, times, SMALL_GRID.omega_max_cm1)
     stats = bcf_error_stats(c_model, c_ref)
-    assert stats.rel_error == pytest.approx(model.diagnostics.rel_error, rel=1e-9)
+    assert stats["rel_error"] == pytest.approx(model.diagnostics.rel_error, rel=1e-9)
 
 
 def test_discretize_takes_its_bcf_errors_from_the_fit(monkeypatch):
@@ -567,9 +604,9 @@ def test_fit_bcf_errors_match_the_mode_sum_of_the_model(kelvin, tol):
     c_ref = reference_bcf(kernel, grid.times, grid.omega_max_cm1)
     stats = bcf_error_stats(reconstruct_bcf(model, grid.times), c_ref)
     diag, peak = model.diagnostics, np.max(np.abs(c_ref))
-    assert abs(diag.max_abs_error - stats.max_abs_error) <= 1e-12 * peak
-    assert abs(diag.mean_abs_error - stats.mean_abs_error) <= 1e-12 * peak
-    assert abs(diag.rel_error - stats.rel_error) <= 1e-12
+    assert abs(diag.max_abs_error - stats["max_abs_error"]) <= 1e-12 * peak
+    assert abs(diag.mean_abs_error - stats["mean_abs_error"]) <= 1e-12 * peak
+    assert abs(diag.rel_error - stats["rel_error"]) <= 1e-12
 
 
 def test_window_monotonicity_small():
@@ -706,10 +743,15 @@ def test_reconstruct_takes_mixed_sign_times_as_given():
 
 def test_error_stats_self_comparison_is_zero():
     c = np.array([1 + 2j, 3 - 1j, 0.5j])
-    stats = bcf_error_stats(c, c)
-    assert stats.max_abs_error == 0.0
-    assert stats.mean_abs_error == 0.0
-    assert stats.rel_error == 0.0
+    assert bcf_error_stats(c, c) == {"max_abs_error": 0.0, "mean_abs_error": 0.0, "rel_error": 0.0}
+
+
+def test_error_stats_are_the_diagnostics_error_fields():
+    # BathDiagnostics declares the three errors; bcf_error_stats fills them by name
+    names = [f.name for f in fields(BathDiagnostics)]
+    stats = bcf_error_stats(np.array([1.0, 2.0]), np.array([1.5, 4.0]))
+    assert set(stats) <= set(names)
+    assert stats == {"max_abs_error": 2.0, "mean_abs_error": 1.25, "rel_error": 0.5}
 
 
 def test_error_stats_mean_le_max():
@@ -717,7 +759,7 @@ def test_error_stats_mean_le_max():
     a = rng.standard_normal(50) + 1j * rng.standard_normal(50)
     b = rng.standard_normal(50) + 1j * rng.standard_normal(50)
     stats = bcf_error_stats(a, b)
-    assert stats.mean_abs_error <= stats.max_abs_error
+    assert stats["mean_abs_error"] <= stats["max_abs_error"]
 
 
 def test_error_report_monotone_in_tol():
@@ -726,7 +768,7 @@ def test_error_report_monotone_in_tol():
         model = discretize_bath(DEBYE_300K, SMALL_GRID, tol)
         c_model = reconstruct_bcf(model, SMALL_GRID.times)
         c_ref = reference_bcf(DEBYE_300K, SMALL_GRID.times, SMALL_GRID.omega_max_cm1)
-        errs.append(bcf_error_stats(c_model, c_ref).rel_error)
+        errs.append(bcf_error_stats(c_model, c_ref)["rel_error"])
     assert errs[1] <= errs[0] * 1.1
     assert errs[2] <= errs[1] * 1.1
 

@@ -1,4 +1,4 @@
-"""The chirp-z sum and the numpy-only runtime.
+"""The chirp-z sum, the numpy-only runtime and the continuum's closed forms.
 
 ``ChirpSum`` runs Bluestein's algorithm on ``numpy.fft``; scipy serves only
 as a test oracle here, and importing bathkit must not load it.
@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
 import bathkit.quadrature as quadrature
 from bathkit.cli import main
@@ -25,7 +26,7 @@ from bathkit.quadrature import (
     fourier_midpoint_sum,
     midpoint_frequencies,
 )
-from bathkit.specdens import Debye, NoiseKernel, Temperature
+from bathkit.specdens import Debye, NoiseKernel, OhmicExp, Temperature
 from bathkit.units import RAD_PER_FS_PER_CM1
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -185,3 +186,37 @@ def test_the_fold_starts_at_the_first_positive_midpoint(omega_max, n):
     # the fold's u0 = du / 2 is midpoint_frequencies(omega_max, n)[n // 2] in rad/fs
     du = (2.0 * omega_max / n) * RAD_PER_FS_PER_CM1
     assert 0.5 * du == midpoint_frequencies(omega_max, n)[n // 2] * RAD_PER_FS_PER_CM1
+
+
+# --- the continuum against closed forms ----------------------------------------
+
+# ohmic_exp with alpha 0.05 and omega_c 100 cm^-1: a window of 40 omega_c cuts
+# about e^-40 of the density, far below the quadrature's 1e-6 refinement
+OHMIC = OhmicExp(alpha=0.05, omega_c=100.0)
+OHMIC_TIMES = np.linspace(0.0, 1000.0, 201)
+OHMIC_X = OHMIC.omega_c * RAD_PER_FS_PER_CM1 * OHMIC_TIMES  # omega_c * t in rad
+
+
+def test_reference_bcf_is_the_closed_form_at_zero_temperature():
+    # C(t) = integral_0^inf (pi/2) alpha w e^{-w/omega_c} e^{-iwt} dw, with no 1/pi
+    c = reference_bcf(NoiseKernel(OHMIC, Temperature.zero()), OHMIC_TIMES, 40 * OHMIC.omega_c)
+    want = 0.5 * np.pi * OHMIC.alpha * OHMIC.omega_c**2 / (1.0 + 1j * OHMIC_X) ** 2
+    assert np.max(np.abs(c - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kelvin", [0.0, 77.0, 300.0])
+def test_dephasing_gamma_continuum_is_the_closed_form(kelvin):
+    # Gamma(t) = pi alpha [ln(1 + x^2) + 4 (Re lnG(1 + k) - Re lnG(1 + k + iy))], with
+    # x = omega_c t, k = 1 / (beta omega_c) and y = t / beta; the Gamma term is absent
+    # at 0 K.  pi alpha is Leggett's alpha: at 0 K the coherence decays as
+    # (1 + x^2)^(-pi alpha) under V = sigma_z
+    temperature = Temperature.finite(kelvin) if kelvin else Temperature.zero()
+    kernel = NoiseKernel(OHMIC, temperature)
+    gamma = dephasing_gamma_continuum(kernel, OHMIC_TIMES, 40 * OHMIC.omega_c)
+    want = np.log1p(OHMIC_X**2)
+    if kelvin:
+        kappa = 1.0 / (temperature.beta * OHMIC.omega_c)
+        y = RAD_PER_FS_PER_CM1 * OHMIC_TIMES / temperature.beta
+        want += 4.0 * (loggamma(1.0 + kappa).real - loggamma(1.0 + kappa + 1j * y).real)
+    want *= np.pi * OHMIC.alpha
+    assert np.max(np.abs(gamma - want)) <= 1e-6 * np.max(np.abs(want))

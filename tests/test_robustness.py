@@ -541,10 +541,11 @@ def test_discretize_extreme_finite_flags_exit_2_without_warnings(
 
 def test_discretize_noise_too_small_to_square_exits_2(exit_code, tmp_path, capsys):
     # the noise is nonzero on the default grid, but every m * S^2 underflows to 0
-    sd = Path(__file__).resolve().parent.parent / "configs" / "debye_sd.json"
+    sd = tmp_path / "tiny_debye.json"
+    sd.write_text(json.dumps({"kind": "debye", "lambda": 1e-300, "gamma": 106.1}))
     out = tmp_path / "x.json"
-    argv = ["discretize", "--sd", str(sd), "--temp-k", "300", "--omega-max-cm1", "1e300",
-            "--out", str(out)]
+    argv = ["discretize", "--sd", str(sd), "--temp-k", "300", "--t-max-fs", "1000",
+            "--omega-max-cm1", "600", "--out", str(out)]
     assert run_without_warnings(exit_code, argv) == 2
     err = capsys.readouterr().err
     assert err == (
@@ -552,7 +553,7 @@ def test_discretize_noise_too_small_to_square_exits_2(exit_code, tmp_path, capsy
         "is zero on the grid (the noise is zero, or too small to square in double precision)\n"
     )
     assert not out.exists()
-    grid = FdrGrid(1000.0, 1e300)
+    grid = FdrGrid(1000.0, 600.0)
     kernel = NoiseKernel(sd_from_config(read_json(str(sd))), Temperature.finite(300.0))
     assert np.count_nonzero(kernel.evaluate(grid.freqs)) > 0
     assert np.all(FdrOperator(kernel, grid).norms2 == 0.0)
