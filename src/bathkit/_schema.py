@@ -45,8 +45,12 @@ def write_text(sink, text: str):
 
 
 def write_json(sink, doc):
-    """Write a JSON document with two-space indent and a final newline."""
-    write_text(sink, json.dumps(doc, indent=2) + "\n")
+    """Write a JSON document as one line with no spaces and a final newline.
+
+    Without ``indent`` the standard library uses its C encoder; ``python -m
+    json.tool`` pretty-prints the result.
+    """
+    write_text(sink, json.dumps(doc, separators=(",", ":")) + "\n")
 
 
 def _name(source) -> str:

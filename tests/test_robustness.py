@@ -518,24 +518,33 @@ def run_without_warnings(exit_code, argv):
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "flags,message",
     [
-        ["--omega-max-cm1", "1e308"],
-        ["--omega-max-cm1", "1e306", "--t-max-fs", "1e10"],
-        ["--omega-max-cm1", "1e200"],
+        (
+            ["--omega-max-cm1", "1e308"],
+            "omega_max must be positive with a finite band width, got 1e+308",
+        ),
+        (
+            ["--omega-max-cm1", "1e306", "--t-max-fs", "1e10"],
+            "phases omega*t overflow (omega_max 1e+306 cm^-1, t_max 10000000000.0 fs)",
+        ),
+        # a grid short enough to resolve the band; S is about 1e-194 or less, too small to square
+        (
+            ["--omega-max-cm1", "1e200", "--t-max-fs", "1e-198"],
+            "interpolative decomposition selected no columns: every column's squared norm "
+            "is zero on the grid (the noise is zero, or too small to square in double precision)",
+        ),
     ],
     ids=["band-overflows", "phases-overflow", "noise-vanishes"],
 )
 def test_discretize_extreme_finite_flags_exit_2_without_warnings(
-    exit_code, debye_sd, tmp_path, capsys, flags
+    exit_code, debye_sd, tmp_path, capsys, flags, message
 ):
     out = tmp_path / "b.json"
     argv = ["discretize", "--sd", debye_sd, "--temp-k", "300", "--n-time", "20",
             "--n-freq", "200", "--out", str(out), *flags]
     assert run_without_warnings(exit_code, argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "RuntimeWarning" not in err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

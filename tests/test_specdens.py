@@ -1,10 +1,13 @@
 import io
+import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bathkit._schema import is_finite_number, read_json, write_json
 from bathkit.errors import ValidationError
 from bathkit.specdens import (
     Debye,
@@ -13,6 +16,7 @@ from bathkit.specdens import (
     OhmicExp,
     Tabulated,
     Temperature,
+    _finite_pairs,
     load_tabulated,
     sd_from_config,
 )
@@ -149,6 +153,97 @@ def test_sd_from_config_all_kinds():
         sd_from_config(["debye"])
     with pytest.raises(ValidationError):
         sd_from_config({"kind": "debye", "lambda": 35.0})  # missing gamma
+
+
+# a bad tabulated point as JSON text, and the repr the error shows
+BAD_POINTS = {
+    "object": ('{"omega": 10.0, "J": 1.0}', "{'omega': 10.0, 'J': 1.0}"),
+    "number": ("35.0", "35.0"),
+    "single": ("[1.0]", "[1.0]"),
+    "triple": ("[1.0, 2.0, 3.0]", "[1.0, 2.0, 3.0]"),
+    "true": ("[10.0, true]", "[10.0, True]"),
+    "string": ('[10.0, "35"]', "[10.0, '35']"),
+    "null": ("[10.0, null]", "[10.0, None]"),
+    "overflow": ("[10.0, 1e999]", "[10.0, inf]"),
+    "infinity": ("[Infinity, 1.0]", "[inf, 1.0]"),
+    "nan": ("[10.0, NaN]", "[10.0, nan]"),
+    "huge-int": (f"[10.0, {10**400}]", f"[10.0, {10**400}]"),
+    # rounds to the largest double, but is above it
+    "int-above-max": (
+        f"[10.0, {int(sys.float_info.max) + 1}]", f"[10.0, {int(sys.float_info.max) + 1}]"
+    ),
+}
+
+
+def tabulated_text(bad: dict) -> str:
+    """The surrogate's 3,000-point config as JSON text, with some points replaced."""
+    points = [json.dumps(p) for p in surrogate_sd().to_config()["points"]]
+    assert len(points) == 3000
+    for index, text in bad.items():
+        points[index] = text
+    return '{"kind": "tabulated", "points": [' + ", ".join(points) + "]}"
+
+
+@pytest.mark.parametrize("index", [0, 1500])
+@pytest.mark.parametrize("text,shown", BAD_POINTS.values(), ids=BAD_POINTS.keys())
+def test_tabulated_points_name_the_first_bad_point(index, text, shown):
+    config = read_json(io.StringIO(tabulated_text({index: text, 2999: text})))
+    with pytest.raises(ValidationError) as err:
+        sd_from_config(config)
+    assert str(err.value) == (
+        f"bad 'tabulated' config: /points/{index}: expected [omega, J], two finite numbers, "
+        f"got {shown}"
+    )
+
+
+def test_tabulated_points_take_float_subclasses_and_ints():
+    largest = int(sys.float_info.max)
+    config = {
+        "kind": "tabulated",
+        "points": [[np.float64(10.0), np.float64(1.5)], [20, largest], [30.0, -2]],
+    }
+    sd = sd_from_config(config)
+    assert sd.omega.tolist() == [10.0, 20.0, 30.0]
+    assert sd.values.tolist() == [1.5, sys.float_info.max, -2.0]
+
+
+def test_bulk_point_check_is_the_per_value_rule():
+    # the reference is the per-point check the bulk passes replace
+    largest = int(sys.float_info.max)
+    good = [1.0, -2.5, 0, 7, np.float64(3.0), 2**70, largest, -largest]
+    bad_values = [largest + 1, 10**400, math.inf, -math.inf, math.nan, True, None, "1",
+                  np.int64(4), np.float32(1.0)]
+    bad_points = [[1.0], [1.0, 2.0, 3.0], (1.0, 2.0), 1.0]
+    rng = np.random.default_rng(3)
+    for trial in range(400):
+        points = [
+            [good[k] for k in rng.integers(0, len(good), 2)] for _ in range(rng.integers(1, 5))
+        ]
+        i, kind = rng.integers(len(points)), trial // 2 % (len(bad_values) + len(bad_points))
+        if trial % 2 and kind < len(bad_values):
+            points[i][rng.integers(2)] = bad_values[kind]
+        elif trial % 2:
+            points[i] = bad_points[kind - len(bad_values)]
+        expected = all(
+            isinstance(p, list) and len(p) == 2 and all(map(is_finite_number, p)) for p in points
+        )
+        assert expected == (trial % 2 == 0)
+        values = _finite_pairs(points)
+        assert (values is not None) == expected, points
+        if expected:
+            assert values.tobytes() == np.array(points, dtype=float).tobytes()
+
+
+def test_tabulated_config_round_trips_through_json_bit_for_bit():
+    sd = surrogate_sd()
+    config = sd.to_config()
+    assert config["points"] == [[float(w), float(j)] for w, j in zip(sd.omega, sd.values)]
+    assert {type(v) for p in config["points"] for v in p} == {float}
+    out = io.StringIO()
+    write_json(out, config)
+    clone = sd_from_config(read_json(io.StringIO(out.getvalue())))
+    assert clone.omega.tobytes() == sd.omega.tobytes()
+    assert clone.values.tobytes() == sd.values.tobytes()
 
 
 def test_temperature_modes():
