@@ -13,7 +13,9 @@ weights z_k against a refined quadrature of the correlation function
 
 The surviving modes (omega_k, z_k) with couplings
 g_k = sqrt(z_k * S_beta(omega_k)) reproduce C(t) on the fitted window as
-C(t) ~ sum_k g_k^2 exp(-i*omega_k_rad*t).
+C(t) ~ sum_k g_k^2 exp(-i*omega_k_rad*t).  ``fdr_factor`` runs the ID and
+the reference once; ``discretize_bath`` fits on a pivot prefix of it, so a
+tolerance sweep shares one factor built at its tightest tol.
 
 The sample matrix is never stored: ``FdrOperator`` builds columns on
 demand, on only the band of columns the ID at ``tol`` can select, and
@@ -55,6 +57,8 @@ __all__ = [
     "check_memory",
     "check_tol",
     "assemble_fdr",
+    "FdrFactor",
+    "fdr_factor",
     "discretize_bath",
     "reconstruct_bcf",
     "bcf_error_stats",
@@ -310,26 +314,44 @@ def assemble_fdr(kernel: NoiseKernel, grid: FdrGrid) -> np.ndarray:
     return realified
 
 
-def discretize_bath(
+@dataclass(frozen=True, eq=False)
+class FdrFactor:
+    """One column ID of a kernel's samples on a grid at ``tol``, with its reference.
+
+    ``samples`` is the ``FdrOperator`` the ID read; ``selected``,
+    ``pivot_norms``, ``triangle`` and ``q`` are those of its ``IdResult``,
+    without the rows of R, and ``c_ref`` is ``reference_bcf`` on the grid
+    times.  ``discretize_bath`` fits any tol at or above ``tol`` on a prefix
+    of its pivots.
+    """
+
+    kernel: NoiseKernel
+    grid: FdrGrid
+    tol: float
+    samples: FdrOperator
+    selected: np.ndarray
+    pivot_norms: np.ndarray
+    triangle: np.ndarray
+    q: np.ndarray
+    c_ref: np.ndarray
+
+
+def fdr_factor(
     kernel: NoiseKernel,
     grid: FdrGrid,
     tol: float,
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
-) -> BathModel:
-    """Run the full compression pipeline and return the mode set.
+) -> FdrFactor:
+    """Select frequency columns of the kernel samples and refine the reference C(t).
 
-    Steps: select frequency columns of the kernel samples by interpolative
-    decomposition at ``tol`` (through ``FdrOperator`` on the band tol can
-    select, so only the r selected columns are ever built and they are those
-    of the full grid), fit nonnegative weights against the refined quadrature
-    reference on the grid times, prune zero weights, build couplings, and
-    attach diagnostics, whose BCF errors are those of A z, the fitted columns'
-    C(t) on the grid times (``reconstruct_bcf`` evaluates a saved model).
-    Deterministic for fixed inputs; modes come out sorted by ascending
-    frequency.  Before any work, the worst-case working set of the column
-    ID, 8 * (min(2m, n) * (2m + n) + 3 * 2m * min(n, 256)) + 192 * n bytes,
-    is checked against ``memory_cap_bytes`` (ResourceLimitError above it);
-    it counts all n grid columns, not the band.
+    The column ID runs at ``tol`` through ``FdrOperator`` on the band tol can
+    select, so only the selected columns are ever built and they are those
+    of the full grid; the reference is ``reference_bcf`` on the grid times.
+    Before any work, the worst-case working set of the column ID,
+    8 * (min(2m, n) * (2m + n) + 3 * 2m * min(n, 256)) + 192 * n bytes, is
+    checked against ``memory_cap_bytes`` (ResourceLimitError above it); it
+    counts all n grid columns, not the band.  The ID's rows of R, sized for
+    the worst-case rank, are freed on return.
     """
     check_tol(tol)
     # Q (r x 2m) and R (r x n) at r = min(2m, n), three 2m x RECOMPUTE_CHUNK blocks of
@@ -347,18 +369,66 @@ def discretize_bath(
             "interpolative decomposition selected no columns: every column's squared norm "
             "is zero on the grid (the noise is zero, or too small to square in double precision)"
         )
-
     c_ref = reference_bcf(kernel, grid.times, grid.omega_max_cm1)
+    return FdrFactor(
+        kernel, grid, tol, samples, id_res.selected, id_res.pivot_norms, id_res.triangle,
+        id_res.q, c_ref,
+    )
+
+
+def discretize_bath(
+    kernel: NoiseKernel,
+    grid: FdrGrid,
+    tol: float,
+    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
+    factor: FdrFactor | None = None,
+) -> BathModel:
+    """Run the full compression pipeline and return the mode set.
+
+    Steps: take the column ID and reference of ``factor``, built by
+    ``fdr_factor(kernel, grid, tol, memory_cap_bytes)`` when it is None,
+    keep its first k pivots, fit nonnegative weights on their columns
+    against the reference, prune zero weights, build couplings, and attach
+    diagnostics, whose BCF errors are those of A z, the fitted columns' C(t)
+    on the grid times (``reconstruct_bcf`` evaluates a saved model), and
+    whose ``id_rank`` is k.  Deterministic for fixed inputs; modes come out
+    sorted by ascending frequency.
+
+    k is the first index with ``pivot_norms[k] <= tol * pivot_norms[0]``,
+    or every pivot: ``column_id``'s own stop test.  A looser tol's ID stops
+    the same pivot sequence earlier, and T, q and the pivot norms come from
+    the pivots' own columns, so one factor built at the tightest tol of a
+    sweep gives every tol of it the bath its own factor would, bit for bit,
+    unless roundoff in the ID's rows of R breaks a near tie between pivots:
+    those rows come from the tightest tol's wider band, and from transforms
+    where the sweep crosses ``lowrank.GRAM_ROW_MIN_TOL``.  No tested sweep
+    breaks one.  Two tols with the same k give the same bath, but for
+    ``tol``.  ValidationError if ``factor`` was built on another kernel
+    object or grid, or at a tol above ``tol``.
+    """
+    check_tol(tol)
+    if factor is None:
+        factor = fdr_factor(kernel, grid, tol, memory_cap_bytes)
+    elif factor.kernel is not kernel or factor.grid != grid:
+        raise ValidationError("the column ID factor was built on another kernel or grid")
+    elif factor.tol > tol:
+        raise ValidationError(f"a factor built at tol {factor.tol} cannot fit tol {tol}")
+    norms = factor.pivot_norms
+    rank = factor.selected.size
+    k = next((i for i in range(rank) if norms[i] <= tol * norms[0]), rank)
+    selected = factor.selected[:k]
+    c_ref = factor.c_ref
     target = np.concatenate((c_ref.real, c_ref.imag))
 
-    basis = samples.columns(id_res.selected)
-    fit = nnls(basis, target, (id_res.triangle, id_res.q))
+    samples = factor.samples
+    basis = samples.columns(selected)
+    fit = nnls(basis, target, (factor.triangle[:k, :k], factor.q[:k]))
     fitted = basis @ fit.z  # sum_k g_k^2 e^{-i omega_k t} on the grid times, Re then Im
     duals = basis.T @ (target - fitted)
     active = fit.z > 0.0
     # the fit record: a nonconverged fit's partial diagnostics, part of every BathDiagnostics
     record = {
-        "id_rank": id_res.rank,
+        "id_rank": k,
         "nnls_iterations": fit.iterations,
         "nnls_residual_norm": fit.residual_norm,
         "nnls_dual_tolerance": fit.dual_tolerance,
@@ -370,9 +440,9 @@ def discretize_bath(
             f"nonnegative fit did not converge in {fit.iterations} iterations", diagnostics=record
         )
 
-    omegas = samples.freqs[id_res.selected][active]
+    omegas = samples.freqs[selected][active]
     z = fit.z[active]
-    s_at_modes = samples.s[id_res.selected][active]  # the S that weighted the fitted columns
+    s_at_modes = samples.s[selected][active]  # the S that weighted the fitted columns
     if np.any(s_at_modes < 0.0):
         bad = omegas[s_at_modes < 0.0]
         raise ValidationError(

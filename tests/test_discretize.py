@@ -19,6 +19,7 @@ from bathkit.discretize import (
     bath_model_to_dict,
     bcf_error_stats,
     discretize_bath,
+    fdr_factor,
     load_bath_model,
     reconstruct_bcf,
     reference_bcf,
@@ -30,7 +31,7 @@ from bathkit.errors import (
     SchemaError,
     ValidationError,
 )
-from bathkit.lowrank import column_id, nnls
+from bathkit.lowrank import GRAM_ROW_MIN_TOL, column_id, nnls
 from bathkit.quadrature import (
     DEFAULT_QUAD_POINTS,
     direct_sum,
@@ -655,6 +656,72 @@ def test_discretize_fits_on_the_id_factor(monkeypatch):
     assert t.shape == (a.shape[1], a.shape[1]) == (model.diagnostics.id_rank,) * 2
     assert np.max(np.abs(q.T @ t - a)) <= 1e-13 * np.max(np.abs(a))
     assert model.diagnostics.nnls_converged
+
+
+def assert_same_bath(a, b):
+    for name in ("omegas", "z", "g"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert a.diagnostics == b.diagnostics
+
+
+@pytest.mark.parametrize(
+    "kelvin, tols",
+    [(0.0, (1e-1, 1e-2, 1e-3)), (77.0, (1e-1, 1e-2, 1e-3)), (300.0, (1e-1, 1e-2, 1e-3)),
+     (300.0, (1e-5, 1e-7))],
+    ids=["0K", "77K", "300K", "300K-across-the-gram-row-floor"],
+)
+def test_one_factor_gives_every_tol_of_a_sweep_its_own_bath(kelvin, tols):
+    # each looser tol fits a pivot prefix of the tightest tol's factor, bit for
+    # bit the bath of its own ID and reference, every diagnostic included; the
+    # last sweep takes Gram rows on its own at 1e-5 and transform rows at 1e-7
+    temperature = Temperature.zero() if kelvin == 0.0 else Temperature.finite(kelvin)
+    kernel = NoiseKernel(SURROGATE, temperature)
+    factor = fdr_factor(kernel, DEFAULT_GRID, min(tols))
+    if len(tols) == 2:
+        assert tols[1] < GRAM_ROW_MIN_TOL <= tols[0]
+    ranks = []
+    for tol in tols:
+        shared = discretize_bath(kernel, DEFAULT_GRID, tol, factor=factor)
+        assert_same_bath(shared, discretize_bath(kernel, DEFAULT_GRID, tol))
+        assert shared.tol == tol
+        ranks.append(shared.diagnostics.id_rank)
+    assert ranks == sorted(set(ranks)) and ranks[-1] == factor.selected.size
+
+
+def test_tols_with_one_pivot_prefix_give_one_bath():
+    # on this grid the ID keeps 1 pivot at tols 0.5 and 0.4
+    grid = FdrGrid(t_max_fs=50.0, omega_max_cm1=500.0, n_time=4, n_freq=128)
+    factor = fdr_factor(DEBYE_300K, grid, 0.4)
+    loose, tight = (discretize_bath(DEBYE_300K, grid, tol, factor=factor) for tol in (0.5, 0.4))
+    assert loose.diagnostics.id_rank == tight.diagnostics.id_rank == 1
+    assert_same_bath(loose, tight)
+
+
+def test_discretize_rejects_a_factor_of_another_kernel_grid_or_looser_tol():
+    factor = fdr_factor(DEBYE_300K, SMALL_GRID, 1e-2)
+    other_grid = FdrGrid(t_max_fs=400.0, omega_max_cm1=1200.0, n_time=200, n_freq=2000)
+    with pytest.raises(ValidationError, match="another kernel or grid"):
+        discretize_bath(DEBYE_0K, SMALL_GRID, 1e-2, factor=factor)
+    with pytest.raises(ValidationError, match="another kernel or grid"):
+        discretize_bath(DEBYE_300K, other_grid, 1e-2, factor=factor)
+    with pytest.raises(ValidationError, match="built at tol 0.01 cannot fit tol 0.001"):
+        discretize_bath(DEBYE_300K, SMALL_GRID, 1e-3, factor=factor)
+    # an equal grid built again is the same grid
+    same_grid = FdrGrid(t_max_fs=400.0, omega_max_cm1=1200.0, n_time=200, n_freq=2400)
+    assert_same_bath(
+        discretize_bath(DEBYE_300K, same_grid, 1e-2, factor=factor),
+        discretize_bath(DEBYE_300K, SMALL_GRID, 1e-2),
+    )
+
+
+def test_factor_holds_the_qr_factor_of_its_pivots_and_the_reference():
+    factor = fdr_factor(DEBYE_300K, SMALL_GRID, 1e-2)
+    rank = factor.selected.size
+    assert factor.pivot_norms.shape == (rank + 1,)
+    columns = factor.samples.columns(factor.selected)
+    assert np.max(np.abs(factor.q.T @ factor.triangle - columns)) <= 1e-13 * np.max(np.abs(columns))
+    c_ref = reference_bcf(DEBYE_300K, SMALL_GRID.times, SMALL_GRID.omega_max_cm1)
+    assert factor.c_ref.tobytes() == c_ref.tobytes()
 
 
 def test_nnls_nonconvergence_carries_partial_diagnostics(monkeypatch):

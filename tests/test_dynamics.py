@@ -10,7 +10,8 @@ import scipy.linalg
 from conftest import materialize
 
 import bathkit.dynamics as dynamics
-from bathkit.discretize import BathDiagnostics, BathModel, FdrGrid, discretize_bath
+import bathkit.discretize as disc
+from bathkit.discretize import BathDiagnostics, BathModel, FdrGrid, discretize_bath, fdr_factor
 from bathkit.dynamics import (
     FockTruncation,
     _HamiltonianAction,
@@ -842,6 +843,16 @@ def test_convergence_study_loose_vs_tight_differ(dephasing_system):
     assert report.distances[0] > 0.0
 
 
+# A sweep on the Debye 4 x 128 grid per list of distances: its ID keeps 1 pivot at
+# tols 0.5 and 0.4, 2 at 0.3 and 0.2 and 3 at 0.15, so a zero distance is two tols
+# of one bath and each nonzero one a new bath
+TREND_SWEEPS = {
+    (0.0, 0.01): [0.5, 0.4, 0.3],
+    (0.01, 0.05): [0.5, 0.3, 0.15],
+    (0.01, 0.0, 0.05): [0.5, 0.3, 0.2, 0.15],
+}
+
+
 @pytest.mark.parametrize(
     "distances, passes",
     [([0.0, 0.01], True), ([0.01, 0.05], False), ([0.01, 0.0, 0.05], False)],
@@ -850,17 +861,19 @@ def test_convergence_study_judges_the_trend_on_nonzero_distances(
     distances, passes, dephasing_system, monkeypatch
 ):
     # two tols giving the same bath have distance 0, which says nothing of the
-    # trend; a growth past the slack still fails across a zero in between
-    gammas = iter(-np.log(np.cumsum([0.5] + distances)))
+    # trend; a growth past the slack still fails across a zero in between.
+    # The observable is computed once per bath, so each bath takes one fake value
+    coherences = np.cumsum([0.5] + [d for d in distances if d > 0.0])
+    gammas = iter(-np.log(coherences))
     monkeypatch.setattr(
         dynamics, "dephasing_gamma", lambda model, times: np.full(len(times), next(gammas))
     )
     kernel = NoiseKernel(Debye(lam=35.0, gamma=106.1), Temperature.finite(300.0))
     grid = FdrGrid(t_max_fs=50.0, omega_max_cm1=500.0, n_time=4, n_freq=128)
-    tols = [0.5, 0.4, 0.3, 0.2][: len(distances) + 1]
-    report = convergence_study(kernel, dephasing_system, tols, grid)
+    report = convergence_study(kernel, dephasing_system, TREND_SWEEPS[tuple(distances)], grid)
     np.testing.assert_allclose(report.distances, distances, rtol=1e-12, atol=1e-15)
     assert report.monotone_within_slack is passes
+    assert next(gammas, None) is None  # every bath's value was taken
 
 
 def test_convergence_study_empty_sweep(dephasing_system):
@@ -880,6 +893,7 @@ def test_convergence_study_checks_every_tol_before_discretizing(
         raise AssertionError("a bath was discretized")
 
     monkeypatch.setattr(dynamics, "discretize_bath", no_discretize)
+    monkeypatch.setattr(dynamics, "fdr_factor", no_discretize)
     kernel = NoiseKernel(Debye(lam=35.0, gamma=106.1), Temperature.finite(300.0))
     grid = FdrGrid(t_max_fs=50.0, omega_max_cm1=500.0, n_time=4, n_freq=128)
     with pytest.raises(ValidationError, match=r"tol must be in \(0, 1\)"):
@@ -948,14 +962,53 @@ def test_convergence_study_passes_its_cap_to_every_call(monkeypatch):
 
         return call
 
+    monkeypatch.setattr(dynamics, "fdr_factor", spy(fdr_factor))
     monkeypatch.setattr(dynamics, "discretize_bath", spy(discretize_bath))
     monkeypatch.setattr(dynamics, "propagate", spy(propagate))
     kernel = NoiseKernel(Debye(lam=35.0, gamma=106.1), Temperature.finite(300.0))
     grid = FdrGrid(t_max_fs=50.0, omega_max_cm1=500.0, n_time=26, n_freq=128)
     system = SystemSpec(h_s=[[100.0, 30.0], [30.0, 0.0]], couplings=(("b", SIGMA_Z),))
     convergence_study(kernel, system, [0.5, 0.3], grid, memory_cap_bytes=3 << 30)
-    names = ["discretize_bath", "propagate"] * 2
+    names = ["fdr_factor"] + ["discretize_bath"] * 2 + ["propagate"] * 2
     assert seen == [(name, 3 << 30) for name in names]
     # a cap below the column ID's working set stops the first discretization
     with pytest.raises(ResourceLimitError, match="column ID"):
         convergence_study(kernel, system, [0.5], grid, memory_cap_bytes=100_000)
+
+
+def test_convergence_study_runs_one_column_id_and_one_reference(dephasing_system, monkeypatch):
+    calls = {"column_id": 0, "reference_bcf": 0}
+
+    def count(real):
+        def call(*args, **kwargs):
+            calls[real.__name__] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(disc, name, count(getattr(disc, name)))
+    kernel = NoiseKernel(Debye(lam=35.0, gamma=106.1), Temperature.finite(300.0))
+    grid = FdrGrid(t_max_fs=400.0, omega_max_cm1=1200.0, n_time=200, n_freq=2400)
+    report = convergence_study(kernel, dephasing_system, [1e-1, 1e-2, 1e-3], grid)
+    assert calls == {"column_id": 1, "reference_bcf": 1}
+    assert len(set(report.mode_counts)) == 3
+
+
+def test_convergence_study_propagates_each_bath_once(monkeypatch):
+    # tols 0.5 and 0.4 keep the same single pivot on this grid: one bath, one
+    # propagation, and a zero distance between their populations
+    runs = []
+
+    def spy(*args, **kwargs):
+        runs.append(args[0].total_mode_count)
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "propagate", spy)
+    kernel = NoiseKernel(Debye(lam=35.0, gamma=106.1), Temperature.finite(300.0))
+    grid = FdrGrid(t_max_fs=50.0, omega_max_cm1=500.0, n_time=26, n_freq=128)
+    system = SystemSpec(h_s=[[100.0, 30.0], [30.0, 0.0]], couplings=(("b", SIGMA_Z),))
+    report = convergence_study(kernel, system, [0.5, 0.4, 0.3], grid)
+    assert runs == [1, 2]
+    assert report.mode_counts == (1, 1, 2)
+    assert report.distances[0] == 0.0 < report.distances[1]
