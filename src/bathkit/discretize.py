@@ -404,7 +404,9 @@ def discretize_bath(
     where the sweep crosses ``lowrank.GRAM_ROW_MIN_TOL``.  No tested sweep
     breaks one.  Two tols with the same k give the same bath, but for
     ``tol``.  ValidationError if ``factor`` was built on another kernel
-    object or grid, or at a tol above ``tol``.
+    object or grid, or at a tol above ``tol``.  ``memory_cap_bytes`` is
+    read only when ``factor`` is None: a given factor's working set was
+    checked by the ``fdr_factor`` call that built it.
     """
     check_tol(tol)
     if factor is None:

@@ -537,10 +537,10 @@ def convergence_study(
     Every tol and the grid are checked before any discretization.  One
     ``fdr_factor`` at the tightest tol, one column ID and one reference,
     serves every ``discretize_bath`` of the sweep, each fitting a prefix of
-    its pivots, and is freed before the first observable; tols whose
-    prefixes have the same length give the same bath, whose observable is
-    computed once.  ``memory_cap_bytes`` caps the factor, every
-    discretization and every propagation.
+    its pivots, and is freed before the first observable.  Each tol gets
+    its own observable.  ``memory_cap_bytes`` is checked once, by
+    ``fdr_factor``, for every discretization of the sweep (``discretize_bath``
+    given a factor does not read it), and caps every propagation.
     """
     tols = tuple(sorted({float(t) for t in tol_sweep}, reverse=True))
     if not tols:
@@ -553,25 +553,20 @@ def convergence_study(
     factor = fdr_factor(kernel, grid, tols[-1], memory_cap_bytes)
     baths = [discretize_bath(kernel, grid, tol, memory_cap_bytes, factor) for tol in tols]
     del factor  # the operator and Q are not needed while propagating
-    observed = {}  # the observable and mode count of each prefix length
     series, mode_counts = [], []
     for bath in baths:
-        rank = bath.diagnostics.id_rank
-        if rank not in observed:
-            model = build_model(system, [(label, bath) for label in labels])
-            if dephasing:
-                obs = np.exp(-dephasing_gamma(model, grid.times))
-            else:
-                trunc = FockTruncation.for_model(model)
-                dt = grid.t_max_fs / (grid.n_time - 1)
-                psi0 = np.eye(system.dim)[0]  # system basis state 0, as a vector
-                obs = propagate(
-                    model, trunc, psi0, grid.t_max_fs, dt, memory_cap_bytes=memory_cap_bytes
-                ).populations
-            observed[rank] = obs, model.total_mode_count
-        obs, count = observed[rank]
+        model = build_model(system, [(label, bath) for label in labels])
+        if dephasing:
+            obs = np.exp(-dephasing_gamma(model, grid.times))
+        else:
+            trunc = FockTruncation.for_model(model)
+            dt = grid.t_max_fs / (grid.n_time - 1)
+            psi0 = np.eye(system.dim)[0]  # system basis state 0, as a vector
+            obs = propagate(
+                model, trunc, psi0, grid.t_max_fs, dt, memory_cap_bytes=memory_cap_bytes
+            ).populations
         series.append(obs)
-        mode_counts.append(count)
+        mode_counts.append(model.total_mode_count)
 
     distances = tuple(
         float(np.max(np.abs(series[i + 1] - series[i]))) for i in range(len(series) - 1)

@@ -529,8 +529,7 @@ def test_validate_sweep_with_a_zero_distance_exit_0(tmp_path):
 
 def test_validate_non_monotone_sweep_exit_5(debye_sd, qubit_system, tmp_path, monkeypatch):
     # distances 0.01 then 0.05 grow past the slack: the report is written and
-    # the exit code says the validation failed.  The ID keeps 1, 2 and 3 pivots
-    # at these tols on this grid, so each tol has its own bath and fake value
+    # the exit code says the validation failed
     import bathkit.dynamics as dynamics
 
     gammas = iter(-np.log([0.5, 0.51, 0.56]))
@@ -539,7 +538,7 @@ def test_validate_non_monotone_sweep_exit_5(debye_sd, qubit_system, tmp_path, mo
     )
     rc = main(
         ["validate", "--sd", debye_sd, "--temp-k", "300", "--system", qubit_system,
-         "--tol-sweep", "0.5,0.3,0.15", "--t-max-fs", "50", "--omega-max-cm1", "500",
+         "--tol-sweep", "0.5,0.4,0.3", "--t-max-fs", "50", "--omega-max-cm1", "500",
          "--n-time", "4", "--n-freq", "128", "--out", str(tmp_path / "r.json")]
     )
     assert rc == 5

