@@ -36,7 +36,7 @@ import numpy as np
 
 from ._schema import is_integer, read_json, require, require_list, require_number, write_json
 from .errors import ConvergenceError, ResourceLimitError, SchemaError, ValidationError
-from .lowrank import RECOMPUTE_CHUNK, column_id, nnls
+from .lowrank import RECOMPUTE_CHUNK, IdResult, column_id, nnls
 from .quadrature import (
     ChirpSum,
     check_midpoints,
@@ -318,21 +318,17 @@ def assemble_fdr(kernel: NoiseKernel, grid: FdrGrid) -> np.ndarray:
 class FdrFactor:
     """One column ID of a kernel's samples on a grid at ``tol``, with its reference.
 
-    ``samples`` is the ``FdrOperator`` the ID read; ``selected``,
-    ``pivot_norms``, ``triangle`` and ``q`` are those of its ``IdResult``,
-    without the rows of R, and ``c_ref`` is ``reference_bcf`` on the grid
-    times.  ``discretize_bath`` fits any tol at or above ``tol`` on a prefix
-    of its pivots.
+    ``samples`` is the ``FdrOperator`` the ID read, ``id_result`` the
+    ``IdResult`` that ``column_id`` returned on it, rows of R included, and
+    ``c_ref`` is ``reference_bcf`` on the grid times.  ``discretize_bath``
+    fits any tol at or above ``tol`` on a prefix of its pivots.
     """
 
     kernel: NoiseKernel
     grid: FdrGrid
     tol: float
     samples: FdrOperator
-    selected: np.ndarray
-    pivot_norms: np.ndarray
-    triangle: np.ndarray
-    q: np.ndarray
+    id_result: IdResult
     c_ref: np.ndarray
 
 
@@ -350,8 +346,8 @@ def fdr_factor(
     Before any work, the worst-case working set of the column ID,
     8 * (min(2m, n) * (2m + n) + 3 * 2m * min(n, 256)) + 192 * n bytes, is
     checked against ``memory_cap_bytes`` (ResourceLimitError above it); it
-    counts all n grid columns, not the band.  The ID's rows of R, sized for
-    the worst-case rank, are freed on return.
+    counts all n grid columns, not the band.  The factor holds the ID's rows
+    of R, sized for the worst-case rank, as long as it lives.
     """
     check_tol(tol)
     # Q (r x 2m) and R (r x n) at r = min(2m, n), three 2m x RECOMPUTE_CHUNK blocks of
@@ -370,10 +366,7 @@ def fdr_factor(
             "is zero on the grid (the noise is zero, or too small to square in double precision)"
         )
     c_ref = reference_bcf(kernel, grid.times, grid.omega_max_cm1)
-    return FdrFactor(
-        kernel, grid, tol, samples, id_res.selected, id_res.pivot_norms, id_res.triangle,
-        id_res.q, c_ref,
-    )
+    return FdrFactor(kernel, grid, tol, samples, id_res, c_ref)
 
 
 def discretize_bath(
@@ -386,27 +379,27 @@ def discretize_bath(
     """Run the full compression pipeline and return the mode set.
 
     Steps: take the column ID and reference of ``factor``, built by
-    ``fdr_factor(kernel, grid, tol, memory_cap_bytes)`` when it is None,
-    keep its first k pivots, fit nonnegative weights on their columns
-    against the reference, prune zero weights, build couplings, and attach
-    diagnostics, whose BCF errors are those of A z, the fitted columns' C(t)
-    on the grid times (``reconstruct_bcf`` evaluates a saved model), and
-    whose ``id_rank`` is k.  Deterministic for fixed inputs; modes come out
-    sorted by ascending frequency.
+    ``fdr_factor(kernel, grid, tol, memory_cap_bytes)`` when it is None and
+    freed, R included, on return; keep its first k pivots, fit nonnegative
+    weights on their columns against the reference, prune zero weights,
+    build couplings, and attach diagnostics, whose BCF errors are those of
+    A z, the fitted columns' C(t) on the grid times (``reconstruct_bcf``
+    evaluates a saved model), and whose ``id_rank`` is k.  Deterministic
+    for fixed inputs; modes come out sorted by ascending frequency.
 
-    k is the first index with ``pivot_norms[k] <= tol * pivot_norms[0]``,
-    or every pivot: ``column_id``'s own stop test.  A looser tol's ID stops
-    the same pivot sequence earlier, and T, q and the pivot norms come from
-    the pivots' own columns, so one factor built at the tightest tol of a
-    sweep gives every tol of it the bath its own factor would, bit for bit,
-    unless roundoff in the ID's rows of R breaks a near tie between pivots:
-    those rows come from the tightest tol's wider band, and from transforms
-    where the sweep crosses ``lowrank.GRAM_ROW_MIN_TOL``.  No tested sweep
-    breaks one.  Two tols with the same k give the same bath, but for
-    ``tol``.  ValidationError if ``factor`` was built on another kernel
-    object or grid, or at a tol above ``tol``.  ``memory_cap_bytes`` is
-    read only when ``factor`` is None: a given factor's working set was
-    checked by the ``fdr_factor`` call that built it.
+    k is the first index with ``pivot_norms[k] <= tol * pivot_norms[0]`` in
+    the factor's ``id_result``, or every pivot: ``column_id``'s own stop
+    test.  A looser tol's ID stops the same pivot sequence earlier, and T,
+    q and the pivot norms come from the pivots' own columns, so one factor
+    built at the tightest tol of a sweep gives every tol of it the bath its
+    own factor would, bit for bit, unless roundoff in the ID's rows of R
+    breaks a near tie between pivots: those rows come from the tightest
+    tol's wider band, and from transforms where the sweep crosses
+    ``lowrank.GRAM_ROW_MIN_TOL``.  No tested sweep breaks one.  Two tols
+    with the same k give the same bath, but for ``tol``.  ValidationError if
+    ``factor`` was built on another kernel object or grid, or at a tol above
+    ``tol``.  ``memory_cap_bytes`` is read only when ``factor`` is None: a
+    given factor's working set was checked by the ``fdr_factor`` that built it.
     """
     check_tol(tol)
     if factor is None:
@@ -415,16 +408,16 @@ def discretize_bath(
         raise ValidationError("the column ID factor was built on another kernel or grid")
     elif factor.tol > tol:
         raise ValidationError(f"a factor built at tol {factor.tol} cannot fit tol {tol}")
-    norms = factor.pivot_norms
-    rank = factor.selected.size
-    k = next((i for i in range(rank) if norms[i] <= tol * norms[0]), rank)
-    selected = factor.selected[:k]
+    id_res = factor.id_result
+    norms = id_res.pivot_norms
+    k = next((i for i in range(id_res.rank) if norms[i] <= tol * norms[0]), id_res.rank)
+    selected = id_res.selected[:k]
     c_ref = factor.c_ref
     target = np.concatenate((c_ref.real, c_ref.imag))
 
     samples = factor.samples
     basis = samples.columns(selected)
-    fit = nnls(basis, target, (factor.triangle[:k, :k], factor.q[:k]))
+    fit = nnls(basis, target, (id_res.triangle[:k, :k], id_res.q[:k]))
     fitted = basis @ fit.z  # sum_k g_k^2 e^{-i omega_k t} on the grid times, Re then Im
     duals = basis.T @ (target - fitted)
     active = fit.z > 0.0

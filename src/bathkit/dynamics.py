@@ -536,11 +536,11 @@ def convergence_study(
     passes), and compared on site populations.
     Every tol and the grid are checked before any discretization.  One
     ``fdr_factor`` at the tightest tol, one column ID and one reference,
-    serves every ``discretize_bath`` of the sweep, each fitting a prefix of
-    its pivots, and is freed before the first observable.  Each tol gets
-    its own observable.  ``memory_cap_bytes`` is checked once, by
-    ``fdr_factor``, for every discretization of the sweep (``discretize_bath``
-    given a factor does not read it), and caps every propagation.
+    serves every ``discretize_bath(kernel, grid, tol, factor=factor)`` of the
+    sweep, each fitting a prefix of its pivots, and is freed, R included,
+    before the first observable.  Each tol gets its own observable.
+    ``memory_cap_bytes`` is read by ``fdr_factor``, once for every
+    discretization of the sweep, and by every ``propagate``.
     """
     tols = tuple(sorted({float(t) for t in tol_sweep}, reverse=True))
     if not tols:
@@ -551,8 +551,8 @@ def convergence_study(
     labels = sorted({label for label, _ in system.couplings})
     dephasing = _pure_dephasing_violation(system) is None
     factor = fdr_factor(kernel, grid, tols[-1], memory_cap_bytes)
-    baths = [discretize_bath(kernel, grid, tol, memory_cap_bytes, factor) for tol in tols]
-    del factor  # the operator and Q are not needed while propagating
+    baths = [discretize_bath(kernel, grid, tol, factor=factor) for tol in tols]
+    del factor  # the operator, Q and R are not needed while propagating
     series, mode_counts = [], []
     for bath in baths:
         model = build_model(system, [(label, bath) for label in labels])

@@ -304,13 +304,12 @@ def _points(config) -> np.ndarray:
     points = require_list(config, "points", "")
     values = _finite_pairs(points)
     if values is None:
-        # the per-point rule decides, and names the first bad point
+        # _finite_pairs rejects only a table with a bad point: name the first one
         for i, p in enumerate(points):
             if not (isinstance(p, list) and len(p) == 2 and all(map(is_finite_number, p))):
                 raise SchemaError(
                     f"/points/{i}", f"expected [omega, J], two finite numbers, got {p!r}"
                 )
-        values = np.array(points, dtype=float)
     return values.reshape(-1, 2)
 
 

@@ -685,7 +685,7 @@ def test_one_factor_gives_every_tol_of_a_sweep_its_own_bath(kelvin, tols):
         assert_same_bath(shared, discretize_bath(kernel, DEFAULT_GRID, tol))
         assert shared.tol == tol
         ranks.append(shared.diagnostics.id_rank)
-    assert ranks == sorted(set(ranks)) and ranks[-1] == factor.selected.size
+    assert ranks == sorted(set(ranks)) and ranks[-1] == factor.id_result.rank
 
 
 def test_tols_with_one_pivot_prefix_give_one_bath():
@@ -716,12 +716,30 @@ def test_discretize_rejects_a_factor_of_another_kernel_grid_or_looser_tol():
 
 def test_factor_holds_the_qr_factor_of_its_pivots_and_the_reference():
     factor = fdr_factor(DEBYE_300K, SMALL_GRID, 1e-2)
-    rank = factor.selected.size
-    assert factor.pivot_norms.shape == (rank + 1,)
-    columns = factor.samples.columns(factor.selected)
-    assert np.max(np.abs(factor.q.T @ factor.triangle - columns)) <= 1e-13 * np.max(np.abs(columns))
+    id_res = factor.id_result
+    assert id_res.pivot_norms.shape == (id_res.rank + 1,)
+    columns = factor.samples.columns(id_res.selected)
+    assert np.max(np.abs(id_res.q.T @ id_res.triangle - columns)) <= 1e-13 * np.max(np.abs(columns))
     c_ref = reference_bcf(DEBYE_300K, SMALL_GRID.times, SMALL_GRID.omega_max_cm1)
     assert factor.c_ref.tobytes() == c_ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kernel, grid, tol",
+    [(DEBYE_300K, SMALL_GRID, 1e-2),
+     (NoiseKernel(SURROGATE, Temperature.finite(77.0)),
+      FdrGrid(t_max_fs=1000.0, omega_max_cm1=600.0, n_time=200, n_freq=2000), 1e-3)],
+    ids=["debye-300K", "surrogate-77K"],
+)
+def test_factor_holds_the_whole_column_id(kernel, grid, tol):
+    # the rows of R come with the factor: its interpolation matrix leaves, in
+    # every column of the band, at most the residual that ended the ID
+    factor = fdr_factor(kernel, grid, tol)
+    id_res = factor.id_result
+    band = assemble_fdr(kernel, grid)[:, np.isin(grid.freqs, factor.samples.freqs)]
+    residual = band - band[:, id_res.selected] @ id_res.interp
+    largest = np.max(np.linalg.norm(residual, axis=0))
+    assert largest == pytest.approx(id_res.pivot_norms[-1], rel=1e-9)
 
 
 def test_nnls_nonconvergence_carries_partial_diagnostics(monkeypatch):

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +24,13 @@ from bathkit.dynamics import (
 )
 from bathkit.errors import ResourceLimitError, ValidationError
 from bathkit.hamiltonian import SystemSpec, build_model
-from bathkit.specdens import Debye, NoiseKernel, Temperature
+from bathkit.specdens import Debye, NoiseKernel, Temperature, load_tabulated
 from bathkit.units import RAD_PER_FS_PER_CM1
 
 SIGMA_Z = [[1.0, 0.0], [0.0, -1.0]]
 SIGMA_X = [[0.0, 1.0], [1.0, 0.0]]
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
+SURROGATE = load_tabulated(Path(__file__).resolve().parent.parent / "configs" / "surrogate_sd.csv")
 
 
 def synthetic_bath(omegas, gs):
@@ -940,13 +942,17 @@ def test_propagation_peak_allocation_stays_within_the_checked_bytes(h_s, vs, blo
 
 
 def test_convergence_study_passes_its_cap_to_every_call(monkeypatch):
-    seen = []
+    # the calls that read the cap get it: fdr_factor once and propagate once per
+    # tol; each discretize_bath gets that factor and no cap
+    seen, made = [], []
 
     def spy(real):
         def call(*args, **kwargs):
-            bound = inspect.signature(real).bind(*args, **kwargs)
-            seen.append((real.__name__, bound.arguments["memory_cap_bytes"]))
-            return real(*args, **kwargs)
+            arguments = inspect.signature(real).bind(*args, **kwargs).arguments
+            seen.append((real.__name__, arguments.get("memory_cap_bytes"), arguments.get("factor")))
+            out = real(*args, **kwargs)
+            made.append(out)
+            return out
 
         return call
 
@@ -957,11 +963,43 @@ def test_convergence_study_passes_its_cap_to_every_call(monkeypatch):
     grid = FdrGrid(t_max_fs=50.0, omega_max_cm1=500.0, n_time=26, n_freq=128)
     system = SystemSpec(h_s=[[100.0, 30.0], [30.0, 0.0]], couplings=(("b", SIGMA_Z),))
     convergence_study(kernel, system, [0.5, 0.3], grid, memory_cap_bytes=3 << 30)
-    names = ["fdr_factor"] + ["discretize_bath"] * 2 + ["propagate"] * 2
-    assert seen == [(name, 3 << 30) for name in names]
+    factor = made[0]
+    assert seen == (
+        [("fdr_factor", 3 << 30, None)]
+        + [("discretize_bath", None, factor)] * 2
+        + [("propagate", 3 << 30, None)] * 2
+    )
     # a cap below the column ID's working set stops the first discretization
     with pytest.raises(ResourceLimitError, match="column ID"):
         convergence_study(kernel, system, [0.5], grid, memory_cap_bytes=100_000)
+
+
+def test_convergence_study_frees_its_factor_before_it_propagates(monkeypatch):
+    # the factor holds the column ID's rows of R; dropped before the first
+    # propagation, it leaves the sweep's peak within its largest checked call
+    checked = []
+
+    def record(real):
+        def call(nbytes, cap, what):
+            checked.append(nbytes)
+            return real(nbytes, cap, what)
+
+        return call
+
+    monkeypatch.setattr(disc, "check_memory", record(disc.check_memory))
+    monkeypatch.setattr(dynamics, "check_memory", record(dynamics.check_memory))
+    kernel = NoiseKernel(SURROGATE, Temperature.finite(300.0))
+    grid = FdrGrid(t_max_fs=100.0, omega_max_cm1=600.0, n_time=101, n_freq=2000)
+    system = SystemSpec(h_s=[[50.0, 40.0], [40.0, -50.0]], couplings=(("main", SIGMA_X),))
+    tracemalloc.start()
+    try:
+        report = convergence_study(kernel, system, [0.3, 0.2, 0.1], grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.observable == "populations"
+    assert len(checked) == 4  # fdr_factor, then one propagate per tol
+    assert peak <= max(checked)
 
 
 def test_convergence_study_runs_one_column_id_and_one_reference(dephasing_system, monkeypatch):

@@ -10,6 +10,8 @@ import io
 import json
 import math
 import operator
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ import pytest
 from bathkit.discretize import load_bath_model
 from bathkit.errors import ValidationError
 from bathkit.hamiltonian import system_from_dict
-from bathkit.specdens import sd_from_config
+from bathkit.specdens import _finite_pairs, sd_from_config
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -185,3 +187,53 @@ def test_system_json_numbers_load_finite_or_raise(doc):
     for matrix in (system.h_s, *(v for _, v in system.couplings)):
         assert matrix.shape == (system.dim, system.dim)
         assert np.all(np.isfinite(matrix.view(float)))
+
+
+# tabulated point values: finite doubles as JSON gives them, the largest as an
+# int among them, and what may stand in for one: a bool, a string, None, NaN
+# and Infinity as json.loads returns them, and ints beyond the double range
+LARGEST = int(sys.float_info.max)
+POINT_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0, -7, 2**70, LARGEST, -LARGEST]
+)
+BAD_POINT_VALUES = st.sampled_from(
+    [True, False, "1.0", None, *json.loads("[NaN, Infinity, -Infinity]"), LARGEST + 1, 10**400]
+)
+TABLE_POINTS = st.lists(
+    st.lists(POINT_VALUES, min_size=2, max_size=2)
+    | st.lists(POINT_VALUES | BAD_POINT_VALUES, min_size=2, max_size=2)
+    | st.lists(POINT_VALUES, max_size=3)  # lengths 0, 1 and 3 are bad points
+    | POINT_VALUES
+    | BAD_POINT_VALUES,  # a point that is not a list
+    max_size=5,
+)
+
+
+def is_point(p) -> bool:
+    return isinstance(p, list) and len(p) == 2 and all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in p
+    )
+
+
+@hypothesis.settings(PROPERTY_SETTINGS, max_examples=200)
+@hypothesis.given(points=TABLE_POINTS)
+@hypothesis.example(points=[[1.0, 2.0], 3.0])
+@hypothesis.example(points=[[1.0, 2.0], [], [1.0]])
+@hypothesis.example(points=[[1.0], [1.0, 2.0]])
+@hypothesis.example(points=[[1.0, 2.0, 3.0]])
+@hypothesis.example(points=[[1.0, True]])
+@hypothesis.example(points=[["1.0", 2.0]])
+@hypothesis.example(points=[[1.0, 2.0], [None, 2.0]])
+@hypothesis.example(points=json.loads("[[1.0, 2.0], [3.0, NaN]]"))
+@hypothesis.example(points=json.loads("[[Infinity, 2.0]]"))
+@hypothesis.example(points=[[1.0, 2.0], [3.0, 10**400]])
+@hypothesis.example(points=[[1.0, LARGEST + 1]])
+def test_tabulated_points_the_bulk_check_rejects_name_their_first_bad_point(points):
+    # _finite_pairs rejects a table only if it has a bad point, and the per-point
+    # rule then names the first one
+    if _finite_pairs(points) is not None:
+        return
+    first = next((i for i, p in enumerate(points) if not is_point(p)), None)
+    assert first is not None, points
+    with pytest.raises(ValidationError, match=re.escape(f"config: /points/{first}: expected")):
+        sd_from_config({"kind": "tabulated", "points": points})
