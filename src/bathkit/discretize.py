@@ -319,7 +319,7 @@ class FdrFactor:
     """One column ID of a kernel's samples on a grid at ``tol``, with its reference.
 
     ``samples`` is the ``FdrOperator`` the ID read, ``id_result`` the
-    ``IdResult`` that ``column_id`` returned on it, rows of R included, and
+    ``IdResult`` that ``column_id`` returned on it, Q and R at its rank, and
     ``c_ref`` is ``reference_bcf`` on the grid times.  ``discretize_bath``
     fits any tol at or above ``tol`` on a prefix of its pivots.
     """
@@ -346,8 +346,7 @@ def fdr_factor(
     Before any work, the worst-case working set of the column ID,
     8 * (min(2m, n) * (2m + n) + 3 * 2m * min(n, 256)) + 192 * n bytes, is
     checked against ``memory_cap_bytes`` (ResourceLimitError above it); it
-    counts all n grid columns, not the band.  The factor holds the ID's rows
-    of R, sized for the worst-case rank, as long as it lives.
+    counts all n grid columns, not the band, and the largest possible rank.
     """
     check_tol(tol)
     # Q (r x 2m) and R (r x n) at r = min(2m, n), three 2m x RECOMPUTE_CHUNK blocks of
@@ -380,10 +379,10 @@ def discretize_bath(
 
     Steps: take the column ID and reference of ``factor``, built by
     ``fdr_factor(kernel, grid, tol, memory_cap_bytes)`` when it is None and
-    freed, R included, on return; keep its first k pivots, fit nonnegative
-    weights on their columns against the reference, prune zero weights,
-    build couplings, and attach diagnostics, whose BCF errors are those of
-    A z, the fitted columns' C(t) on the grid times (``reconstruct_bcf``
+    freed on return; keep its first k pivots, fit nonnegative weights on
+    their columns against the reference, prune zero weights, build
+    couplings, and attach diagnostics, whose BCF errors are those of A z,
+    the fitted columns' C(t) on the grid times (``reconstruct_bcf``
     evaluates a saved model), and whose ``id_rank`` is k.  Deterministic
     for fixed inputs; modes come out sorted by ascending frequency.
 

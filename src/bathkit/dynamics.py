@@ -537,8 +537,8 @@ def convergence_study(
     Every tol and the grid are checked before any discretization.  One
     ``fdr_factor`` at the tightest tol, one column ID and one reference,
     serves every ``discretize_bath(kernel, grid, tol, factor=factor)`` of the
-    sweep, each fitting a prefix of its pivots, and is freed, R included,
-    before the first observable.  Each tol gets its own observable.
+    sweep, each fitting a prefix of its pivots, and is freed before the
+    first observable.  Each tol gets its own observable.
     ``memory_cap_bytes`` is read by ``fdr_factor``, once for every
     discretization of the sweep, and by every ``propagate``.
     """

@@ -52,14 +52,14 @@ NNLS_ITERATIONS_PER_COLUMN = 3
 class IdResult:
     """Column interpolative decomposition of an m x n matrix.
 
-    ``selected`` lists r column indices in pivot order; ``r_rows`` holds
-    the r x n rows q_k^T f of the Gram-Schmidt factor R in original column
+    ``selected`` lists r column indices in pivot order; ``r_rows`` owns the
+    r x n rows q_k^T f of the Gram-Schmidt factor R in original column
     order.  At tol >= ``GRAM_ROW_MIN_TOL`` they come from Gram rows and err
     by about eps/tol times the first pivot norm (at most 3 eps/tol measured
     on the surrogate's sample matrix); below it they are the products
     q_k^T f.  R's pivot columns hold T above their diagonal: ``triangle``
     T = ``np.triu(r_rows[:, selected])`` has pivot k's coefficients over
-    its pivot norm in column k, and ``q`` holds the r x m orthonormal rows
+    its pivot norm in column k, and ``q`` owns the r x m orthonormal rows
     q_k, so f[:, selected] = q.T @ T to roundoff.  ``interp`` is the r x n
     coefficient matrix P = T^-1 R, so f ~ f[:, selected] @ interp; it is
     computed on first read and cached.  ``pivot_norms`` holds the r + 1
@@ -155,7 +155,8 @@ def column_id(f, tol: float) -> IdResult:
     Pivot k's coefficients c and pivot norm ||w|| overwrite rows 0..k of
     R's column j, so ``triangle`` T = ``np.triu(r_rows[:, selected])`` and
     the rows q_k = w / ||w|| of ``q`` are the QR factor of f[:, selected];
-    T's diagonal holds the accepted pivot norms, so T is nonsingular.
+    T's diagonal holds the accepted pivot norms, so T is nonsingular.  Q
+    and R, sized for rank min(m, n) while the ID runs, return shrunk to r rows.
 
     The rank is the smallest k for which the (k+1)-th pivot norm satisfies
     ||residual|| <= tol * (first pivot norm).  The pivots depend on ``tol``
@@ -174,7 +175,7 @@ def column_id(f, tol: float) -> IdResult:
     gram = tol >= GRAM_ROW_MIN_TOL
     kmax = min(m, n)
     exact = norms2.copy()  # each norm^2 at its last exact evaluation; 0.0 once a pivot
-    # sized for the worst-case rank; only the rows reached are ever written
+    # sized for the worst-case rank; only the rows reached are written or kept
     q = np.empty((kmax, m))
     r = np.empty((kmax, n))
     selected, pivot_norms = [], []
@@ -213,10 +214,9 @@ def column_id(f, tol: float) -> IdResult:
 
     rank = len(selected)
     selected = np.array(selected, dtype=int)
-    # a copy, so the worst-case buffer q is freed with this call
-    rows = q[:rank].copy()
-    triangle = np.triu(r[:rank, selected])
-    return IdResult(rank, selected, r[:rank], np.array(pivot_norms), triangle, rows)
+    q.resize((rank, m))  # in place; refcheck raises if a view of q or r were left
+    r.resize((rank, n))
+    return IdResult(rank, selected, r, np.array(pivot_norms), np.triu(r[:, selected]), q)
 
 
 def nnls(a, b, factor=None) -> NnlsResult:

@@ -2,6 +2,7 @@ import inspect
 import math
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -975,9 +976,9 @@ def test_convergence_study_passes_its_cap_to_every_call(monkeypatch):
 
 
 def test_convergence_study_frees_its_factor_before_it_propagates(monkeypatch):
-    # the factor holds the column ID's rows of R; dropped before the first
-    # propagation, it leaves the sweep's peak within its largest checked call
-    checked = []
+    # the factor (the operator, its Gram table, Q and R) is dead at the first
+    # propagation, and the sweep's peak stays within its largest checked call
+    checked, factors, factor_alive = [], [], []
 
     def record(real):
         def call(nbytes, cap, what):
@@ -986,8 +987,19 @@ def test_convergence_study_frees_its_factor_before_it_propagates(monkeypatch):
 
         return call
 
+    def keep_a_weakref(*args, **kwargs):
+        factor = fdr_factor(*args, **kwargs)
+        factors.append(weakref.ref(factor))
+        return factor
+
+    def note_the_factor(*args, **kwargs):
+        factor_alive.append(factors[0]() is not None)
+        return propagate(*args, **kwargs)
+
     monkeypatch.setattr(disc, "check_memory", record(disc.check_memory))
     monkeypatch.setattr(dynamics, "check_memory", record(dynamics.check_memory))
+    monkeypatch.setattr(dynamics, "fdr_factor", keep_a_weakref)
+    monkeypatch.setattr(dynamics, "propagate", note_the_factor)
     kernel = NoiseKernel(SURROGATE, Temperature.finite(300.0))
     grid = FdrGrid(t_max_fs=100.0, omega_max_cm1=600.0, n_time=101, n_freq=2000)
     system = SystemSpec(h_s=[[50.0, 40.0], [40.0, -50.0]], couplings=(("main", SIGMA_X),))
@@ -998,6 +1010,7 @@ def test_convergence_study_frees_its_factor_before_it_propagates(monkeypatch):
     finally:
         tracemalloc.stop()
     assert report.observable == "populations"
+    assert len(factors) == 1 and factor_alive[0] is False
     assert len(checked) == 4  # fdr_factor, then one propagate per tol
     assert peak <= max(checked)
 

@@ -237,6 +237,16 @@ def test_id_keeps_the_qr_factor_of_its_columns_on_a_dense_matrix(tol):
     assert_qr_factor_of_selected(res, f[:, res.selected])
 
 
+def test_id_returns_q_and_r_at_its_rank():
+    # both worst-case (min(m, n)-row) buffers come back with the rank's rows, owning them
+    rng = np.random.default_rng(12)
+    f = rng.standard_normal((40, 12)) @ rng.standard_normal((12, 70))
+    res = column_id(f, tol=1e-8)
+    assert res.rank == 12
+    assert res.q.shape == (12, 40) and res.r_rows.shape == (12, 70)
+    assert res.q.flags.owndata and res.r_rows.flags.owndata
+
+
 def test_id_operator_and_dense_matrix_agree():
     rng = np.random.default_rng(11)
     f = matrix_with_spectrum(50, 90, 0.8 ** np.arange(50.0), rng)
