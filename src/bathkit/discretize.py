@@ -318,17 +318,21 @@ def assemble_fdr(kernel: NoiseKernel, grid: FdrGrid) -> np.ndarray:
 class FdrFactor:
     """One column ID of a kernel's samples on a grid at ``tol``, with its reference.
 
-    ``samples`` is the ``FdrOperator`` the ID read, ``id_result`` the
-    ``IdResult`` that ``column_id`` returned on it, Q and R at its rank, and
-    ``c_ref`` is ``reference_bcf`` on the grid times.  ``discretize_bath``
-    fits any tol at or above ``tol`` on a prefix of its pivots.
+    ``id_result`` is the ``IdResult`` that ``column_id`` returned on the
+    samples, Q and R at its rank; ``basis`` holds the selected columns in
+    pivot order (2m x rank, F-order), ``freqs`` and ``s`` their frequencies
+    (cm^-1) and noise S_beta; ``c_ref`` is ``reference_bcf`` on the grid
+    times.  ``discretize_bath`` fits any tol at or above ``tol`` on a
+    prefix of its pivots from these arrays alone.
     """
 
     kernel: NoiseKernel
     grid: FdrGrid
     tol: float
-    samples: FdrOperator
     id_result: IdResult
+    basis: np.ndarray
+    freqs: np.ndarray
+    s: np.ndarray
     c_ref: np.ndarray
 
 
@@ -342,7 +346,10 @@ def fdr_factor(
 
     The column ID runs at ``tol`` through ``FdrOperator`` on the band tol can
     select, so only the selected columns are ever built and they are those
-    of the full grid; the reference is ``reference_bcf`` on the grid times.
+    of the full grid.  The reference is ``reference_bcf`` on the grid times.
+    Then the selected columns are built once more, within the worst-case Q
+    counted below, as the factor's ``basis``, and the operator is freed on
+    return.
     Before any work, the worst-case working set of the column ID,
     8 * (min(2m, n) * (2m + n) + 3 * 2m * min(n, 256)) + 192 * n bytes, is
     checked against ``memory_cap_bytes`` (ResourceLimitError above it); it
@@ -365,7 +372,11 @@ def fdr_factor(
             "is zero on the grid (the noise is zero, or too small to square in double precision)"
         )
     c_ref = reference_bcf(kernel, grid.times, grid.omega_max_cm1)
-    return FdrFactor(kernel, grid, tol, samples, id_res, c_ref)
+    # after the reference: its quadrature, not the ID's mostly untouched Q and R,
+    # sets the resident peak, which the basis would otherwise add to
+    sel = id_res.selected
+    basis, freqs, s = samples.columns(sel), samples.freqs[sel], samples.s[sel]
+    return FdrFactor(kernel, grid, tol, id_res, basis, freqs, s, c_ref)
 
 
 def discretize_bath(
@@ -380,8 +391,9 @@ def discretize_bath(
     Steps: take the column ID and reference of ``factor``, built by
     ``fdr_factor(kernel, grid, tol, memory_cap_bytes)`` when it is None and
     freed on return; keep its first k pivots, fit nonnegative weights on
-    their columns against the reference, prune zero weights, build
-    couplings, and attach diagnostics, whose BCF errors are those of A z,
+    their columns, the first k of the factor's ``basis``, against the
+    reference, prune zero weights, build couplings from the factor's ``s``,
+    and attach diagnostics, whose BCF errors are those of A z,
     the fitted columns' C(t) on the grid times (``reconstruct_bcf``
     evaluates a saved model), and whose ``id_rank`` is k.  Deterministic
     for fixed inputs; modes come out sorted by ascending frequency.
@@ -410,12 +422,10 @@ def discretize_bath(
     id_res = factor.id_result
     norms = id_res.pivot_norms
     k = next((i for i in range(id_res.rank) if norms[i] <= tol * norms[0]), id_res.rank)
-    selected = id_res.selected[:k]
     c_ref = factor.c_ref
     target = np.concatenate((c_ref.real, c_ref.imag))
 
-    samples = factor.samples
-    basis = samples.columns(selected)
+    basis = factor.basis[:, :k]
     fit = nnls(basis, target, (id_res.triangle[:k, :k], id_res.q[:k]))
     fitted = basis @ fit.z  # sum_k g_k^2 e^{-i omega_k t} on the grid times, Re then Im
     duals = basis.T @ (target - fitted)
@@ -434,9 +444,9 @@ def discretize_bath(
             f"nonnegative fit did not converge in {fit.iterations} iterations", diagnostics=record
         )
 
-    omegas = samples.freqs[selected][active]
+    omegas = factor.freqs[:k][active]
     z = fit.z[active]
-    s_at_modes = samples.s[selected][active]  # the S that weighted the fitted columns
+    s_at_modes = factor.s[:k][active]  # the S that weighted the fitted columns
     if np.any(s_at_modes < 0.0):
         bad = omegas[s_at_modes < 0.0]
         raise ValidationError(

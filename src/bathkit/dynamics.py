@@ -552,7 +552,7 @@ def convergence_study(
     dephasing = _pure_dephasing_violation(system) is None
     factor = fdr_factor(kernel, grid, tols[-1], memory_cap_bytes)
     baths = [discretize_bath(kernel, grid, tol, factor=factor) for tol in tols]
-    del factor  # the operator, Q and R are not needed while propagating
+    del factor  # its pivot columns, Q and R are not needed while propagating
     series, mode_counts = [], []
     for bath in baths:
         model = build_model(system, [(label, bath) for label in labels])

@@ -156,7 +156,10 @@ def column_id(f, tol: float) -> IdResult:
     R's column j, so ``triangle`` T = ``np.triu(r_rows[:, selected])`` and
     the rows q_k = w / ||w|| of ``q`` are the QR factor of f[:, selected];
     T's diagonal holds the accepted pivot norms, so T is nonsingular.  Q
-    and R, sized for rank min(m, n) while the ID runs, return shrunk to r rows.
+    and R, sized for rank min(m, n) while the ID runs, return shrunk to r rows
+    in place, or as copies of those rows when something else refers to them:
+    a Python-level tracer's or debugger's snapshot of the locals (pdb,
+    ``python -m trace``) does, and ``ndarray.resize`` then refuses.
 
     The rank is the smallest k for which the (k+1)-th pivot norm satisfies
     ||residual|| <= tol * (first pivot norm).  The pivots depend on ``tol``
@@ -214,8 +217,11 @@ def column_id(f, tol: float) -> IdResult:
 
     rank = len(selected)
     selected = np.array(selected, dtype=int)
-    q.resize((rank, m))  # in place; refcheck raises if a view of q or r were left
-    r.resize((rank, n))
+    try:  # in place; refcheck raises if anything else still refers to q or r
+        q.resize((rank, m))
+        r.resize((rank, n))
+    except ValueError:  # a tracer's or debugger's snapshot of these locals refers to them
+        q, r = q[:rank].copy(), r[:rank].copy()
     return IdResult(rank, selected, r, np.array(pivot_norms), np.triu(r[:, selected]), q)
 
 

@@ -3,6 +3,7 @@ import itertools
 import tracemalloc
 import warnings
 from dataclasses import fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -718,10 +719,46 @@ def test_factor_holds_the_qr_factor_of_its_pivots_and_the_reference():
     factor = fdr_factor(DEBYE_300K, SMALL_GRID, 1e-2)
     id_res = factor.id_result
     assert id_res.pivot_norms.shape == (id_res.rank + 1,)
-    columns = factor.samples.columns(id_res.selected)
+    columns = FdrOperator(DEBYE_300K, SMALL_GRID, 1e-2).columns(id_res.selected)
     assert np.max(np.abs(id_res.q.T @ id_res.triangle - columns)) <= 1e-13 * np.max(np.abs(columns))
     c_ref = reference_bcf(DEBYE_300K, SMALL_GRID.times, SMALL_GRID.omega_max_cm1)
     assert factor.c_ref.tobytes() == c_ref.tobytes()
+
+
+def test_factor_holds_its_pivot_columns_and_no_operator():
+    # the basis is the operator's own columns at the pivots, in pivot order and
+    # layout, with their frequencies and S; no field of the factor is an operator
+    kernel = NoiseKernel(SURROGATE, Temperature.finite(300.0))
+    factor = fdr_factor(kernel, DEFAULT_GRID, 1e-3)
+    selected = factor.id_result.selected
+    op = FdrOperator(kernel, DEFAULT_GRID, 1e-3)
+    columns = op.columns(selected)
+    assert factor.basis.shape == columns.shape and factor.basis.flags.f_contiguous
+    assert factor.basis.tobytes("A") == columns.tobytes("A")
+    assert factor.freqs.tobytes() == op.freqs[selected].tobytes()
+    assert factor.s.tobytes() == op.s[selected].tobytes()
+    assert not any(isinstance(getattr(factor, f.name), FdrOperator) for f in fields(factor))
+
+
+def test_fits_on_a_factor_read_no_operator(monkeypatch):
+    # once fdr_factor has returned, every fit of a sweep reads only the factor's arrays
+    kernel = NoiseKernel(SURROGATE, Temperature.finite(300.0))
+    tols = (1e-1, 1e-2, 1e-3)
+    factor = fdr_factor(kernel, DEFAULT_GRID, min(tols))
+    expected = [discretize_bath(kernel, DEFAULT_GRID, tol) for tol in tols]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fit read the sample operator")
+
+    for name, attr in list(vars(FdrOperator).items()):
+        if isinstance(attr, cached_property):
+            monkeypatch.setattr(FdrOperator, name, property(refuse))
+        elif callable(attr):
+            monkeypatch.setattr(FdrOperator, name, refuse)
+    for tol, bath in zip(tols, expected):
+        assert_same_bath(discretize_bath(kernel, DEFAULT_GRID, tol, factor=factor), bath)
+    with pytest.raises(AssertionError, match="read the sample operator"):
+        FdrOperator(kernel, DEFAULT_GRID, 1e-3)
 
 
 def test_factor_holds_q_and_r_at_the_rank_reached():
@@ -735,7 +772,7 @@ def test_factor_holds_q_and_r_at_the_rank_reached():
     finally:
         tracemalloc.stop()
     id_res = factor.id_result
-    m, n = factor.samples.shape
+    m, n = FdrOperator(kernel, DEFAULT_GRID, 1e-3).shape
     assert id_res.q.shape == (id_res.rank, m) and id_res.r_rows.shape == (id_res.rank, n)
     assert id_res.q.flags.owndata and id_res.r_rows.flags.owndata
     assert held < 10_000_000
@@ -764,7 +801,7 @@ def test_factor_holds_the_whole_column_id(kernel, grid, tol):
     # every column of the band, at most the residual that ended the ID
     factor = fdr_factor(kernel, grid, tol)
     id_res = factor.id_result
-    band = assemble_fdr(kernel, grid)[:, np.isin(grid.freqs, factor.samples.freqs)]
+    band = assemble_fdr(kernel, grid)[:, np.isin(grid.freqs, FdrOperator(kernel, grid, tol).freqs)]
     residual = band - band[:, id_res.selected] @ id_res.interp
     largest = np.max(np.linalg.norm(residual, axis=0))
     assert largest == pytest.approx(id_res.pivot_norms[-1], rel=1e-9)

@@ -976,7 +976,7 @@ def test_convergence_study_passes_its_cap_to_every_call(monkeypatch):
 
 
 def test_convergence_study_frees_its_factor_before_it_propagates(monkeypatch):
-    # the factor (the operator, its Gram table, Q and R) is dead at the first
+    # the factor (its pivot columns, Q and R) is dead at the first
     # propagation, and the sweep's peak stays within its largest checked call
     checked, factors, factor_alive = [], [], []
 
@@ -1032,3 +1032,20 @@ def test_convergence_study_runs_one_column_id_and_one_reference(dephasing_system
     report = convergence_study(kernel, dephasing_system, [1e-1, 1e-2, 1e-3], grid)
     assert calls == {"column_id": 1, "reference_bcf": 1}
     assert len(set(report.mode_counts)) == 3
+
+
+def test_convergence_study_builds_its_pivot_columns_once(dephasing_system, monkeypatch):
+    # the ID's pivot candidates and recomputed residuals, then the rank pivot columns
+    # once more as the factor's basis; the three fits build none
+    built = []
+    columns = disc.FdrOperator.columns
+
+    def count(self, idx):
+        out = columns(self, idx)
+        built.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(disc.FdrOperator, "columns", count)
+    kernel = NoiseKernel(SURROGATE, Temperature.finite(300.0))
+    convergence_study(kernel, dephasing_system, [1e-1, 1e-2, 1e-3], FdrGrid(1000.0, 600.0))
+    assert sum(built) == 107

@@ -1,5 +1,7 @@
 import functools
 import itertools
+import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import scipy.linalg
 import scipy.optimize
 
 import bathkit.lowrank as lowrank
-from bathkit.discretize import FdrGrid, FdrOperator, assemble_fdr, reference_bcf
+from bathkit.discretize import FdrGrid, FdrOperator, assemble_fdr, fdr_factor, reference_bcf
 from bathkit.errors import ValidationError
 from bathkit.lowrank import column_id, nnls
 from bathkit.specdens import NoiseKernel, Temperature
@@ -245,6 +247,52 @@ def test_id_returns_q_and_r_at_its_rank():
     assert res.rank == 12
     assert res.q.shape == (12, 40) and res.r_rows.shape == (12, 70)
     assert res.q.flags.owndata and res.r_rows.flags.owndata
+
+
+def under_a_locals_reading_tracer(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` under a line tracer that reads every frame's
+    locals at every event, as a debugger showing variables does."""
+
+    def tracer(frame, event, arg):
+        frame.f_locals  # what a debugger's variables view reads
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        return call(*args, **kwargs)
+    finally:
+        sys.settrace(previous)
+
+
+def assert_same_arrays(a, b):
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
+        elif isinstance(x, lowrank.IdResult):
+            assert_same_arrays(x, y)
+        else:
+            assert x == y, f.name
+
+
+def test_id_under_a_tracer_that_reads_its_locals():
+    # the tracer's snapshot of the locals refers to Q's and R's buffers, so the
+    # in-place shrink is refused and the used rows are copied instead
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal((20, 5)) @ rng.standard_normal((5, 30))
+    traced = under_a_locals_reading_tracer(column_id, f, tol=1e-10)
+    assert_same_arrays(traced, column_id(f, tol=1e-10))
+    assert traced.rank == 5
+    assert traced.q.shape == (5, 20) and traced.r_rows.shape == (5, 30)
+    assert traced.q.flags.owndata and traced.r_rows.flags.owndata
+
+
+def test_factor_under_a_tracer_that_reads_locals():
+    kernel = NoiseKernel(surrogate_sd(), Temperature.finite(300.0))
+    grid = FdrGrid(t_max_fs=100.0, omega_max_cm1=600.0, n_time=64, n_freq=2000)
+    traced = under_a_locals_reading_tracer(fdr_factor, kernel, grid, 1e-2)
+    assert_same_arrays(traced, fdr_factor(kernel, grid, 1e-2))
 
 
 def test_id_operator_and_dense_matrix_agree():
