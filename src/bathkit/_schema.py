@@ -1,9 +1,10 @@
 """Tiny helpers for reading and writing bathkit documents.
 
 Errors carry a JSON-pointer so callers can report the exact location of a
-schema violation.  Readers and writers take a text stream (anything with
-``read``/``write``) or a path; a ``str`` is always a path, never document
-text.
+schema violation.  Readers take a text stream or a path, writers a stream with
+``writelines`` or a path; a ``str`` is always a path, never document text.
+Every document is written line by line by ``write_lines``: JSON as one line
+by ``write_json``, which places its metadata block last, and CSV row by row.
 """
 
 import json
@@ -35,22 +36,24 @@ def read_json(source):
         raise ValidationError(f"{_name(source)}: invalid JSON: {exc}") from None
 
 
-def write_text(sink, text: str):
-    """Write text to a stream, or to the file at a path with LF line endings."""
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
+def write_lines(sink, lines):
+    """Write each line and a newline, through ``writelines``, to a stream or to the
+    UTF-8 file at a path with LF endings: a generator of lines is never held whole."""
+    if not hasattr(sink, "write"):
         with open(sink, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            return write_lines(fh, lines)
+    sink.writelines(line + "\n" for line in lines)
 
 
-def write_json(sink, doc):
-    """Write a JSON document as one line with no spaces and a final newline.
+def write_json(sink, doc: dict, metadata: dict | None = None):
+    """Write a JSON document, with ``metadata`` as its last key when given, as one
+    line with no spaces and a final newline.
 
     Without ``indent`` the standard library uses its C encoder; ``python -m
     json.tool`` pretty-prints the result.
     """
-    write_text(sink, json.dumps(doc, separators=(",", ":")) + "\n")
+    doc = doc if metadata is None else {**doc, "metadata": metadata}
+    write_lines(sink, [json.dumps(doc, separators=(",", ":"))])
 
 
 def _name(source) -> str:

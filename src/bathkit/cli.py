@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -25,9 +26,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._schema import read_json, write_json, write_text
+from ._schema import read_json, write_json, write_lines
 from .discretize import (
     DEFAULT_MEMORY_CAP_BYTES,
+    REFERENCE_BYTES_PER_TIME,
     FdrGrid,
     check_memory,
     discretize_bath,
@@ -44,6 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .hamiltonian import build_model, export_model, system_from_dict
+from .quadrature import DIRECT_CHUNK
 from .specdens import NoiseKernel, Temperature, load_tabulated, sd_from_config
 
 EXIT_OK = 0
@@ -74,22 +77,24 @@ def _metadata(args, input_paths) -> dict:
 
 
 def _write_csv(sink, meta: dict, names, columns):
-    """A CSV artifact: ``#`` metadata lines, a header row of ``names``, then one
-    row per index of the equal-length ``columns``, every cell ``repr(float(x))``."""
+    """A CSV artifact, written row by row: ``#`` metadata lines, a header row of
+    ``names``, then a row per index of the equal-length ``columns``, cells ``repr(float(x))``."""
     lines = [f"# {meta['tool']}", f"# command: {meta['command']}"]
     lines.append("# config: " + json.dumps(meta["config"], sort_keys=True))
     lines.append("# inputs: " + json.dumps(meta["inputs"], sort_keys=True))
     lines.append(",".join(names))
-    lines += (",".join(repr(float(x)) for x in row) for row in zip(*columns))
-    write_text(sink, "\n".join(lines) + "\n")
+    rows = (",".join(repr(float(x)) for x in row) for row in zip(*columns))
+    write_lines(sink, itertools.chain(lines, rows))
 
 
-def _check_rows(flag: str, n_rows: int, n_columns: int):
-    """Require a row count >= 2 whose CSV table fits the cap; each value counts
-    twice as a double (intermediates and table) and twice as 25 characters."""
+def _check_rows(flag: str, n_rows: int, n_columns: int, work: int = 0):
+    """Require a row count >= 2 whose CSV table, plus ``work`` bytes that compute it,
+    fits the cap.  Each value counts twice as a double (intermediates and table) and
+    twice as 25 characters; the rows' text is written a line at a time, so eval-sd's
+    three columns peak at about 60 of the 198 bytes a row counted."""
     if n_rows < 2:
         raise ValidationError(f"{flag} must be >= 2, got {n_rows}")
-    nbytes = n_rows * n_columns * 2 * (8 + 25)
+    nbytes = n_rows * n_columns * 2 * (8 + 25) + work
     check_memory(nbytes, DEFAULT_MEMORY_CAP_BYTES, f"a table of {n_rows} rows; ask for fewer")
 
 
@@ -171,8 +176,12 @@ def _cmd_discretize(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     model = load_bath_model(args.model)
-    _check_rows("--n-time", args.n_time, 5)
-    times = np.linspace(0.0, model.t_max_fs, args.n_time)
+    # the mode sum's largest chunk of n x M phases, 32 bytes an entry (complex phases
+    # and their exp), and the reference quadrature's bytes per time
+    n = args.n_time
+    work = 32 * min(n * model.mode_count, max(n, DIRECT_CHUNK)) + REFERENCE_BYTES_PER_TIME * n
+    _check_rows("--n-time", n, 5, work)
+    times = np.linspace(0.0, model.t_max_fs, n)
     c_model = reconstruct_bcf(model, times)
     c_ref = reference_bcf(model.kernel, times, model.omega_max_cm1)
 

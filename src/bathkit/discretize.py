@@ -69,6 +69,10 @@ __all__ = [
 ]
 
 DEFAULT_MEMORY_CAP_BYTES = 4 << 30
+# bytes per time that reference_bcf allocates: its last two quadrature levels and the
+# fold's chirp-z buffers over 2m - 1 times (tracemalloc: 160 a time at the margin,
+# 165-239 with its fixed part, on 20,000 to 300,000 times)
+REFERENCE_BYTES_PER_TIME = 256
 
 
 def _check_window(t_max_fs: float, omega_max_cm1: float, n_freq: int = 2):
@@ -350,18 +354,20 @@ def fdr_factor(
     Then the selected columns are built once more, within the worst-case Q
     counted below, as the factor's ``basis``, and the operator is freed on
     return.
-    Before any work, the worst-case working set of the column ID,
-    8 * (min(2m, n) * (2m + n) + 3 * 2m * min(n, 256)) + 192 * n bytes, is
-    checked against ``memory_cap_bytes`` (ResourceLimitError above it); it
-    counts all n grid columns, not the band, and the largest possible rank.
+    Before any work, the worst-case working set of the column ID and the
+    reference, 8 * (min(2m, n) * (2m + n) + 3 * 2m * min(n, 256)) + 192 * n
+    + 256 * m bytes, is checked against ``memory_cap_bytes``
+    (ResourceLimitError above it); it counts all n grid columns, not the band,
+    the largest possible rank and ``REFERENCE_BYTES_PER_TIME`` for each time.
     """
     check_tol(tol)
     # Q (r x 2m) and R (r x n) at r = min(2m, n), three 2m x RECOMPUTE_CHUNK blocks of
-    # recomputed residuals, and up to ~120 bytes per band column (~77 per grid column)
+    # recomputed residuals, up to ~120 bytes per band column (~77 per grid column)
     # measured for S, the norms, the Gram table, the chirp-z kernel and one call's FFT
-    # buffers
+    # buffers, and the reference's arrays over the m times
     m2, n = 2 * grid.n_time, grid.n_freq
     nbytes = 8 * (min(m2, n) * (m2 + n) + 3 * m2 * min(n, RECOMPUTE_CHUNK)) + 192 * n
+    nbytes += REFERENCE_BYTES_PER_TIME * grid.n_time
     what = f"the column ID on the {grid.n_time} x {n} grid; use a coarser grid or a higher cap"
     check_memory(nbytes, memory_cap_bytes, what)
     samples = FdrOperator(kernel, grid, tol)
@@ -535,20 +541,16 @@ def bath_model_from_dict(doc: dict, pointer: str = "") -> BathModel:
     if schema != BATH_SCHEMA:
         raise SchemaError(f"{pointer}/schema", f"expected '{BATH_SCHEMA}', got {schema!r}")
     temperature_k = require(doc, "temperature_K", pointer)
-    try:
+    with SchemaError.at(f"{pointer}/temperature_K"):
         temperature = Temperature.from_json(temperature_k)
-    except ValidationError as exc:
-        raise SchemaError(f"{pointer}/temperature_K", str(exc)) from None
     t_max = require_number(doc, "t_max_fs", pointer)
     omega_max = require_number(doc, "omega_max_cm1", pointer)
     tol = require_number(doc, "tol", pointer)
     if not (0.0 < tol < 1.0):
         raise SchemaError(f"{pointer}/tol", f"expected a number in (0, 1), got {tol!r}")
     sd_config = require(doc, "spectral_density", pointer)
-    try:
+    with SchemaError.at(f"{pointer}/spectral_density"):
         sd = sd_from_config(sd_config)
-    except ValidationError as exc:
-        raise SchemaError(f"{pointer}/spectral_density", str(exc)) from None
     modes = require_list(doc, "modes", pointer)
     omegas, z, g = [], [], []
     for i, mode in enumerate(modes):
@@ -576,7 +578,7 @@ def bath_model_from_dict(doc: dict, pointer: str = "") -> BathModel:
             f"{dp}/mode_count",
             f"expected {len(modes)}, the number of modes, got {diagnostics['mode_count']}",
         )
-    try:
+    with SchemaError.at(pointer or "/"):
         return BathModel(
             omegas=np.array(omegas, dtype=float),
             z=np.array(z, dtype=float),
@@ -588,16 +590,11 @@ def bath_model_from_dict(doc: dict, pointer: str = "") -> BathModel:
             tol=tol,
             diagnostics=BathDiagnostics(**diagnostics),
         )
-    except ValidationError as exc:
-        raise SchemaError(pointer or "/", str(exc)) from None
 
 
 def save_bath_model(model: BathModel, sink, metadata: dict | None = None):
     """Write the model as JSON to a path or text stream."""
-    doc = bath_model_to_dict(model)
-    if metadata is not None:
-        doc["metadata"] = metadata
-    write_json(sink, doc)
+    write_json(sink, bath_model_to_dict(model), metadata)
 
 
 def load_bath_model(source) -> BathModel:

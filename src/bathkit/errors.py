@@ -4,6 +4,8 @@ The CLI maps these onto stable exit codes: ValidationError -> 2,
 ConvergenceError -> 3, ResourceLimitError -> 4.
 """
 
+from contextlib import contextmanager
+
 
 class BathkitError(Exception):
     """Base class for all toolkit errors."""
@@ -22,6 +24,15 @@ class SchemaError(ValidationError):
     def __init__(self, pointer: str, message: str):
         self.pointer = pointer
         super().__init__(f"{pointer}: {message}")
+
+    @classmethod
+    @contextmanager
+    def at(cls, pointer: str):
+        """Re-raise a ValidationError from the block as a SchemaError at ``pointer``."""
+        try:
+            yield
+        except ValidationError as exc:
+            raise cls(pointer, str(exc)) from None
 
 
 class ConvergenceError(BathkitError):

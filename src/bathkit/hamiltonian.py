@@ -195,10 +195,8 @@ def system_from_dict(doc: dict, pointer: str = "/system") -> SystemSpec:
         label = require(c, "bath", cp)
         v = _matrix_from_json(require(c, "v_sb", cp), f"{cp}/v_sb")
         couplings.append((label, v))
-    try:
+    with SchemaError.at(pointer or "/"):
         return SystemSpec(h_s=h_s, couplings=tuple(couplings))
-    except ValidationError as exc:
-        raise SchemaError(pointer or "/", str(exc)) from None
 
 
 def model_from_dict(doc: dict) -> DiscreteModel:
@@ -211,18 +209,13 @@ def model_from_dict(doc: dict) -> DiscreteModel:
         bp = f"/baths/{i}"
         label = require(b, "label", bp)
         baths.append((label, bath_model_from_dict(b, pointer=bp)))
-    try:
+    with SchemaError.at("/"):
         return DiscreteModel(system=system, baths=tuple(baths))
-    except ValidationError as exc:
-        raise SchemaError("/", str(exc)) from None
 
 
 def export_model(model: DiscreteModel, sink, metadata: dict | None = None):
     """Write a model as JSON to a path or text stream; lossless round-trip."""
-    doc = model_to_dict(model)
-    if metadata is not None:
-        doc["metadata"] = metadata
-    write_json(sink, doc)
+    write_json(sink, model_to_dict(model), metadata)
 
 
 def import_model(source) -> DiscreteModel:

@@ -31,7 +31,7 @@ MAX_QUAD_POINTS = 1 << 20
 QUAD_REL_TOL = 1e-6
 
 # chunk size (elements) for the direct-evaluation fallback
-_DIRECT_CHUNK = 1 << 22
+DIRECT_CHUNK = 1 << 22
 
 
 def midpoint_frequencies(omega_max_cm1: float, n: int) -> np.ndarray:
@@ -148,7 +148,7 @@ def _fast_len(target: int) -> int:
 def direct_sum(x, freqs, h, times):
     """h * sum_j x_j * exp(-i*omega_j_rad*t) at each time, on any frequencies."""
     out = np.zeros(times.size, dtype=complex)
-    cols = max(1, _DIRECT_CHUNK // max(times.size, 1))
+    cols = max(1, DIRECT_CHUNK // max(times.size, 1))
     w_rad = freqs * RAD_PER_FS_PER_CM1
     for start in range(0, x.size, cols):
         sl = slice(start, min(start + cols, x.size))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,35 @@ def test_eval_sd_huge_row_count_exit_4(debye_sd, tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"a table of {n} rows" in err and "cap" in err
     assert not out.exists()
+
+
+def traced_peak_and_checked_bytes(argv, monkeypatch):
+    """main(argv)'s exit code, its tracemalloc peak and the bytes it checked."""
+    checked, check_memory = [], cli.check_memory
+
+    def spy(nbytes, cap, what):
+        checked.append(nbytes)
+        return check_memory(nbytes, cap, what)
+
+    monkeypatch.setattr(cli, "check_memory", spy)
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(checked) == 1
+    return rc, peak, checked[0]
+
+
+def test_eval_sd_peak_allocation_stays_within_the_checked_bytes(debye_sd, tmp_path, monkeypatch):
+    # the rows are written a line at a time: about 57 of the 198 bytes a row counted
+    out = tmp_path / "sd.csv"
+    argv = ["eval-sd", "--sd", debye_sd, "--temp-k", "300", "--omega-min", "-500",
+            "--omega-max", "500", "--n", "200000", "--out", str(out)]
+    rc, peak, checked = traced_peak_and_checked_bytes(argv, monkeypatch)
+    assert rc == 0 and len(data_rows(out)) == 200000
+    assert peak <= checked
 
 
 def test_eval_sd_defaults_to_zero_temperature(debye_sd, tmp_path):
@@ -390,6 +420,20 @@ def test_reconstruct_huge_row_count_exit_4(small_model, tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"a table of {n} rows" in err and "cap" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [20000, 200000])
+def test_reconstruct_peak_allocation_stays_within_the_checked_bytes(tmp_path, monkeypatch, n):
+    # the mode sum's chunk of n x 48 phases (20,000 rows) or of 2^22 (200,000 rows)
+    # and the reference's arrays over the times set the peak, not the table
+    bath, out = tmp_path / "bath.json", tmp_path / "bcf.csv"
+    argv = ["discretize", "--sd", "configs/surrogate_sd.csv", "--temp-k", "300",
+            "--omega-max-cm1", "600", "--n-time", "200", "--n-freq", "2000", "--out", str(bath)]
+    assert main(argv) == 0 and load_bath_model(bath).mode_count == 48
+    argv = ["reconstruct", "--model", str(bath), "--n-time", str(n), "--out", str(out)]
+    rc, peak, checked = traced_peak_and_checked_bytes(argv, monkeypatch)
+    assert rc == 0
+    assert peak <= checked
 
 
 def test_reconstruct_schema_violation_exit_2(tmp_path, capsys):

@@ -456,9 +456,9 @@ def test_grid_rejects_overflowing_phases():
 
 def test_discretize_memory_cap_is_the_id_working_set(monkeypatch):
     # Q (r x 2m) and R (r x n) at r = min(2m, n), three 2m x 256 blocks capped
-    # at n columns, and 192 bytes per column
+    # at n columns, 192 bytes per column and the reference's 256 bytes per time
     grid = FdrGrid(t_max_fs=100.0, omega_max_cm1=1000.0, n_time=20, n_freq=200)
-    need = 8 * (min(40, 200) * (40 + 200) + 3 * 40 * min(200, 256)) + 192 * 200
+    need = 8 * (min(40, 200) * (40 + 200) + 3 * 40 * min(200, 256)) + 192 * 200 + 256 * 20
     assert discretize_bath(DEBYE_300K, grid, 1e-2, memory_cap_bytes=need).mode_count > 0
 
     def no_work(*args, **kwargs):
@@ -470,7 +470,7 @@ def test_discretize_memory_cap_is_the_id_working_set(monkeypatch):
         discretize_bath(DEBYE_300K, grid, 1e-2, memory_cap_bytes=need - 1)
     # 206 MB on the default grid, well inside the default 4 GiB cap
     default = FdrGrid(t_max_fs=1000.0, omega_max_cm1=600.0)
-    need = 8 * (2000 * 12000 + 3 * 2000 * 256) + 192 * 10000
+    need = 8 * (2000 * 12000 + 3 * 2000 * 256) + 192 * 10000 + 256 * 1000
     assert need <= disc.DEFAULT_MEMORY_CAP_BYTES
     with pytest.raises(ResourceLimitError, match="column ID"):
         discretize_bath(DEBYE_300K, default, 1e-2, memory_cap_bytes=need - 1)
@@ -487,29 +487,38 @@ def test_discretize_memory_cap_is_the_id_working_set(monkeypatch):
         (1000, 10000, 0.0, 1e-2, 1000.0),
         (1000, 10000, 300.0, 1e-6, 1000.0),
         (1000, 10000, 300.0, 1e-8, 1000.0),
+        (20000, 2, 300.0, 1e-2, 1000.0),
+        (100000, 2, 300.0, 1e-2, 1000.0),
     ],
 )
 def test_discretize_peak_allocation_stays_within_the_checked_bytes(
-    n_time, n_freq, kelvin, tol, t_max_fs
+    n_time, n_freq, kelvin, tol, t_max_fs, monkeypatch
 ):
     # a wide grid is dominated by the per-column arrays, among them the chirp-z
     # kernel's one row (about n_freq complex values when n_freq >> n_time), the
-    # default grid at 0 K by the blocks of recomputed residual norms, and tight
-    # tols by Q, R and those blocks, each freed before the next is built; the
+    # default grid at 0 K by the blocks of recomputed residual norms, tight
+    # tols by Q, R and those blocks, each freed before the next is built, and a
+    # tall grid by the reference quadrature's arrays over the times; the
     # checked bytes do not depend on t_max, so the shortest grids take a window
     # their few times resolve
+    checked, check_memory = [], disc.check_memory
+
+    def spy(nbytes, cap, what):
+        checked.append(nbytes)
+        return check_memory(nbytes, cap, what)
+
+    monkeypatch.setattr(disc, "check_memory", spy)
     temperature = Temperature.finite(kelvin) if kelvin else Temperature.zero()
     kernel = NoiseKernel(SURROGATE, temperature)
     grid = FdrGrid(t_max_fs=t_max_fs, omega_max_cm1=600.0, n_time=n_time, n_freq=n_freq)
-    need = 8 * (min(2 * n_time, n_freq) * (2 * n_time + n_freq) + 3 * 2 * n_time * 256)
-    need += 192 * n_freq
     tracemalloc.start()
     try:
-        discretize_bath(kernel, grid, tol, memory_cap_bytes=need)
+        discretize_bath(kernel, grid, tol)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= need
+    assert len(checked) == 1
+    assert peak <= checked[0]
 
 
 def test_discretize_never_builds_the_dense_matrix(monkeypatch):
