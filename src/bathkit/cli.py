@@ -29,7 +29,6 @@ from . import __version__
 from ._schema import read_json, write_json, write_lines
 from .discretize import (
     DEFAULT_MEMORY_CAP_BYTES,
-    REFERENCE_BYTES_PER_TIME,
     FdrGrid,
     check_memory,
     discretize_bath,
@@ -37,6 +36,7 @@ from .discretize import (
     reconstruct_bcf,
     reference_bcf,
     save_bath_model,
+    series_bytes,
 )
 from .dynamics import convergence_study
 from .errors import (
@@ -46,7 +46,6 @@ from .errors import (
     ValidationError,
 )
 from .hamiltonian import build_model, export_model, system_from_dict
-from .quadrature import DIRECT_CHUNK
 from .specdens import NoiseKernel, Temperature, load_tabulated, sd_from_config
 
 EXIT_OK = 0
@@ -87,14 +86,13 @@ def _write_csv(sink, meta: dict, names, columns):
     write_lines(sink, itertools.chain(lines, rows))
 
 
-def _check_rows(flag: str, n_rows: int, n_columns: int, work: int = 0):
-    """Require a row count >= 2 whose CSV table, plus ``work`` bytes that compute it,
-    fits the cap.  Each value counts twice as a double (intermediates and table) and
-    twice as 25 characters; the rows' text is written a line at a time, so eval-sd's
-    three columns peak at about 60 of the 198 bytes a row counted."""
+def _check_rows(flag: str, n_rows: int, n_columns: int, work: int):
+    """Require a row count >= 2 whose columns, plus ``work`` bytes that compute them,
+    fit the cap.  Each value counts twice as a double, in its column and in the table
+    or intermediate that holds it; the rows are written a line at a time."""
     if n_rows < 2:
         raise ValidationError(f"{flag} must be >= 2, got {n_rows}")
-    nbytes = n_rows * n_columns * 2 * (8 + 25) + work
+    nbytes = 16 * n_rows * n_columns + work
     check_memory(nbytes, DEFAULT_MEMORY_CAP_BYTES, f"a table of {n_rows} rows; ask for fewer")
 
 
@@ -142,7 +140,7 @@ def _finite_float(text: str) -> float:
 
 def _cmd_eval_sd(args) -> int:
     kernel = NoiseKernel(_load_sd(args.sd), _temperature_from_args(args, required=False))
-    _check_rows("--n", args.n, 3)
+    _check_rows("--n", args.n, 3, kernel.BYTES_PER_POINT * args.n)
     if not math.isfinite(args.omega_max - args.omega_min):
         raise ValidationError("the span from --omega-min to --omega-max overflows")
     omegas = np.linspace(args.omega_min, args.omega_max, args.n)
@@ -176,12 +174,8 @@ def _cmd_discretize(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     model = load_bath_model(args.model)
-    # the mode sum's largest chunk of n x M phases, 32 bytes an entry (complex phases
-    # and their exp), and the reference quadrature's bytes per time
-    n = args.n_time
-    work = 32 * min(n * model.mode_count, max(n, DIRECT_CHUNK)) + REFERENCE_BYTES_PER_TIME * n
-    _check_rows("--n-time", n, 5, work)
-    times = np.linspace(0.0, model.t_max_fs, n)
+    _check_rows("--n-time", args.n_time, 5, series_bytes(args.n_time, model.mode_count))
+    times = np.linspace(0.0, model.t_max_fs, args.n_time)
     c_model = reconstruct_bcf(model, times)
     c_ref = reference_bcf(model.kernel, times, model.omega_max_cm1)
 

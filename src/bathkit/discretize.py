@@ -38,6 +38,8 @@ from ._schema import is_integer, read_json, require, require_list, require_numbe
 from .errors import ConvergenceError, ResourceLimitError, SchemaError, ValidationError
 from .lowrank import RECOMPUTE_CHUNK, IdResult, column_id, nnls
 from .quadrature import (
+    DEFAULT_QUAD_POINTS,
+    DIRECT_CHUNK,
     ChirpSum,
     check_midpoints,
     direct_sum,
@@ -54,6 +56,7 @@ __all__ = [
     "BathDiagnostics",
     "BathModel",
     "reference_bcf",
+    "series_bytes",
     "check_memory",
     "check_tol",
     "assemble_fdr",
@@ -69,10 +72,6 @@ __all__ = [
 ]
 
 DEFAULT_MEMORY_CAP_BYTES = 4 << 30
-# bytes per time that reference_bcf allocates: its last two quadrature levels and the
-# fold's chirp-z buffers over 2m - 1 times (tracemalloc: 160 a time at the margin,
-# 165-239 with its fixed part, on 20,000 to 300,000 times)
-REFERENCE_BYTES_PER_TIME = 256
 
 
 def _check_window(t_max_fs: float, omega_max_cm1: float, n_freq: int = 2):
@@ -305,16 +304,24 @@ def assemble_fdr(kernel: NoiseKernel, grid: FdrGrid) -> np.ndarray:
 
     Rows [0, m) hold Re f and rows [m, 2m) Im f over the grid times.  The
     dense oracle for ``FdrOperator``, built independently of it; the
-    pipeline itself never builds this matrix.  The cap is
+    pipeline itself never builds this matrix.  It is built in place, a pair
+    of rows at a time: the phases omega * t_i in row m + i, their cos times S
+    in row i, then their sin times -S over the phases.  The cap is
     ``DEFAULT_MEMORY_CAP_BYTES``, read at call time.
     """
     m, n = grid.n_time, grid.n_freq
-    check_memory(16 * m * n, DEFAULT_MEMORY_CAP_BYTES, f"the {m} x {n} samples; use a coarser grid")
-    s_vals = kernel.evaluate(grid.freqs)
-    arg = np.outer(grid.times, grid.freqs * RAD_PER_FS_PER_CM1)
+    # the matrix, the times and, a column, S's evaluation, the frequencies, rates and -S
+    nbytes = 16 * m * n + 8 * m + (kernel.BYTES_PER_POINT + 24) * n
+    check_memory(nbytes, DEFAULT_MEMORY_CAP_BYTES, f"the {m} x {n} samples; use a coarser grid")
+    s = kernel.evaluate(grid.freqs)
+    w_rad, minus_s = grid.freqs * RAD_PER_FS_PER_CM1, -s
     realified = np.empty((2 * m, n))
-    realified[:m] = s_vals * np.cos(arg)
-    realified[m:] = -(s_vals * np.sin(arg))
+    # row by row: a broadcast ufunc given ``out`` allocates iteration buffers (to 128 KiB)
+    for i, t in enumerate(grid.times):
+        re, im = realified[i], realified[m + i]
+        np.multiply(t, w_rad, out=im)
+        np.multiply(np.cos(im, out=re), s, out=re)
+        np.multiply(np.sin(im, out=im), minus_s, out=im)
     return realified
 
 
@@ -352,22 +359,18 @@ def fdr_factor(
     select, so only the selected columns are ever built and they are those
     of the full grid.  The reference is ``reference_bcf`` on the grid times.
     Then the selected columns are built once more, within the worst-case Q
-    counted below, as the factor's ``basis``, and the operator is freed on
-    return.
-    Before any work, the worst-case working set of the column ID and the
-    reference, 8 * (min(2m, n) * (2m + n) + 3 * 2m * min(n, 256)) + 192 * n
-    + 256 * m bytes, is checked against ``memory_cap_bytes``
-    (ResourceLimitError above it); it counts all n grid columns, not the band,
-    the largest possible rank and ``REFERENCE_BYTES_PER_TIME`` for each time.
+    counted below, as the factor's ``basis``, and the operator is freed on return.
+    Before any work, the worst-case working set of the column ID and the reference's
+    ``series_bytes(m)`` is checked against ``memory_cap_bytes`` (ResourceLimitError
+    above it); it counts all n grid columns, not the band, and the largest possible rank.
     """
     check_tol(tol)
     # Q (r x 2m) and R (r x n) at r = min(2m, n), three 2m x RECOMPUTE_CHUNK blocks of
-    # recomputed residuals, up to ~120 bytes per band column (~77 per grid column)
-    # measured for S, the norms, the Gram table, the chirp-z kernel and one call's FFT
-    # buffers, and the reference's arrays over the m times
+    # recomputed residuals, and up to ~120 bytes per band column (~77 per grid column)
+    # measured for S, the norms, the Gram table, the chirp-z kernel and one call's FFT buffers
     m2, n = 2 * grid.n_time, grid.n_freq
     nbytes = 8 * (min(m2, n) * (m2 + n) + 3 * m2 * min(n, RECOMPUTE_CHUNK)) + 192 * n
-    nbytes += REFERENCE_BYTES_PER_TIME * grid.n_time
+    nbytes += series_bytes(grid.n_time)
     what = f"the column ID on the {grid.n_time} x {n} grid; use a coarser grid or a higher cap"
     check_memory(nbytes, memory_cap_bytes, what)
     samples = FdrOperator(kernel, grid, tol)
@@ -493,6 +496,15 @@ def reconstruct_bcf(model: BathModel, times_fs) -> np.ndarray:
     if not np.all(np.isfinite(c)):
         raise ValidationError("the modes' C(t) is not finite: g^2 or the sum overflows")
     return c
+
+
+def series_bytes(n_times: int, n_modes: int = 0) -> int:
+    """Bytes that ``reference_bcf`` and, for M = ``n_modes``, ``reconstruct_bcf`` allocate
+    over m = ``n_times`` times: the reference's 256 a time (measured: 160) and 64 a point
+    of its second level, 2 * DEFAULT_QUAD_POINTS, for its fixed part (1.61-1.73 MB; no
+    deeper level counts), and 32 an entry of ``direct_sum``'s largest chunk of phases."""
+    m = n_times
+    return 256 * m + 64 * 2 * DEFAULT_QUAD_POINTS + 32 * min(m * n_modes, max(m, DIRECT_CHUNK))
 
 
 def bcf_error_stats(c_model, c_reference) -> dict:

@@ -417,6 +417,7 @@ class NoiseKernel:
 
     sd: SpectralDensity
     temperature: Temperature
+    BYTES_PER_POINT = 64  # what evaluate allocates a point, its output included (measured: 41-57)
 
     def evaluate(self, omega):
         """S_beta(omega); finite for every real omega, scalars or arrays."""

@@ -119,13 +119,25 @@ def traced_peak_and_checked_bytes(argv, monkeypatch):
 
 
 def test_eval_sd_peak_allocation_stays_within_the_checked_bytes(debye_sd, tmp_path, monkeypatch):
-    # the rows are written a line at a time: about 57 of the 198 bytes a row counted
+    # the rows are written a line at a time: about 58 of the 112 bytes a row counted
     out = tmp_path / "sd.csv"
     argv = ["eval-sd", "--sd", debye_sd, "--temp-k", "300", "--omega-min", "-500",
             "--omega-max", "500", "--n", "200000", "--out", str(out)]
     rc, peak, checked = traced_peak_and_checked_bytes(argv, monkeypatch)
     assert rc == 0 and len(data_rows(out)) == 200000
     assert peak <= checked
+
+
+def test_eval_sd_runs_under_120_bytes_a_row(debye_sd, tmp_path, monkeypatch):
+    # the three columns twice and the noise kernel's bytes a point: 112 bytes a row
+    n = 200000
+    monkeypatch.setattr(cli, "DEFAULT_MEMORY_CAP_BYTES", 120 * n)
+    out = tmp_path / "sd.csv"
+    argv = ["eval-sd", "--sd", debye_sd, "--temp-k", "300", "--omega-min", "-500",
+            "--omega-max", "500", "--n", str(n), "--out", str(out)]
+    rc, peak, checked = traced_peak_and_checked_bytes(argv, monkeypatch)
+    assert rc == 0 and len(data_rows(out)) == n
+    assert peak <= checked <= 120 * n
 
 
 def test_eval_sd_defaults_to_zero_temperature(debye_sd, tmp_path):

@@ -259,6 +259,25 @@ def test_reference_bcf_doubling_is_converged():
     assert np.max(np.abs(c1 - c2)) < 2e-6 * scale
 
 
+@pytest.mark.parametrize("kelvin", [300.0, 0.0])
+@pytest.mark.parametrize("n_times", [2, 1000, 5000, 20000])
+def test_reference_bcf_peak_allocation_stays_within_series_bytes(kelvin, n_times):
+    # the fixed part of the first two levels rules a few times (1.61-1.73 MB up to
+    # 1,000 times), the 256 bytes a time many; the surrogate is loaded afresh, as
+    # reconstruct loads it from a bath, and at 300 K, Debye at 0 K
+    table = Path(__file__).resolve().parent.parent / "configs" / "surrogate_sd.csv"
+    temperature = Temperature.finite(kelvin) if kelvin else Temperature.zero()
+    sd = load_tabulated(table) if kelvin else Debye(lam=35.0, gamma=106.1)
+    times = np.linspace(0.0, 1000.0, n_times)
+    tracemalloc.start()
+    try:
+        reference_bcf(NoiseKernel(sd, temperature), times, 600.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= disc.series_bytes(n_times)
+
+
 # --- assemble_fdr --------------------------------------------------------------
 
 
@@ -276,6 +295,26 @@ def test_assemble_memory_cap(monkeypatch):
     monkeypatch.setattr(disc, "DEFAULT_MEMORY_CAP_BYTES", 1 << 20)
     with pytest.raises(ResourceLimitError, match="coarser grid"):
         assemble_fdr(DEBYE_300K, g)
+
+
+def test_assemble_peak_allocation_stays_within_the_checked_bytes(monkeypatch):
+    # built in place: the matrix, the times and a few arrays over the frequencies
+    checked, check_memory = [], disc.check_memory
+
+    def spy(nbytes, cap, what):
+        checked.append(nbytes)
+        return check_memory(nbytes, cap, what)
+
+    monkeypatch.setattr(disc, "check_memory", spy)
+    grid = FdrGrid(t_max_fs=1000.0, omega_max_cm1=600.0, n_time=200, n_freq=2000)
+    tracemalloc.start()
+    try:
+        assemble_fdr(DEBYE_300K, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(checked) == 1
+    assert peak <= checked[0]
 
 
 # --- FdrOperator: the matrix-free sample matrix --------------------------------
@@ -456,9 +495,11 @@ def test_grid_rejects_overflowing_phases():
 
 def test_discretize_memory_cap_is_the_id_working_set(monkeypatch):
     # Q (r x 2m) and R (r x n) at r = min(2m, n), three 2m x 256 blocks capped
-    # at n columns, 192 bytes per column and the reference's 256 bytes per time
+    # at n columns, 192 bytes per column, and the reference's 256 bytes per time
+    # and 64 a point of its 32,768-point second level
     grid = FdrGrid(t_max_fs=100.0, omega_max_cm1=1000.0, n_time=20, n_freq=200)
     need = 8 * (min(40, 200) * (40 + 200) + 3 * 40 * min(200, 256)) + 192 * 200 + 256 * 20
+    need += 64 * 32768
     assert discretize_bath(DEBYE_300K, grid, 1e-2, memory_cap_bytes=need).mode_count > 0
 
     def no_work(*args, **kwargs):
@@ -468,9 +509,9 @@ def test_discretize_memory_cap_is_the_id_working_set(monkeypatch):
     monkeypatch.setattr(NoiseKernel, "evaluate", no_work)
     with pytest.raises(ResourceLimitError, match="cap"):
         discretize_bath(DEBYE_300K, grid, 1e-2, memory_cap_bytes=need - 1)
-    # 206 MB on the default grid, well inside the default 4 GiB cap
+    # 209 MB on the default grid, well inside the default 4 GiB cap
     default = FdrGrid(t_max_fs=1000.0, omega_max_cm1=600.0)
-    need = 8 * (2000 * 12000 + 3 * 2000 * 256) + 192 * 10000 + 256 * 1000
+    need = 8 * (2000 * 12000 + 3 * 2000 * 256) + 192 * 10000 + 256 * 1000 + 64 * 32768
     assert need <= disc.DEFAULT_MEMORY_CAP_BYTES
     with pytest.raises(ResourceLimitError, match="column ID"):
         discretize_bath(DEBYE_300K, default, 1e-2, memory_cap_bytes=need - 1)
@@ -487,6 +528,8 @@ def test_discretize_memory_cap_is_the_id_working_set(monkeypatch):
         (1000, 10000, 0.0, 1e-2, 1000.0),
         (1000, 10000, 300.0, 1e-6, 1000.0),
         (1000, 10000, 300.0, 1e-8, 1000.0),
+        (2000, 2, 300.0, 1e-2, 1000.0),
+        (5000, 2, 300.0, 1e-2, 1000.0),
         (20000, 2, 300.0, 1e-2, 1000.0),
         (100000, 2, 300.0, 1e-2, 1000.0),
     ],
@@ -497,8 +540,9 @@ def test_discretize_peak_allocation_stays_within_the_checked_bytes(
     # a wide grid is dominated by the per-column arrays, among them the chirp-z
     # kernel's one row (about n_freq complex values when n_freq >> n_time), the
     # default grid at 0 K by the blocks of recomputed residual norms, tight
-    # tols by Q, R and those blocks, each freed before the next is built, and a
-    # tall grid by the reference quadrature's arrays over the times; the
+    # tols by Q, R and those blocks, each freed before the next is built, a
+    # tall grid by the reference quadrature's arrays over the times, and one of a
+    # few thousand times by the fixed part of its first two levels; the
     # checked bytes do not depend on t_max, so the shortest grids take a window
     # their few times resolve
     checked, check_memory = [], disc.check_memory
