@@ -38,8 +38,8 @@ from ._schema import is_integer, read_json, require, require_list, require_numbe
 from .errors import ConvergenceError, ResourceLimitError, SchemaError, ValidationError
 from .lowrank import RECOMPUTE_CHUNK, IdResult, column_id, nnls
 from .quadrature import (
-    DEFAULT_QUAD_POINTS,
     DIRECT_CHUNK,
+    MAX_QUAD_POINTS,
     ChirpSum,
     check_midpoints,
     direct_sum,
@@ -362,7 +362,7 @@ def fdr_factor(
     counted below, as the factor's ``basis``, and the operator is freed on return.
     Before any work, the worst-case working set of the column ID and the reference's
     ``series_bytes(m)`` is checked against ``memory_cap_bytes`` (ResourceLimitError
-    above it); it counts all n grid columns, not the band, and the largest possible rank.
+    above it): all n grid columns, not the band, the largest rank, the reference's deepest level.
     """
     check_tol(tol)
     # Q (r x 2m) and R (r x n) at r = min(2m, n), three 2m x RECOMPUTE_CHUNK blocks of
@@ -501,10 +501,10 @@ def reconstruct_bcf(model: BathModel, times_fs) -> np.ndarray:
 def series_bytes(n_times: int, n_modes: int = 0) -> int:
     """Bytes that ``reference_bcf`` and, for M = ``n_modes``, ``reconstruct_bcf`` allocate
     over m = ``n_times`` times: the reference's 256 a time (measured: 160) and 64 a point
-    of its second level, 2 * DEFAULT_QUAD_POINTS, for its fixed part (1.61-1.73 MB; no
-    deeper level counts), and 32 an entry of ``direct_sum``'s largest chunk of phases."""
+    of the deepest level ``refine_midpoint`` can reach, MAX_QUAD_POINTS, whatever the
+    noise, and 32 an entry of ``direct_sum``'s largest chunk of phases."""
     m = n_times
-    return 256 * m + 64 * 2 * DEFAULT_QUAD_POINTS + 32 * min(m * n_modes, max(m, DIRECT_CHUNK))
+    return 256 * m + 64 * MAX_QUAD_POINTS + 32 * min(m * n_modes, max(m, DIRECT_CHUNK))
 
 
 def bcf_error_stats(c_model, c_reference) -> dict:

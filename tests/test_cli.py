@@ -448,6 +448,24 @@ def test_reconstruct_peak_allocation_stays_within_the_checked_bytes(tmp_path, mo
     assert peak <= checked
 
 
+def test_reconstruct_of_a_narrow_peak_counts_the_deepest_level(tmp_path, capsys, monkeypatch):
+    # the bath's reference refines to 2^20 points (a 59 MB peak over 1,000 rows), which
+    # the check counts whatever the noise, so a 32 MiB cap refuses it before any row
+    sd, bath, out = tmp_path / "peak.json", tmp_path / "bath.json", tmp_path / "bcf.csv"
+    sd.write_text('{"kind": "lorentzian_sum", "terms": [{"lambda": 10.0, "gamma": 0.01, '
+                  '"omega0": 300.0}]}')
+    argv = ["discretize", "--sd", str(sd), "--temp-k", "300", "--t-max-fs", "1000",
+            "--omega-max-cm1", "600", "--n-time", "200", "--n-freq", "200", "--tol", "1e-2",
+            "--out", str(bath)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "DEFAULT_MEMORY_CAP_BYTES", 32 << 20)
+    assert main(["reconstruct", "--model", str(bath), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "a table of 1000 rows" in err
+    assert not out.exists()
+
+
 def test_reconstruct_schema_violation_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema": "bathkit-bath/1", "t_max_fs": 10.0}')

@@ -40,7 +40,14 @@ from bathkit.quadrature import (
     midpoint_frequencies,
     refine_midpoint,
 )
-from bathkit.specdens import Debye, LorentzianSum, NoiseKernel, Temperature, load_tabulated
+from bathkit.specdens import (
+    Debye,
+    LorentzianSum,
+    NoiseKernel,
+    OhmicExp,
+    Temperature,
+    load_tabulated,
+)
 from bathkit.units import RAD_PER_FS_PER_CM1
 
 DEBYE_300K = NoiseKernel(Debye(lam=35.0, gamma=106.1), Temperature.finite(300.0))
@@ -259,15 +266,29 @@ def test_reference_bcf_doubling_is_converged():
     assert np.max(np.abs(c1 - c2)) < 2e-6 * scale
 
 
-@pytest.mark.parametrize("kelvin", [300.0, 0.0])
-@pytest.mark.parametrize("n_times", [2, 1000, 5000, 20000])
-def test_reference_bcf_peak_allocation_stays_within_series_bytes(kelvin, n_times):
-    # the fixed part of the first two levels rules a few times (1.61-1.73 MB up to
-    # 1,000 times), the 256 bytes a time many; the surrogate is loaded afresh, as
-    # reconstruct loads it from a bath, and at 300 K, Debye at 0 K
+# a peak of width gamma at 300 cm^-1: at 300 K and 600 cm^-1 the reference settles at
+# 65,536 points (gamma 0.1), 262,144 (0.03) and MAX_QUAD_POINTS = 2^20 (0.01)
+NARROW_PEAKS = {gamma: LorentzianSum(((10.0, gamma, 300.0),)) for gamma in (0.1, 0.03, 0.01)}
+
+
+@pytest.mark.parametrize(
+    "n_times, kelvin, gamma",
+    [pytest.param(n, k, None, id=f"{n}-{k}") for k in (300.0, 0.0) for n in (2, 1000, 5000, 20000)]
+    + [
+        pytest.param(n, 300.0, g, id=f"{n}-300.0-gamma{g}")
+        for g in NARROW_PEAKS
+        for n in (1000, 10000)
+    ],
+)
+def test_reference_bcf_peak_allocation_stays_within_series_bytes(n_times, kelvin, gamma):
+    # the deepest level counted rules a few times and the narrow peaks, the 256 bytes a
+    # time many; the surrogate is loaded afresh, as reconstruct loads it from a bath,
+    # and at 300 K, Debye at 0 K, and each narrow peak at 300 K
     table = Path(__file__).resolve().parent.parent / "configs" / "surrogate_sd.csv"
     temperature = Temperature.finite(kelvin) if kelvin else Temperature.zero()
     sd = load_tabulated(table) if kelvin else Debye(lam=35.0, gamma=106.1)
+    if gamma is not None:
+        sd = NARROW_PEAKS[gamma]
     times = np.linspace(0.0, 1000.0, n_times)
     tracemalloc.start()
     try:
@@ -276,6 +297,35 @@ def test_reference_bcf_peak_allocation_stays_within_series_bytes(kelvin, n_times
     finally:
         tracemalloc.stop()
     assert peak <= disc.series_bytes(n_times)
+
+
+@pytest.mark.parametrize("kelvin", [300.0, 0.0])
+@pytest.mark.parametrize(
+    "sd",
+    [
+        Debye(lam=35.0, gamma=106.1),
+        OhmicExp(alpha=0.05, omega_c=100.0),
+        load_tabulated(Path(__file__).resolve().parent.parent / "configs" / "surrogate_sd.csv"),
+        NARROW_PEAKS[0.1],
+    ],
+    ids=["debye", "ohmic_exp", "tabulated", "lorentzian_sum"],
+)
+def test_reference_bcf_peak_at_the_deepest_level_stays_within_series_bytes(
+    sd, kelvin, monkeypatch
+):
+    # no doubling settles at a zero tolerance, so every kind refines to MAX_QUAD_POINTS
+    # and raises there, its arrays over 2^20 points at their largest
+    monkeypatch.setattr(quadrature, "QUAD_REL_TOL", 0.0)
+    temperature = Temperature.finite(kelvin) if kelvin else Temperature.zero()
+    times = np.linspace(0.0, 1000.0, 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError, match=f"within {quadrature.MAX_QUAD_POINTS} points"):
+            reference_bcf(NoiseKernel(sd, temperature), times, 600.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= disc.series_bytes(1000)
 
 
 # --- assemble_fdr --------------------------------------------------------------
@@ -496,10 +546,10 @@ def test_grid_rejects_overflowing_phases():
 def test_discretize_memory_cap_is_the_id_working_set(monkeypatch):
     # Q (r x 2m) and R (r x n) at r = min(2m, n), three 2m x 256 blocks capped
     # at n columns, 192 bytes per column, and the reference's 256 bytes per time
-    # and 64 a point of its 32,768-point second level
+    # and 64 a point of its deepest level, MAX_QUAD_POINTS = 2^20 points
     grid = FdrGrid(t_max_fs=100.0, omega_max_cm1=1000.0, n_time=20, n_freq=200)
     need = 8 * (min(40, 200) * (40 + 200) + 3 * 40 * min(200, 256)) + 192 * 200 + 256 * 20
-    need += 64 * 32768
+    need += 64 * 2**20
     assert discretize_bath(DEBYE_300K, grid, 1e-2, memory_cap_bytes=need).mode_count > 0
 
     def no_work(*args, **kwargs):
@@ -509,42 +559,42 @@ def test_discretize_memory_cap_is_the_id_working_set(monkeypatch):
     monkeypatch.setattr(NoiseKernel, "evaluate", no_work)
     with pytest.raises(ResourceLimitError, match="cap"):
         discretize_bath(DEBYE_300K, grid, 1e-2, memory_cap_bytes=need - 1)
-    # 209 MB on the default grid, well inside the default 4 GiB cap
+    # 274 MB on the default grid, well inside the default 4 GiB cap
     default = FdrGrid(t_max_fs=1000.0, omega_max_cm1=600.0)
-    need = 8 * (2000 * 12000 + 3 * 2000 * 256) + 192 * 10000 + 256 * 1000 + 64 * 32768
+    need = 8 * (2000 * 12000 + 3 * 2000 * 256) + 192 * 10000 + 256 * 1000 + 64 * 2**20
     assert need <= disc.DEFAULT_MEMORY_CAP_BYTES
     with pytest.raises(ResourceLimitError, match="column ID"):
         discretize_bath(DEBYE_300K, default, 1e-2, memory_cap_bytes=need - 1)
 
 
 @pytest.mark.parametrize(
-    "n_time, n_freq, kelvin, tol, t_max_fs",
+    "n_time, n_freq, kelvin, tol, t_max_fs, density",
     [
-        (2, 1 << 18, 300.0, 1e-2, 25.0),
-        (4, 1 << 17, 300.0, 1e-2, 25.0),
-        (64, 1 << 17, 300.0, 1e-2, 1000.0),
-        (5, 1 << 18, 300.0, 1e-2, 25.0),
-        (1000, 10000, 300.0, 1e-2, 1000.0),
-        (1000, 10000, 0.0, 1e-2, 1000.0),
-        (1000, 10000, 300.0, 1e-6, 1000.0),
-        (1000, 10000, 300.0, 1e-8, 1000.0),
-        (2000, 2, 300.0, 1e-2, 1000.0),
-        (5000, 2, 300.0, 1e-2, 1000.0),
-        (20000, 2, 300.0, 1e-2, 1000.0),
-        (100000, 2, 300.0, 1e-2, 1000.0),
+        (2, 1 << 18, 300.0, 1e-2, 25.0, "surrogate"),
+        (4, 1 << 17, 300.0, 1e-2, 25.0, "surrogate"),
+        (64, 1 << 17, 300.0, 1e-2, 1000.0, "surrogate"),
+        (5, 1 << 18, 300.0, 1e-2, 25.0, "surrogate"),
+        (1000, 10000, 300.0, 1e-2, 1000.0, "surrogate"),
+        (1000, 10000, 0.0, 1e-2, 1000.0, "surrogate"),
+        (1000, 10000, 300.0, 1e-6, 1000.0, "surrogate"),
+        (1000, 10000, 300.0, 1e-8, 1000.0, "surrogate"),
+        (2000, 2, 300.0, 1e-2, 1000.0, "surrogate"),
+        (5000, 2, 300.0, 1e-2, 1000.0, "surrogate"),
+        (20000, 2, 300.0, 1e-2, 1000.0, "surrogate"),
+        (100000, 2, 300.0, 1e-2, 1000.0, "surrogate"),
+        (64, 4000, 300.0, 1e-2, 100.0, "lorentzian-gamma0.03"),
     ],
 )
 def test_discretize_peak_allocation_stays_within_the_checked_bytes(
-    n_time, n_freq, kelvin, tol, t_max_fs, monkeypatch
+    n_time, n_freq, kelvin, tol, t_max_fs, density, monkeypatch
 ):
     # a wide grid is dominated by the per-column arrays, among them the chirp-z
     # kernel's one row (about n_freq complex values when n_freq >> n_time), the
     # default grid at 0 K by the blocks of recomputed residual norms, tight
     # tols by Q, R and those blocks, each freed before the next is built, a
-    # tall grid by the reference quadrature's arrays over the times, and one of a
-    # few thousand times by the fixed part of its first two levels; the
-    # checked bytes do not depend on t_max, so the shortest grids take a window
-    # their few times resolve
+    # tall grid by the reference quadrature's arrays over the times, and a narrow
+    # peak by the deeper levels of its quadrature; the checked bytes do not
+    # depend on t_max, so the shortest grids take a window their few times resolve
     checked, check_memory = [], disc.check_memory
 
     def spy(nbytes, cap, what):
@@ -553,11 +603,11 @@ def test_discretize_peak_allocation_stays_within_the_checked_bytes(
 
     monkeypatch.setattr(disc, "check_memory", spy)
     temperature = Temperature.finite(kelvin) if kelvin else Temperature.zero()
-    kernel = NoiseKernel(SURROGATE, temperature)
+    sd = SURROGATE if density == "surrogate" else NARROW_PEAKS[0.03]
     grid = FdrGrid(t_max_fs=t_max_fs, omega_max_cm1=600.0, n_time=n_time, n_freq=n_freq)
     tracemalloc.start()
     try:
-        discretize_bath(kernel, grid, tol)
+        discretize_bath(NoiseKernel(sd, temperature), grid, tol)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
